@@ -50,7 +50,7 @@ fn run_sweep_cell(s: &Scenario, seed: u64, epochs: u64) -> Outcome {
             .expect("campaign reports are valid");
     }
     for _ in 0..epochs {
-        engine.run_epoch_incremental();
+        engine.run_epoch();
     }
     let report = engine.audit_report(3);
     let convicted = report.convicted();

@@ -122,8 +122,8 @@ pub struct FrameworkResult {
     /// re-running it.
     pub convergence_trace: Vec<f64>,
     /// Whether the run was seeded from a previous epoch's group weights
-    /// (see [`SybilResistantTd::discover_warm`]) rather than Eq. 4's
-    /// size-only prior.
+    /// (see [`SybilResistantTd::discover_with_grouping_seeded`]) rather
+    /// than Eq. 4's size-only prior.
     pub warm_started: bool,
 }
 
@@ -174,36 +174,12 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
     /// Panics if the grouping method requires fingerprints that are
     /// missing (see the method's own documentation).
     pub fn discover(&self, data: &SensingData, fingerprints: &[Vec<f64>]) -> FrameworkResult {
-        self.discover_warm(data, fingerprints, None)
-    }
-
-    /// Runs Algorithm 2 with an optional warm start: when `warm_weights`
-    /// carries the previous epoch's group weights (one finite, non-negative
-    /// entry per group of the fresh grouping), the truth initialization of
-    /// line 7 uses them instead of Eq. 4's size-only seeds. On unchanged
-    /// data this reproduces the previous epoch's truths bitwise (the same
-    /// Eq. 5 arithmetic the previous run ended on), so the loop resumes
-    /// exactly where the cold trajectory left off and steady-state epochs
-    /// converge in one iteration instead of ~5 — the one warm iteration
-    /// computes bit-for-bit what the cold run's next iteration would have.
-    ///
-    /// A seed that no longer fits — wrong length (the grouping changed),
-    /// non-finite or negative entries — is ignored and the run falls back
-    /// to the cold path; `FrameworkResult::warm_started` records which path
-    /// ran.
-    pub fn discover_warm(
-        &self,
-        data: &SensingData,
-        fingerprints: &[Vec<f64>],
-        warm_weights: Option<&[f64]>,
-    ) -> FrameworkResult {
-        let _span = obs::span("framework.discover");
         // Line 1: account grouping.
         let grouping = {
             let _span = obs::span("framework.grouping");
             self.grouping.group(data, fingerprints)
         };
-        self.discover_with_grouping_seeded(data, grouping, warm_weights)
+        self.discover_with_grouping_seeded(data, grouping, None)
     }
 
     /// Runs the data-grouping and truth-estimation stages on a precomputed
@@ -221,8 +197,21 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
         self.discover_with_grouping_seeded(data, grouping, None)
     }
 
-    /// [`Self::discover_with_grouping`] with the warm-start seeding of
-    /// [`Self::discover_warm`].
+    /// [`Self::discover_with_grouping`] with an optional warm start: when
+    /// `warm_weights` carries the previous epoch's group weights (one
+    /// finite, non-negative entry per group of `grouping`), the truth
+    /// initialization of line 7 uses them instead of Eq. 4's size-only
+    /// seeds. On unchanged data this reproduces the previous epoch's truths
+    /// bitwise (the same Eq. 5 arithmetic the previous run ended on), so the
+    /// loop resumes exactly where the cold trajectory left off and
+    /// steady-state epochs converge in one iteration instead of ~5 — the one
+    /// warm iteration computes bit-for-bit what the cold run's next
+    /// iteration would have.
+    ///
+    /// A seed that no longer fits — wrong length (the grouping changed),
+    /// non-finite or negative entries — is ignored and the run falls back
+    /// to the cold path; `FrameworkResult::warm_started` records which path
+    /// ran.
     ///
     /// # Panics
     ///
@@ -233,6 +222,7 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
         grouping: Grouping,
         warm_weights: Option<&[f64]>,
     ) -> FrameworkResult {
+        let _span = obs::span("framework.discover");
         assert_eq!(
             grouping.num_accounts(),
             data.num_accounts(),

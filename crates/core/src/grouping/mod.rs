@@ -141,6 +141,27 @@ pub trait AccountGrouping {
 
     /// Short name for result tables (e.g. `"AG-FP"`).
     fn name(&self) -> &'static str;
+
+    /// This method's pairwise-edge view, if it has one. The epoch engine
+    /// re-groups incrementally through it and falls back to a
+    /// from-scratch [`Self::group`] when it is `None` (the default).
+    fn as_edge_grouping(&self) -> Option<&dyn EdgeGrouping> {
+        None
+    }
+}
+
+impl<T: AccountGrouping + ?Sized> AccountGrouping for Box<T> {
+    fn group(&self, data: &SensingData, fingerprints: &[Vec<f64>]) -> Grouping {
+        (**self).group(data, fingerprints)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn as_edge_grouping(&self) -> Option<&dyn EdgeGrouping> {
+        (**self).as_edge_grouping()
+    }
 }
 
 /// A grouping method whose decision reduces to a set of pairwise
@@ -158,7 +179,9 @@ pub trait AccountGrouping {
 ///
 /// Contract: for any `data`, [`AccountGrouping::group`] must equal the
 /// connected components of `decision_edges(data, None)` over
-/// `0..data.num_accounts()` (isolated accounts become singletons).
+/// `0..data.num_accounts()` (isolated accounts become singletons), and
+/// [`AccountGrouping::as_edge_grouping`] must return `Some(self)` so the
+/// engine finds the edge view.
 pub trait EdgeGrouping: AccountGrouping {
     /// The decision edges of this method on `data`.
     ///
@@ -183,6 +206,10 @@ impl AccountGrouping for SingletonGrouping {
 
     fn name(&self) -> &'static str {
         "Singletons"
+    }
+
+    fn as_edge_grouping(&self) -> Option<&dyn EdgeGrouping> {
+        Some(self)
     }
 }
 
@@ -267,6 +294,24 @@ mod tests {
     fn gap_in_partition_rejected() {
         // Accounts {0, 2}: 2 is out of range for n = 2.
         Grouping::new(vec![vec![0], vec![2]]);
+    }
+
+    #[test]
+    fn edge_views_survive_boxing() {
+        let methods: Vec<Box<dyn AccountGrouping>> = vec![
+            Box::new(AgTr::default()),
+            Box::new(AgTs::default()),
+            Box::new(SingletonGrouping),
+            Box::new(PerfectGrouping::new(vec![])),
+        ];
+        let views: Vec<Option<&str>> = methods
+            .iter()
+            .map(|m| m.as_edge_grouping().map(AccountGrouping::name))
+            .collect();
+        assert_eq!(
+            views,
+            [Some("AG-TR"), Some("AG-TS"), Some("Singletons"), None]
+        );
     }
 
     #[test]

@@ -337,6 +337,10 @@ impl AccountGrouping for AgTr {
     fn name(&self) -> &'static str {
         "AG-TR"
     }
+
+    fn as_edge_grouping(&self) -> Option<&dyn EdgeGrouping> {
+        Some(self)
+    }
 }
 
 impl EdgeGrouping for AgTr {

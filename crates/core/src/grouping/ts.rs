@@ -224,6 +224,10 @@ impl AccountGrouping for AgTs {
     fn name(&self) -> &'static str {
         "AG-TS"
     }
+
+    fn as_edge_grouping(&self) -> Option<&dyn EdgeGrouping> {
+        Some(self)
+    }
 }
 
 impl EdgeGrouping for AgTs {

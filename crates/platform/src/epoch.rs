@@ -9,22 +9,24 @@
 //!    the live campaign;
 //! 2. [`EpochEngine::run_epoch`] drains the shards in deterministic order
 //!    (shard ascending, FIFO within a shard), folds the batch into the
-//!    generation-stamped CSR index of [`SensingData`], re-runs grouping
-//!    plus Algorithm 2 — warm-seeded from the previous epoch's group
-//!    weights — and publishes an immutable [`EpochSnapshot`];
+//!    generation-stamped CSR index of [`SensingData`], re-groups
+//!    (incrementally for methods with an [`srtd_core::EdgeGrouping`]
+//!    view, from scratch otherwise), re-runs Algorithm 2 — warm-seeded
+//!    from the previous epoch's group weights — and publishes an
+//!    immutable [`EpochSnapshot`];
 //! 3. readers hold an [`EpochReader`] and see the previous snapshot,
 //!    untouched, until the swap: publication is one `Arc` store under a
 //!    mutex, never a rebuild in place.
 //!
 //! The heavy per-epoch work (per-task arena build, loss reduction, truth
-//! updates) runs on the runtime's scoped worker pool inside
-//! `discover_warm`; the engine itself adds no threads. Everything stays
-//! deterministic: the same ingest sequence produces byte-identical
-//! snapshots regardless of worker count.
+//! updates) runs on the runtime's worker pool inside
+//! `discover_with_grouping_seeded`; the engine itself adds no threads.
+//! Everything stays deterministic: the same ingest sequence produces
+//! byte-identical snapshots regardless of worker count.
 
 use crate::audit::AuditReport;
 use crate::stochastic::{AuditPolicy, StochasticAuditor};
-use srtd_core::{AccountGrouping, EdgeGrouping, Grouping, SybilResistantTd};
+use srtd_core::{AccountGrouping, Grouping, SybilResistantTd};
 use srtd_graph::UnionFind;
 use srtd_runtime::json::{Json, ToJson};
 use srtd_runtime::obs;
@@ -55,6 +57,12 @@ impl Default for EpochConfig {
     }
 }
 
+/// Exclusive upper bound on the account indices [`EpochEngine::ingest`]
+/// accepts. The data plane sizes its per-account storage by the largest
+/// index it has folded, so an unbounded client-chosen index would become
+/// an unbounded allocation at the next epoch.
+pub const MAX_ACCOUNTS: usize = 1 << 20;
+
 /// Why the epoch engine refused a report at ingest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IngestError {
@@ -64,6 +72,11 @@ pub enum IngestError {
         task: usize,
         /// Tasks in the campaign.
         num_tasks: usize,
+    },
+    /// The account index is at or above [`MAX_ACCOUNTS`].
+    AccountOutOfRange {
+        /// The offending account index.
+        account: usize,
     },
     /// The value is NaN or infinite.
     NonFiniteValue,
@@ -78,6 +91,12 @@ impl fmt::Display for IngestError {
         match self {
             IngestError::UnknownTask { task, num_tasks } => {
                 write!(f, "task {task} is outside the {num_tasks}-task campaign")
+            }
+            IngestError::AccountOutOfRange { account } => {
+                write!(
+                    f,
+                    "account {account} is not below the {MAX_ACCOUNTS}-account limit"
+                )
             }
             IngestError::NonFiniteValue => write!(f, "value is not finite"),
             IngestError::NonFiniteTimestamp => write!(f, "timestamp is not finite"),
@@ -206,15 +225,11 @@ pub struct EpochEngine<G> {
     epoch: u64,
     prev_weights: Option<Vec<f64>>,
     published: Arc<Mutex<Arc<EpochSnapshot>>>,
-    /// Decision edges cached from the last incremental epoch (sorted,
-    /// deduplicated). Only [`Self::run_epoch_incremental`] maintains them.
+    /// Decision edges cached from the last epoch (sorted, deduplicated);
+    /// empty unless the grouping method has an edge view.
     group_edges: Vec<(usize, usize)>,
-    /// The persistent component forest the incremental path merges into.
+    /// The persistent component forest incremental re-grouping merges into.
     group_uf: UnionFind,
-    /// Data-plane generation at which `group_edges` were last refreshed;
-    /// a mismatch means some other path folded reports in between and the
-    /// cache must be treated as wholly dirty.
-    regroup_generation: u64,
     /// The stochastic audit stage, if configured (see [`Self::set_audit`]).
     auditor: Option<StochasticAuditor>,
     /// Trusted reference value per task for audit spot checks; `None`
@@ -245,7 +260,6 @@ impl<G: AccountGrouping> EpochEngine<G> {
             published: Arc::new(Mutex::new(Arc::new(EpochSnapshot::empty(num_tasks)))),
             group_edges: Vec::new(),
             group_uf: UnionFind::new(0),
-            regroup_generation: 0,
             auditor: None,
             audit_reference: Vec::new(),
         }
@@ -306,9 +320,10 @@ impl<G: AccountGrouping> EpochEngine<G> {
     ///
     /// # Errors
     ///
-    /// Rejects out-of-campaign tasks, non-finite values or timestamps,
-    /// and duplicates against both folded and still-buffered reports.
-    /// Rejected reports are counted and otherwise ignored.
+    /// Rejects out-of-campaign tasks, account indices at or above
+    /// [`MAX_ACCOUNTS`], non-finite values or timestamps, and duplicates
+    /// against both folded and still-buffered reports. Rejected reports
+    /// are counted and otherwise ignored.
     pub fn ingest(
         &mut self,
         account: usize,
@@ -355,6 +370,9 @@ impl<G: AccountGrouping> EpochEngine<G> {
         }
         if !timestamp.is_finite() {
             return Err(IngestError::NonFiniteTimestamp);
+        }
+        if account >= MAX_ACCOUNTS {
+            return Err(IngestError::AccountOutOfRange { account });
         }
         if self.data.has_report(account, task) || self.pending.contains(&(account, task)) {
             return Err(IngestError::DuplicateReport);
@@ -410,16 +428,42 @@ impl<G: AccountGrouping> EpochEngine<G> {
 
     /// Runs one epoch: drains the shard buffers in deterministic order
     /// (shard ascending, FIFO within a shard), folds the batch into the
-    /// incremental CSR index, re-runs grouping + Algorithm 2 (warm-seeded
+    /// incremental CSR index, re-groups, re-runs Algorithm 2 (warm-seeded
     /// when configured), and publishes the new snapshot. An epoch with an
     /// empty buffer is the steady-state case: no fold, but discovery
     /// re-runs and re-publishes.
     ///
+    /// Re-grouping takes one of two routes, chosen by
+    /// [`AccountGrouping::as_edge_grouping`]. Without an edge view the
+    /// method's [`AccountGrouping::group`] runs over the whole campaign.
+    /// With one, only pairs touching a *dirty* account (one that folded
+    /// reports this epoch, or that the forest has never seen) are
+    /// re-examined, and the surviving edges merge into a persistent
+    /// [`UnionFind`]. Soundness rests on the [`srtd_core::EdgeGrouping`]
+    /// locality contract: an edge between two untouched accounts depends
+    /// only on their unchanged data, so it is carried over verbatim. Two
+    /// regimes:
+    ///
+    /// * **merge** — no cached edge touched a dirty account: the forest
+    ///   grows to the new account count and the fresh edges union in
+    ///   (`epoch.regroup.merged_edges`); nothing is rebuilt.
+    /// * **rebuild** — some cached edge must be re-decided (its endpoints
+    ///   got new reports and may have drifted apart): union-find cannot
+    ///   un-merge, so the forest is rebuilt from kept + fresh edges
+    ///   (`epoch.regroup.rebuilds`). Still cheap — a rebuild is pure
+    ///   union-find over the cached edge list, with **zero** distance
+    ///   evaluations for clean pairs.
+    ///
+    /// Either way the partition equals what a from-scratch
+    /// [`AccountGrouping::group`] would produce (the `incremental_group`
+    /// suite pins this).
+    ///
     /// Each epoch is one telemetry window (`epoch-<n>`): the engine
     /// brackets the run with `obs::window_begin`/`window_end`, so the
     /// retained timeline holds one delta report per epoch with a trace
-    /// tree attributing the `epoch.fold` / `epoch.discover` / `epoch.swap`
-    /// stages under the `server.epoch` span.
+    /// tree attributing the `epoch.fold` / `epoch.regroup` /
+    /// `epoch.discover` / `epoch.swap` stages under the `server.epoch`
+    /// span.
     pub fn run_epoch(&mut self) -> Arc<EpochSnapshot> {
         obs::window_begin();
         let started = std::time::Instant::now();
@@ -446,151 +490,52 @@ impl<G: AccountGrouping> EpochEngine<G> {
                 }
             }
 
-            let warm = if self.config.warm_start {
-                self.prev_weights.as_deref()
-            } else {
-                None
-            };
-            let result = {
-                let _discover = obs::span("epoch.discover");
-                self.framework
-                    .discover_warm(&self.data, &self.fingerprints, warm)
-            };
-            obs::counter_add("server.epoch.iterations", result.iterations as u64);
-
-            let (audited, convicted) = self.audit_stage(self.epoch + 1);
-
-            let _swap = obs::span("epoch.swap");
-            self.epoch += 1;
-            self.prev_weights = Some(result.group_weights.clone());
-            let snapshot = Arc::new(EpochSnapshot {
-                epoch: self.epoch,
-                generation: self.data.generation(),
-                num_tasks: self.data.num_tasks(),
-                num_accounts: self.data.num_accounts(),
-                num_reports: self.data.num_reports(),
-                folded,
-                truths: result.truths,
-                labels: result.grouping.labels().to_vec(),
-                group_weights: result.group_weights,
-                iterations: result.iterations,
-                converged: result.converged,
-                warm_started: result.warm_started,
-                audited,
-                convicted,
-                duration_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            });
-            *self.published.lock().expect("snapshot lock poisoned") = Arc::clone(&snapshot);
-            obs::counter_add("server.epoch.snapshot_swaps", 1);
-            snapshot
-        };
-        // Wall-clock facts go to gauges, never histograms: histogram
-        // buckets are part of the deterministic export.
-        obs::gauge_set("epoch.duration_ns", snapshot.duration_ns as f64);
-        obs::gauge_set("server.ingest.backlog", self.pending.len() as f64);
-        obs::window_end(&format!("epoch-{}", self.epoch));
-        snapshot
-    }
-}
-
-impl<G: EdgeGrouping> EpochEngine<G> {
-    /// [`Self::run_epoch`] with incremental re-grouping: instead of
-    /// re-running the grouping method over the whole campaign, the epoch
-    /// re-examines only pairs touching a *dirty* account (one that folded
-    /// reports this epoch, or arrived since the last grouping) and merges
-    /// the surviving edges into a persistent [`UnionFind`].
-    ///
-    /// Soundness rests on the [`EdgeGrouping`] locality contract: an edge
-    /// between two untouched accounts depends only on their unchanged data,
-    /// so it is carried over verbatim. Two regimes:
-    ///
-    /// * **merge** — no cached edge touched a dirty account: the forest
-    ///   grows to the new account count and the fresh edges union in
-    ///   (`epoch.regroup.merged_edges`); nothing is rebuilt.
-    /// * **rebuild** — some cached edge must be re-decided (its endpoints
-    ///   got new reports and may have drifted apart): union-find cannot
-    ///   un-merge, so the forest is rebuilt from kept + fresh edges
-    ///   (`epoch.regroup.rebuilds`). Still cheap — a rebuild is pure
-    ///   union-find over the cached edge list, with **zero** distance
-    ///   evaluations for clean pairs.
-    ///
-    /// Either way the resulting partition is pinned identical to what a
-    /// from-scratch [`AccountGrouping::group`] would produce (the
-    /// `incremental_group` suite enforces this), and the published
-    /// snapshot has the same shape as the batch path's.
-    pub fn run_epoch_incremental(&mut self) -> Arc<EpochSnapshot> {
-        obs::window_begin();
-        let started = std::time::Instant::now();
-        let snapshot = {
-            let _span = obs::span("server.epoch");
-
-            // Drain: shard order then arrival order, as in `run_epoch`.
-            let mut batch = Vec::with_capacity(self.pending.len());
-            for shard in &mut self.shards {
-                batch.append(shard);
-            }
-            self.pending.clear();
-            let folded = batch.len();
-            // If another path (`run_epoch`) folded reports since the last
-            // incremental grouping, the edge cache no longer knows which
-            // accounts changed — treat everything as dirty.
-            let stale = self.data.generation() != self.regroup_generation;
-            {
-                let _fold = obs::span("epoch.fold");
-                if folded > 0 {
-                    let max_account = batch.iter().map(|r| r.account).max().expect("non-empty");
-                    if max_account >= self.data.num_accounts() {
-                        self.data.reserve_accounts(max_account + 1);
-                    }
-                    self.data.fold_batch(&batch);
-                    obs::counter_add("server.epoch.folded", folded as u64);
-                }
-            }
-
             let grouping = {
                 let _regroup = obs::span("epoch.regroup");
-                let n = self.data.num_accounts();
-                let mut dirty = vec![stale; n];
-                for report in &batch {
-                    dirty[report.account] = true;
-                }
-                // Accounts the forest has never seen (reserve_accounts can
-                // create report-less accounts below the batch maximum) have
-                // no cached decisions either.
-                for flag in dirty.iter_mut().skip(self.group_uf.len()) {
-                    *flag = true;
-                }
-                let dirty_count = dirty.iter().filter(|&&d| d).count() as u64;
-                obs::counter_add("epoch.regroup.dirty_accounts", dirty_count);
-                let (kept, dropped): (Vec<_>, Vec<_>) = self
-                    .group_edges
-                    .iter()
-                    .partition(|&&(i, j)| !dirty[i] && !dirty[j]);
-                let fresh = self
-                    .framework
-                    .grouping_method()
-                    .decision_edges(&self.data, Some(&dirty));
-                if dropped.is_empty() {
-                    self.group_uf.grow(n);
-                    for &(i, j) in &fresh {
-                        self.group_uf.union(i, j);
+                let method = self.framework.grouping_method();
+                match method.as_edge_grouping() {
+                    None => method.group(&self.data, &self.fingerprints),
+                    Some(edges) => {
+                        let n = self.data.num_accounts();
+                        let mut dirty = vec![false; n];
+                        for report in &batch {
+                            dirty[report.account] = true;
+                        }
+                        // Accounts the forest has never seen (reserve_accounts
+                        // can create report-less accounts below the batch
+                        // maximum) have no cached decisions either.
+                        for flag in dirty.iter_mut().skip(self.group_uf.len()) {
+                            *flag = true;
+                        }
+                        let dirty_count = dirty.iter().filter(|&&d| d).count() as u64;
+                        obs::counter_add("epoch.regroup.dirty_accounts", dirty_count);
+                        let (kept, dropped): (Vec<_>, Vec<_>) = self
+                            .group_edges
+                            .iter()
+                            .partition(|&&(i, j)| !dirty[i] && !dirty[j]);
+                        let fresh = edges.decision_edges(&self.data, Some(&dirty));
+                        if dropped.is_empty() {
+                            self.group_uf.grow(n);
+                            for &(i, j) in &fresh {
+                                self.group_uf.union(i, j);
+                            }
+                            obs::counter_add("epoch.regroup.merged_edges", fresh.len() as u64);
+                        } else {
+                            let mut uf = UnionFind::new(n);
+                            for &(i, j) in kept.iter().chain(&fresh) {
+                                uf.union(i, j);
+                            }
+                            self.group_uf = uf;
+                            obs::counter_add("epoch.regroup.rebuilds", 1);
+                        }
+                        self.group_edges = kept;
+                        self.group_edges.extend(fresh);
+                        self.group_edges.sort_unstable();
+                        self.group_edges.dedup();
+                        obs::gauge_set("epoch.regroup.edges", self.group_edges.len() as f64);
+                        Grouping::new(self.group_uf.groups())
                     }
-                    obs::counter_add("epoch.regroup.merged_edges", fresh.len() as u64);
-                } else {
-                    let mut uf = UnionFind::new(n);
-                    for &(i, j) in kept.iter().chain(&fresh) {
-                        uf.union(i, j);
-                    }
-                    self.group_uf = uf;
-                    obs::counter_add("epoch.regroup.rebuilds", 1);
                 }
-                self.group_edges = kept;
-                self.group_edges.extend(fresh);
-                self.group_edges.sort_unstable();
-                self.group_edges.dedup();
-                self.regroup_generation = self.data.generation();
-                obs::gauge_set("epoch.regroup.edges", self.group_edges.len() as f64);
-                Grouping::new(self.group_uf.groups())
             };
 
             let warm = if self.config.warm_start {
@@ -631,10 +576,17 @@ impl<G: EdgeGrouping> EpochEngine<G> {
             obs::counter_add("server.epoch.snapshot_swaps", 1);
             snapshot
         };
+        // Wall-clock facts go to gauges, never histograms: histogram
+        // buckets are part of the deterministic export.
         obs::gauge_set("epoch.duration_ns", snapshot.duration_ns as f64);
         obs::gauge_set("server.ingest.backlog", self.pending.len() as f64);
         obs::window_end(&format!("epoch-{}", self.epoch));
         snapshot
+    }
+
+    /// Alias of [`Self::run_epoch`], kept for existing callers.
+    pub fn run_epoch_incremental(&mut self) -> Arc<EpochSnapshot> {
+        self.run_epoch()
     }
 }
 
@@ -695,6 +647,26 @@ mod tests {
             e.ingest(0, 0, -71.0, 3.0),
             Err(IngestError::DuplicateReport),
             "duplicate against folded data"
+        );
+    }
+
+    #[test]
+    fn account_indices_at_or_above_the_limit_are_rejected() {
+        let mut e = engine(2);
+        e.ingest(MAX_ACCOUNTS - 1, 0, -70.0, 1.0)
+            .expect("the last index below the limit is accepted");
+        // 1e15 is what a JSON client sends to force a huge allocation.
+        for account in [MAX_ACCOUNTS, 1e15 as usize, usize::MAX] {
+            assert_eq!(
+                e.ingest(account, 0, -70.0, 1.0),
+                Err(IngestError::AccountOutOfRange { account })
+            );
+        }
+        assert_eq!(e.pending_reports(), 1);
+        assert_eq!(e.rejected_reports(), 3);
+        assert_eq!(
+            IngestError::AccountOutOfRange { account: 7 }.to_string(),
+            format!("account 7 is not below the {MAX_ACCOUNTS}-account limit")
         );
     }
 

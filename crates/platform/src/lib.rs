@@ -55,7 +55,7 @@ mod service;
 pub mod stochastic;
 
 pub use audit::{AuditReport, SuspectGroup};
-pub use epoch::{EpochConfig, EpochEngine, EpochReader, EpochSnapshot, IngestError};
+pub use epoch::{EpochConfig, EpochEngine, EpochReader, EpochSnapshot, IngestError, MAX_ACCOUNTS};
 pub use error::{EnrollError, SubmitError};
 pub use service::{AccountId, Platform, PlatformConfig};
 pub use stochastic::{AuditPolicy, EpochAudit, StochasticAuditor};

@@ -16,9 +16,10 @@ cargo test -q --offline --test ag_tr_equivalence
 
 # Blocked vs exhaustive candidate generation: the prefix filter (AG-TS)
 # and endpoint cells (AG-TR) must leave groupings and audit reports
-# bit-identical at 1 and 4 worker threads, and the incremental union-find
-# regrouping in EpochEngine must publish snapshots identical to the
-# batch from-scratch rebuild across multi-epoch arrival schedules.
+# bit-identical at 1 and 4 worker threads, and EpochEngine::run_epoch's
+# incremental union-find regrouping must publish snapshots identical to
+# a reference engine that re-groups from scratch, across multi-epoch
+# arrival schedules.
 cargo test -q --offline --test blocked_equivalence
 cargo test -q --offline --test incremental_group
 
@@ -51,12 +52,22 @@ cargo run -q --release --offline -p srtd-bench --bin bench_check -- "$bench_json
 # iterations), GET truths/groups/metrics as well-formed JSON, scrape the
 # telemetry timeline (/metrics/history?n=2 must return two windows whose
 # epoch-counter deltas sum to the cumulative /metrics values, /trace must
-# name the fold/discover/swap stages, /metrics?format=prom must expose
-# the counter families), and shut down cleanly (server-check drives the
-# sequence and checks exit status). The second phase replays a Sybil-ring
-# ingest schedule over POST /epoch and asserts the HTTP snapshots are
-# bit-identical to an in-process incremental engine.
+# name the fold/regroup/discover/swap stages, /metrics?format=prom must
+# expose the counter families), and shut down cleanly (server-check
+# drives the sequence and checks exit status). The second phase replays
+# a Sybil-ring ingest schedule over POST /epoch and asserts the HTTP
+# snapshots, re-grouped incrementally, are bit-identical to an
+# in-process engine that re-groups from scratch; the third drives timer
+# epochs; the fourth sends an oversized Content-Length (413), an
+# over-long header line (431) and an out-of-range account (a per-report
+# rejection) and asserts the server keeps serving.
 cargo run -q --release --offline --bin server-check -- target/release/srtd-server
+
+# Benchmark harness: perfbench/loadgen is its own workspace with path
+# dependencies on crates/*, so building and self-testing it here makes a
+# library API change that breaks the harness fail this script rather
+# than the benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/loadgen/Cargo.toml
 
 # Adaptive-adversary audit: a threshold-evading ring (camouflage +
 # replay jitter) must slip past trajectory grouping yet be convicted by

@@ -12,14 +12,15 @@
 //! iterations — then truths/groups/metrics reads (every response must be
 //! well-formed JSON), the telemetry timeline (`/metrics/history?n=2`
 //! returns two windows whose epoch-counter deltas sum to the cumulative
-//! `/metrics` values; `/trace` names the fold/discover/swap stages;
-//! `?format=prom` exposes the counter families), and a clean shutdown
-//! with exit status 0.
+//! `/metrics` values; `/trace` names the fold/regroup/discover/swap
+//! stages; `?format=prom` exposes the counter families), and a clean
+//! shutdown with exit status 0.
 //!
 //! A second phase spawns an AG-TR server and mirrors the same ingest
-//! schedule into an in-process batch `EpochEngine::run_epoch`: the
-//! server's incremental re-grouping path must publish snapshots whose
-//! truths, labels, and group weights are identical (the JSON renderer is
+//! schedule into an in-process engine whose grouping has no edge view,
+//! so its `EpochEngine::run_epoch` re-groups from scratch: the server's
+//! incremental re-grouping path must publish snapshots whose truths,
+//! labels, and group weights are identical (the JSON renderer is
 //! shortest-roundtrip, so the comparison is bitwise) across a
 //! multi-epoch drive with a Sybil ring, a mid-stream account, and an
 //! empty steady-state epoch.
@@ -28,14 +29,21 @@
 //! checks the timer contract: an ingested batch is folded into a
 //! published snapshot without any `POST /epoch`, idle ticks do not run
 //! empty epochs, and shutdown joins the ticker cleanly.
+//!
+//! A fourth phase probes the input limits: a `Content-Length` of
+//! `usize::MAX` gets `413` and an over-long header line gets `431`, with
+//! `/healthz` answering after each, and a report for account `1e15` comes
+//! back as a per-report `AccountOutOfRange` rejection while the next
+//! `POST /epoch` still succeeds.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, ExitCode, Stdio};
 
-use sybil_td::core::{AgTr, SybilResistantTd};
-use sybil_td::platform::{EpochConfig, EpochEngine};
+use sybil_td::core::{AccountGrouping, AgTr, Grouping, SybilResistantTd};
+use sybil_td::platform::{EpochConfig, EpochEngine, IngestError};
 use sybil_td::runtime::json::{parse, Json, ToJson};
+use sybil_td::truth::SensingData;
 
 fn main() -> ExitCode {
     let Some(server_path) = std::env::args().nth(1) else {
@@ -78,6 +86,11 @@ fn run(server_path: &str) -> Result<(), String> {
             "20",
         ],
         drive_timer_epochs,
+    )?;
+    with_server(
+        server_path,
+        &["--port", "0", "--tasks", "4", "--method", "singletons"],
+        drive_limit_probes,
     )
 }
 
@@ -245,7 +258,13 @@ fn drive(addr: &str) -> Result<(), String> {
     if field(&trace, "trace").is_none() {
         return Err("trace response is missing `trace`".into());
     }
-    for stage in ["server.epoch", "epoch.fold", "epoch.discover", "epoch.swap"] {
+    for stage in [
+        "server.epoch",
+        "epoch.fold",
+        "epoch.regroup",
+        "epoch.discover",
+        "epoch.swap",
+    ] {
         if !trace_raw.contains(stage) {
             return Err(format!("trace is missing stage `{stage}`"));
         }
@@ -263,11 +282,7 @@ fn drive(addr: &str) -> Result<(), String> {
         }
     }
 
-    let bye = request(addr, "POST", "/shutdown", None)?;
-    if field(&bye, "status") != Some(&Json::str("shutting down")) {
-        return Err("shutdown not acknowledged".into());
-    }
-    Ok(())
+    shutdown(addr)
 }
 
 /// Phase 2: the server's incremental epoch path must publish snapshots
@@ -280,7 +295,7 @@ fn drive(addr: &str) -> Result<(), String> {
 /// regime), and an empty steady-state epoch.
 fn drive_incremental_equivalence(addr: &str) -> Result<(), String> {
     let mut mirror = EpochEngine::new(
-        SybilResistantTd::new(AgTr::default()),
+        SybilResistantTd::new(FromScratch(AgTr::default())),
         6,
         EpochConfig::default(),
     );
@@ -357,11 +372,22 @@ fn drive_incremental_equivalence(addr: &str) -> Result<(), String> {
         }
         other => return Err(format!("bad labels: {other:?}")),
     }
-    let bye = request(addr, "POST", "/shutdown", None)?;
-    if field(&bye, "status") != Some(&Json::str("shutting down")) {
-        return Err("shutdown not acknowledged".into());
+    shutdown(addr)
+}
+
+/// Phase 2's batch reference: forwards `group()` and `name()` only, so it
+/// has no edge view and the mirror re-groups the whole campaign each
+/// epoch.
+struct FromScratch(AgTr);
+
+impl AccountGrouping for FromScratch {
+    fn group(&self, data: &SensingData, fingerprints: &[Vec<f64>]) -> Grouping {
+        self.0.group(data, fingerprints)
     }
-    Ok(())
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
 }
 
 /// Phase 3: timer-driven epochs. With `--epoch-interval-ms 20` the
@@ -413,6 +439,65 @@ fn drive_timer_epochs(addr: &str) -> Result<(), String> {
         }
     }
 
+    shutdown(addr)
+}
+
+/// Phase 4: bad input fails one request, never the process. An
+/// oversized `Content-Length` and an over-long header line are refused
+/// before anything is buffered, and an account index past the engine's
+/// limit is a per-report rejection; the server keeps answering, and the
+/// epoch after the rejection runs normally.
+fn drive_limit_probes(addr: &str) -> Result<(), String> {
+    let oversized = format!(
+        "POST /ingest HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
+        usize::MAX
+    );
+    let long_header = format!(
+        "GET /healthz HTTP/1.1\r\nHost: {addr}\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(64 << 10)
+    );
+    for (raw, want) in [(oversized, "413"), (long_header, "431")] {
+        let (status, body) = exchange(addr, &raw)?;
+        if status != want {
+            return Err(format!("limit probe: status {status}, want {want}: {body}"));
+        }
+        let health = request(addr, "GET", "/healthz", None)?;
+        expect_num(&health, "epoch", 0.0)?;
+    }
+
+    // `1e15` is a valid JSON integer and a valid `usize`, but folding it
+    // would size the campaign to 10^15 accounts.
+    let batch = r#"{"reports":[
+        {"account":1e15,"task":0,"value":-70,"timestamp":1},
+        {"account":0,"task":0,"value":-70,"timestamp":2}
+    ]}"#;
+    let ingest = request(addr, "POST", "/ingest", Some(batch))?;
+    expect_num(&ingest, "accepted", 1.0)?;
+    expect_num(&ingest, "rejected", 1.0)?;
+    let reason = IngestError::AccountOutOfRange {
+        account: 1_000_000_000_000_000,
+    }
+    .to_string();
+    let rejection = match field(&ingest, "rejections") {
+        Some(Json::Arr(rs)) if rs.len() == 1 => &rs[0],
+        other => return Err(format!("bad rejections: {other:?}")),
+    };
+    expect_num(rejection, "index", 0.0)?;
+    if field(rejection, "reason") != Some(&Json::str(reason.as_str())) {
+        return Err(format!(
+            "huge account: want reason `{reason}`, got {rejection:?}"
+        ));
+    }
+    let snap = request(addr, "POST", "/epoch", None)?;
+    expect_num(&snap, "epoch", 1.0)?;
+    expect_num(&snap, "num_accounts", 1.0)?;
+    let health = request(addr, "GET", "/healthz", None)?;
+    expect_num(&health, "epoch", 1.0)?;
+    shutdown(addr)
+}
+
+/// Asks the server to exit and checks the acknowledgement.
+fn shutdown(addr: &str) -> Result<(), String> {
     let bye = request(addr, "POST", "/shutdown", None)?;
     if field(&bye, "status") != Some(&Json::str("shutting down")) {
         return Err("shutdown not acknowledged".into());
@@ -427,14 +512,23 @@ fn request(addr: &str, verb: &str, path: &str, body: Option<&str>) -> Result<Jso
 }
 
 fn request_raw(addr: &str, verb: &str, path: &str, body: Option<&str>) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
     let body = body.unwrap_or("");
     let req = format!(
         "{verb} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
+    let (status, payload) = exchange(addr, &req)?;
+    if status != "200" {
+        return Err(format!("{verb} {path}: status {status}, body {payload}"));
+    }
+    Ok(payload)
+}
+
+/// Sends `raw` on a fresh connection; returns the status code and body.
+fn exchange(addr: &str, raw: &str) -> Result<(String, String), String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
     stream
-        .write_all(req.as_bytes())
+        .write_all(raw.as_bytes())
         .map_err(|e| e.to_string())?;
     let mut response = String::new();
     stream
@@ -442,12 +536,9 @@ fn request_raw(addr: &str, verb: &str, path: &str, body: Option<&str>) -> Result
         .map_err(|e| e.to_string())?;
     let (head, payload) = response
         .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("{verb} {path}: malformed response"))?;
+        .ok_or_else(|| format!("malformed response to {raw:.40?}"))?;
     let status = head.split_whitespace().nth(1).unwrap_or("");
-    if status != "200" {
-        return Err(format!("{verb} {path}: status {status}, body {payload}"));
-    }
-    Ok(payload.to_string())
+    Ok((status.to_string(), payload.to_string()))
 }
 
 fn field<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {

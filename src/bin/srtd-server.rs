@@ -16,12 +16,14 @@
 //! * `GET  /healthz`  — readiness: epoch and generation counters, ingest
 //!   backlog, last-epoch duration
 //! * `POST /ingest`   — `{"reports":[{"account":A,"task":T,"value":V,"timestamp":S},…]}`;
-//!   each report is validated and buffered, the response counts
-//!   acceptances and rejections (with reasons)
-//! * `POST /epoch`    — drain the buffers, fold, re-group incrementally
-//!   (cached decision edges + persistent union-find; identical to a
-//!   from-scratch rebuild), run warm-started Algorithm 2, publish;
-//!   returns the new snapshot
+//!   each report is validated and buffered (account indices must stay
+//!   below `MAX_ACCOUNTS`), the response counts acceptances and
+//!   rejections (with reasons)
+//! * `POST /epoch`    — `EpochEngine::run_epoch`: drain the buffers,
+//!   fold, re-group (all three methods re-group incrementally: cached
+//!   decision edges + persistent union-find, identical to a from-scratch
+//!   rebuild), run warm-started Algorithm 2, publish; returns the new
+//!   snapshot
 //! * `GET  /truths`   — the latest published snapshot (epoch, truths, …)
 //! * `GET  /groups`   — the latest grouping: labels and group weights
 //! * `GET  /metrics`  — the obs registry's deterministic JSON export;
@@ -40,25 +42,29 @@
 //! Requests are handled sequentially on the accept thread: the engine is
 //! deterministic, and the serving story is snapshot handoff, not request
 //! parallelism — the heavy lifting inside an epoch already runs on the
-//! runtime's persistent worker pool.
+//! runtime's persistent worker pool. Bad input fails one request, not
+//! the process: a body over `MAX_BODY_BYTES` is refused with `413` and a
+//! request or header line over `MAX_LINE_BYTES` with `431`, both before
+//! anything is buffered.
 //!
 //! With `--epoch-interval-ms N` a ticker thread drives epochs on a
 //! timer: every `N` milliseconds it takes the engine lock and, if any
-//! reports are pending, runs the same incremental epoch `POST /epoch`
-//! would (explicit `POST /epoch` keeps working alongside the timer —
-//! both paths serialize on the engine mutex). Ticks and timer-driven
+//! reports are pending, runs the same epoch `POST /epoch` would
+//! (explicit `POST /epoch` keeps working alongside the timer — both
+//! paths serialize on the engine mutex). Ticks and timer-driven
 //! epochs are counted in `server.epoch.timer_{ticks,epochs}`. The
 //! shutdown route stops the ticker and joins it before the process
 //! exits, so a timer-driven server still shuts down cleanly.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
-use sybil_td::core::{AgTr, AgTs, SingletonGrouping, SybilResistantTd};
-use sybil_td::platform::{EpochConfig, EpochEngine, EpochSnapshot, IngestError};
+use sybil_td::core::{AccountGrouping, AgTr, AgTs, SingletonGrouping, SybilResistantTd};
+use sybil_td::platform::{EpochConfig, EpochEngine};
 use sybil_td::runtime::json::{parse, Json, ToJson};
 use sybil_td::runtime::obs;
 
@@ -75,79 +81,19 @@ is announced on stdout as `listening on 127.0.0.1:PORT`.
 pending (0, the default, disables the timer; epochs then run only on
 POST /epoch).";
 
-/// The grouping-method dispatch: one engine variant per supported method,
-/// so the generic `EpochEngine<G>` stays monomorphic behind one enum.
-enum Engine {
-    AgTr(EpochEngine<AgTr>),
-    AgTs(EpochEngine<AgTs>),
-    Singletons(EpochEngine<SingletonGrouping>),
-}
+/// One engine type for every `--method`: the grouping is boxed, and
+/// `EpochEngine::run_epoch` picks incremental or from-scratch re-grouping
+/// from the method itself.
+type Engine = EpochEngine<Box<dyn AccountGrouping + Send + Sync>>;
 
-impl Engine {
-    fn new(method: &str, num_tasks: usize, config: EpochConfig) -> Result<Self, String> {
-        Ok(match method {
-            "ag-tr" => Engine::AgTr(EpochEngine::new(
-                SybilResistantTd::new(AgTr::default()),
-                num_tasks,
-                config,
-            )),
-            "ag-ts" => Engine::AgTs(EpochEngine::new(
-                SybilResistantTd::new(AgTs::default()),
-                num_tasks,
-                config,
-            )),
-            "singletons" => Engine::Singletons(EpochEngine::new(
-                SybilResistantTd::new(SingletonGrouping),
-                num_tasks,
-                config,
-            )),
-            other => return Err(format!("unknown grouping method `{other}`")),
-        })
-    }
-
-    fn ingest(
-        &mut self,
-        account: usize,
-        task: usize,
-        value: f64,
-        timestamp: f64,
-    ) -> Result<(), IngestError> {
-        match self {
-            Engine::AgTr(e) => e.ingest(account, task, value, timestamp),
-            Engine::AgTs(e) => e.ingest(account, task, value, timestamp),
-            Engine::Singletons(e) => e.ingest(account, task, value, timestamp),
-        }
-    }
-
-    fn run_epoch(&mut self) -> std::sync::Arc<EpochSnapshot> {
-        // All three methods are `EdgeGrouping`s, so the server always
-        // takes the incremental re-grouping path: only pairs touching a
-        // dirty account are re-decided, and the published snapshot is
-        // pinned identical to the batch rebuild (server-check drives an
-        // in-process batch engine alongside an HTTP server and compares
-        // every epoch).
-        match self {
-            Engine::AgTr(e) => e.run_epoch_incremental(),
-            Engine::AgTs(e) => e.run_epoch_incremental(),
-            Engine::Singletons(e) => e.run_epoch_incremental(),
-        }
-    }
-
-    fn latest(&self) -> std::sync::Arc<EpochSnapshot> {
-        match self {
-            Engine::AgTr(e) => e.latest(),
-            Engine::AgTs(e) => e.latest(),
-            Engine::Singletons(e) => e.latest(),
-        }
-    }
-
-    fn pending_reports(&self) -> usize {
-        match self {
-            Engine::AgTr(e) => e.pending_reports(),
-            Engine::AgTs(e) => e.pending_reports(),
-            Engine::Singletons(e) => e.pending_reports(),
-        }
-    }
+/// The grouping method named by `--method`.
+fn grouping_method(name: &str) -> Result<Box<dyn AccountGrouping + Send + Sync>, String> {
+    Ok(match name {
+        "ag-tr" => Box::new(AgTr::default()),
+        "ag-ts" => Box::new(AgTs::default()),
+        "singletons" => Box::new(SingletonGrouping),
+        other => return Err(format!("unknown grouping method `{other}`")),
+    })
 }
 
 fn main() -> ExitCode {
@@ -177,13 +123,13 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 
     let engine = Engine::new(
-        method,
+        SybilResistantTd::new(grouping_method(method)?),
         tasks,
         EpochConfig {
             num_shards: shards,
             warm_start: true,
         },
-    )?;
+    );
     obs::set_enabled(true);
 
     let listener = TcpListener::bind(("127.0.0.1", port))
@@ -233,9 +179,9 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 /// Spawns the timer thread behind `--epoch-interval-ms`: every interval
-/// it runs one incremental epoch if (and only if) reports are pending,
-/// so an idle server does not spin epoch numbers. The `stop` pair wakes
-/// it immediately on shutdown.
+/// it runs one epoch if (and only if) reports are pending, so an idle
+/// server does not spin epoch numbers. The `stop` pair wakes it
+/// immediately on shutdown.
 fn spawn_epoch_ticker(
     interval_ms: u64,
     engine: &Arc<Mutex<Engine>>,
@@ -276,45 +222,27 @@ fn spawn_epoch_ticker(
         .map_err(|e| format!("cannot spawn epoch ticker: {e}"))
 }
 
+/// Largest request body the server reads; a larger `Content-Length` is
+/// answered `413` before any buffer is allocated. A 1000-report ingest
+/// batch is about 90 KB.
+const MAX_BODY_BYTES: usize = 16 << 20;
+
+/// Longest request or header line the server reads, line ending
+/// included; a longer line is answered `431`.
+const MAX_LINE_BYTES: usize = 8 << 10;
+
 /// Handles one request on `stream`; `Ok(false)` means a clean shutdown
 /// was requested.
 fn handle_connection(stream: TcpStream, engine: &Mutex<Engine>) -> Result<bool, String> {
     let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader
-        .read_line(&mut request_line)
-        .map_err(|e| e.to_string())?;
-    let mut parts = request_line.split_whitespace();
-    let (Some(verb), Some(path)) = (parts.next(), parts.next()) else {
-        return respond(
-            reader.into_inner(),
-            &Response::json(400, error_json("malformed request line")),
-        )
-        .map(|()| true);
+    let (verb, path, body) = match read_request(&mut reader)? {
+        Ok(request) => request,
+        Err(refusal) => {
+            respond(reader.get_ref(), &refusal)?;
+            discard_unread(reader);
+            return Ok(true);
+        }
     };
-    let (verb, path) = (verb.to_string(), path.to_string());
-
-    // Headers: only Content-Length matters for this wire format.
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).map_err(|e| e.to_string())?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| "bad Content-Length".to_string())?;
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(|e| e.to_string())?;
-    let body = String::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let stream = reader.into_inner();
 
     let started = std::time::Instant::now();
@@ -336,8 +264,76 @@ fn handle_connection(stream: TcpStream, engine: &Mutex<Engine>) -> Result<bool, 
         started.elapsed().as_secs_f64() * 1e6,
     );
 
-    respond(stream, &response)?;
+    respond(&stream, &response)?;
     Ok(keep_serving)
+}
+
+/// Reads one request as `(verb, path, body)`. The inner `Err` is a
+/// response for a request refused before routing (malformed, or over a
+/// size limit); the outer one is a failed connection.
+fn read_request(
+    reader: &mut BufReader<TcpStream>,
+) -> Result<Result<(String, String, String), Response>, String> {
+    let refuse = |status, message: &str| Ok(Err(Response::json(status, error_json(message))));
+    let Some(request_line) = read_line_bounded(reader)? else {
+        return refuse(431, "request line too long");
+    };
+    let mut parts = request_line.split_whitespace();
+    let (Some(verb), Some(path)) = (parts.next(), parts.next()) else {
+        return refuse(400, "malformed request line");
+    };
+    let (verb, path) = (verb.to_string(), path.to_string());
+
+    // Headers: only Content-Length matters for this wire format.
+    let mut content_length = 0usize;
+    loop {
+        let Some(line) = read_line_bounded(reader)? else {
+            return refuse(431, "header line too long");
+        };
+        let line = line.trim_end();
+        if line.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                let Ok(length) = value.trim().parse() else {
+                    return refuse(400, "bad Content-Length");
+                };
+                content_length = length;
+            }
+        }
+    }
+    if content_length > MAX_BODY_BYTES {
+        return refuse(413, &format!("body exceeds {MAX_BODY_BYTES} bytes"));
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body).map_err(|e| e.to_string())?;
+    let body = String::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+    Ok(Ok((verb, path, body)))
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`]; `None` when it is longer.
+fn read_line_bounded(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, String> {
+    let mut line = String::new();
+    reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_line(&mut line)
+        .map_err(|e| e.to_string())?;
+    Ok((line.len() <= MAX_LINE_BYTES).then_some(line))
+}
+
+/// Half-closes a refused connection and discards what the client is still
+/// sending, bounded in bytes and idle time. Closing with unread input
+/// would reset the connection before the client reads the refusal.
+fn discard_unread(mut reader: BufReader<TcpStream>) {
+    let stream = reader.get_ref();
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let _ = std::io::copy(
+        &mut reader.by_ref().take(MAX_BODY_BYTES as u64),
+        &mut std::io::sink(),
+    );
 }
 
 /// One route's outcome, before it is written to the socket.
@@ -538,11 +534,13 @@ fn error_json(message: &str) -> String {
     Json::obj([("error", Json::str(message))]).render()
 }
 
-fn respond(mut stream: TcpStream, response: &Response) -> Result<(), String> {
+fn respond(mut stream: &TcpStream, response: &Response) -> Result<(), String> {
     let reason = match response.status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     let wire = format!(

@@ -52,9 +52,9 @@ fn run_pipeline(s: &Scenario) -> (std::sync::Arc<EpochSnapshot>, EpochEngine<AgT
             .ingest(r.account, r.task, r.value, r.timestamp)
             .expect("campaign reports are valid");
     }
-    let mut snap = engine.run_epoch_incremental();
+    let mut snap = engine.run_epoch();
     for _ in 1..MAX_EPOCHS {
-        snap = engine.run_epoch_incremental();
+        snap = engine.run_epoch();
     }
     (snap, engine)
 }

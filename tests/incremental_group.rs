@@ -1,16 +1,33 @@
-//! Incremental re-grouping equivalence: `EpochEngine::run_epoch_incremental`
-//! must publish snapshots bitwise-identical to the batch `run_epoch` path
-//! (which re-groups from scratch every epoch) across multi-epoch arrival
-//! patterns — growth-only epochs that take the pure union-find merge path,
-//! steady-state epochs with nothing dirty, and epochs that touch existing
-//! accounts and force the kept+fresh edge rebuild. A
-//! `ComponentLabeling::from_edges` oracle over the full decision-edge list
-//! pins both against an independent batch implementation.
+//! Incremental re-grouping equivalence: `EpochEngine::run_epoch` over an
+//! `EdgeGrouping` method must publish snapshots bitwise-identical to a
+//! reference engine that re-groups from scratch every epoch, across
+//! multi-epoch arrival patterns — growth-only epochs that take the pure
+//! union-find merge path, steady-state epochs with nothing dirty, and
+//! epochs that touch existing accounts and force the kept+fresh edge
+//! rebuild. A `ComponentLabeling::from_edges` oracle over the full
+//! decision-edge list pins both against an independent batch
+//! implementation.
 
-use sybil_td::core::{AgTr, AgTs, EdgeGrouping, Grouping, SybilResistantTd};
+use sybil_td::core::{AccountGrouping, AgTr, AgTs, EdgeGrouping, Grouping, SybilResistantTd};
 use sybil_td::graph::ComponentLabeling;
 use sybil_td::platform::{EpochConfig, EpochEngine, EpochSnapshot};
 use sybil_td::runtime::rng::{Rng, SeedableRng, StdRng};
+use sybil_td::truth::SensingData;
+
+/// The from-scratch reference: forwards `group()` and `name()` only, so it
+/// has no edge view and the engine re-groups the whole campaign each epoch.
+#[derive(Clone)]
+struct FromScratch<G>(G);
+
+impl<G: AccountGrouping> AccountGrouping for FromScratch<G> {
+    fn group(&self, data: &SensingData, fingerprints: &[Vec<f64>]) -> Grouping {
+        self.0.group(data, fingerprints)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
 
 /// Snapshot equality minus `duration_ns` (a wall-clock fact, the only
 /// non-deterministic field).
@@ -71,7 +88,11 @@ fn assert_incremental_matches_batch<G>(
     G: EdgeGrouping + Clone,
 {
     let config = EpochConfig::default();
-    let mut batch = EpochEngine::new(SybilResistantTd::new(grouping.clone()), num_tasks, config);
+    let mut batch = EpochEngine::new(
+        SybilResistantTd::new(FromScratch(grouping.clone())),
+        num_tasks,
+        config,
+    );
     let mut incremental =
         EpochEngine::new(SybilResistantTd::new(grouping.clone()), num_tasks, config);
     for (e, reports) in epochs.iter().enumerate() {
@@ -84,7 +105,7 @@ fn assert_incremental_matches_batch<G>(
                 .expect("incremental ingest");
         }
         let sb = batch.run_epoch();
-        let si = incremental.run_epoch_incremental();
+        let si = incremental.run_epoch();
         assert_snapshots_match(&sb, &si, &format!("epoch {}", e + 1));
     }
     // Oracle: an independent batch rebuild from the full decision-edge
@@ -222,13 +243,16 @@ fn random_arrival_schedules_match_batch_rebuild() {
 
 #[test]
 fn interleaving_batch_epochs_invalidates_the_edge_cache_soundly() {
-    // A `run_epoch` call between incremental epochs folds reports the edge
-    // cache never saw; the next incremental epoch must detect the
-    // generation mismatch and re-derive everything rather than trust
-    // stale edges.
+    // `run_epoch_incremental` is an alias of `run_epoch`: alternating the
+    // two names on one engine must keep the edge cache consistent and
+    // match the from-scratch reference every epoch.
     let epochs = ring_epochs(3, 30);
     let config = EpochConfig::default();
-    let mut batch = EpochEngine::new(SybilResistantTd::new(AgTr::default()), 30, config);
+    let mut batch = EpochEngine::new(
+        SybilResistantTd::new(FromScratch(AgTr::default())),
+        30,
+        config,
+    );
     let mut mixed = EpochEngine::new(SybilResistantTd::new(AgTr::default()), 30, config);
     for (e, reports) in epochs.iter().enumerate() {
         for &(account, task, value, ts) in reports {

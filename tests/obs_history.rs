@@ -120,7 +120,13 @@ fn window_deltas_tile_to_the_cumulative_counters() {
     // discover stage.
     for w in &windows {
         let stages = w.stage_names();
-        for stage in ["server.epoch", "epoch.discover", "epoch.fold", "epoch.swap"] {
+        for stage in [
+            "server.epoch",
+            "epoch.discover",
+            "epoch.fold",
+            "epoch.regroup",
+            "epoch.swap",
+        ] {
             assert!(
                 stages.contains(&stage),
                 "window {} trace is missing `{stage}`: {stages:?}",

@@ -63,7 +63,11 @@ fn warm_started_epoch_reaches_the_cold_fixed_point_in_at_most_two_iterations() {
     );
 
     // Epoch N+1: unchanged reports, seeded with epoch N's weights.
-    let warm = framework.discover_warm(&data, &[], Some(&cold.group_weights));
+    let warm = framework.discover_with_grouping_seeded(
+        &data,
+        cold.grouping.clone(),
+        Some(&cold.group_weights),
+    );
     assert!(warm.warm_started);
     assert!(warm.converged);
     assert!(
@@ -114,7 +118,11 @@ fn warm_started_epoch_reaches_the_cold_fixed_point_in_at_most_two_iterations() {
 
     // A seed that no longer fits the grouping is ignored, not trusted:
     // the run falls back to the cold path.
-    let stale = framework.discover_warm(&data, &[], Some(&cold.group_weights[..10]));
+    let stale = framework.discover_with_grouping_seeded(
+        &data,
+        cold.grouping.clone(),
+        Some(&cold.group_weights[..10]),
+    );
     assert!(!stale.warm_started);
     assert_eq!(stale.iterations, cold.iterations);
     assert_eq!(bits(&stale.truths), bits(&cold.truths));
@@ -139,7 +147,7 @@ fn incremental_regrouping_keeps_the_steady_state_warm_path() {
             .expect("ingest");
     }
 
-    let first = engine.run_epoch_incremental();
+    let first = engine.run_epoch();
     assert!(!first.warm_started, "epoch 1 has no seed");
     assert!(
         first.iterations >= 3,
@@ -147,7 +155,7 @@ fn incremental_regrouping_keeps_the_steady_state_warm_path() {
         first.iterations
     );
 
-    let second = engine.run_epoch_incremental();
+    let second = engine.run_epoch();
     assert!(
         second.warm_started,
         "steady-state epoch must reuse the seed"
