@@ -32,6 +32,8 @@
 //! );
 //! ```
 
+use std::fmt::Write as _;
+
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -85,7 +87,7 @@ impl Json {
                 if x.is_finite() {
                     // `Display` for f64 is shortest-roundtrip and always
                     // a valid JSON number (no exponent-only forms).
-                    out.push_str(&x.to_string());
+                    write!(out, "{x}").expect("writing to a String cannot fail");
                 } else {
                     out.push_str("null");
                 }
@@ -160,11 +162,13 @@ impl std::error::Error for ParseError {}
 /// [`Json::render`]).
 ///
 /// A strict recursive-descent parser over the JSON grammar: objects keep
-/// key order, numbers go through `f64` (so `render → parse` recovers the
+/// key order, numbers must match RFC 8259's grammar (no leading zeros,
+/// no bare `.`) and go through `f64` (so `render → parse` recovers the
 /// exact bits [`Json::render`] wrote), `\uXXXX` escapes including
-/// surrogate pairs are decoded, and trailing garbage is an error. The
-/// observability exports (`SRTD_OBS_JSON`) are validated by feeding them
-/// back through this function.
+/// surrogate pairs are decoded, and trailing garbage is an error. Time is
+/// linear in the input length. The observability exports
+/// (`SRTD_OBS_JSON`) are validated by feeding them back through this
+/// function.
 ///
 /// # Errors
 ///
@@ -183,6 +187,7 @@ impl std::error::Error for ParseError {}
 /// ```
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -200,6 +205,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -307,48 +313,93 @@ impl Parser<'_> {
         }
     }
 
+    /// One number of RFC 8259's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, not followed by
+    /// another number character. A violation is reported at its first
+    /// offending byte.
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.invalid_number(start)),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !self.digits() {
+                return Err(self.invalid_number(start));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !self.digits() {
+                return Err(self.invalid_number(start));
+            }
+        }
+        if self.peek().is_some_and(is_number_byte) {
+            return Err(self.invalid_number(start));
+        }
+        let token = &self.text[start..self.pos];
+        Ok(Json::Num(
+            token
+                .parse()
+                .expect("RFC 8259 numbers are valid f64 literals"),
+        ))
+    }
+
+    /// Skips `[0-9]*`; `true` if it skipped any.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.pos += 1;
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        token
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.error(format!("invalid number `{token}`")))
+        self.pos > start
+    }
+
+    /// The error for a number starting at `start` that breaks the grammar
+    /// at the current byte; the message quotes the whole run of number
+    /// characters.
+    fn invalid_number(&self, start: usize) -> ParseError {
+        let len = self.bytes[start..]
+            .iter()
+            .position(|&c| !is_number_byte(c))
+            .unwrap_or(self.bytes.len() - start);
+        let token = &self.text[start..start + len];
+        self.error(format!("invalid number `{token}`"))
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&byte) = rest.first() else {
-                return Err(self.error("unterminated string"));
-            };
-            match byte {
-                b'"' => {
+            // Copy the run up to the next quote, backslash or control byte
+            // in one slice. All three are ASCII, so the run starts and ends
+            // on char boundaries of the (already valid UTF-8) input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | 0x00..=0x1f))
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.text[self.pos..run]);
+            self.pos = run;
+            match self.peek() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
+                Some(b'\\') => {
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
-                0x00..=0x1f => return Err(self.error("raw control character in string")),
-                _ => {
-                    // Copy one UTF-8 scalar (the input is a &str, so the
-                    // sequence is valid by construction).
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.error("raw control character in string")),
             }
         }
     }
@@ -401,6 +452,11 @@ impl Parser<'_> {
         self.pos = end;
         Ok(code)
     }
+}
+
+/// A byte that can continue a number token: `[0-9.eE+-]`.
+fn is_number_byte(c: u8) -> bool {
+    c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
 }
 
 /// Conversion into a [`Json`] tree; the workspace's `Serialize`.
@@ -489,6 +545,8 @@ impl<T: ToJson + ?Sized> ToJson for &T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prop::{self, PropConfig};
+    use crate::rng::{Rng, StdRng};
 
     #[test]
     fn scalars_render() {
@@ -542,6 +600,16 @@ mod tests {
         assert_eq!(parse("false").unwrap(), Json::Bool(false));
         assert_eq!(parse(" -2.5e3 ").unwrap(), Json::Num(-2500.0));
         assert_eq!(parse("\"hi\"").unwrap(), Json::str("hi"));
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10.25", 10.25),
+            ("0.5e-3", 0.0005),
+            ("1E+2", 100.0),
+            ("0e5", 0.0),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::Num(value), "{text}");
+        }
     }
 
     #[test]
@@ -593,6 +661,17 @@ mod tests {
             "\"bad \\x escape\"",
             "[] []",
             "\"\u{1}\"",
+            // Forms `f64::from_str` accepts but RFC 8259 does not.
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "2.",
+            "-.5",
+            "1.e5",
+            "-",
+            "1e",
+            "1e+",
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
         }
@@ -603,11 +682,178 @@ mod tests {
         let err = parse("[1, oops]").unwrap_err();
         assert_eq!(err.offset, 4);
         assert!(err.to_string().contains("byte 4"));
+        // A malformed number is reported at its first offending byte.
+        for (bad, offset, token) in [
+            ("01", 1, "01"),
+            ("-01", 2, "-01"),
+            ("1.", 2, "1."),
+            ("[2.]", 3, "2."),
+            ("-.5", 1, "-.5"),
+            ("1.e5", 2, "1.e5"),
+            ("1.2.3", 3, "1.2.3"),
+            ("-", 1, "-"),
+            (r#"{"account":01}"#, 12, "01"),
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.offset, offset, "{bad}");
+            assert_eq!(err.message, format!("invalid number `{token}`"), "{bad}");
+        }
     }
 
     #[test]
     fn parse_depth_is_bounded() {
         let deep = "[".repeat(4_000) + &"]".repeat(4_000);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_whole() {
+        // 1 MiB of multi-byte text with an escape every 4 KiB: each run
+        // between escapes is copied as one slice.
+        let chunk = "é—中\u{10348}".repeat(4096 / 12) + "\n";
+        let original = Json::str(chunk.repeat((1 << 20) / chunk.len()));
+        assert_eq!(parse(&original.render()).unwrap(), original);
+    }
+
+    const CASES: PropConfig = PropConfig {
+        cases: 64,
+        seed: 0x150_5eed,
+    };
+
+    /// Quotes, backslashes, every control character, ASCII, multi-byte
+    /// and astral (surrogate-pair) characters.
+    fn arbitrary_char(rng: &mut StdRng) -> char {
+        const SPECIAL: &[char] = &[
+            '"',
+            '\\',
+            '/',
+            '\u{7f}',
+            'é',
+            '—',
+            '中',
+            '\u{fffd}',
+            '\u{ffff}',
+            '\u{10348}',
+            '😀',
+            '\u{10ffff}',
+        ];
+        let code = match rng.gen_range(0..4) {
+            0 => return SPECIAL[rng.gen_range(0..SPECIAL.len())],
+            1 => rng.gen_range(0..0x20),
+            2 => rng.gen_range(0x20..0x7f),
+            _ => rng.gen_range(0..0x11_0000),
+        };
+        char::from_u32(code).unwrap_or('\u{fffd}')
+    }
+
+    fn arbitrary_string(rng: &mut StdRng) -> String {
+        prop::vec_with(rng, 0..12, arbitrary_char)
+            .into_iter()
+            .collect()
+    }
+
+    /// A tree of every value kind, at most `depth` containers deep; numbers
+    /// are arbitrary finite bit patterns.
+    fn arbitrary_tree(rng: &mut StdRng, depth: usize) -> Json {
+        match rng.gen_range(0..if depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool(0.5)),
+            2 => loop {
+                let x = f64::from_bits(rng.next_u64());
+                if x.is_finite() {
+                    break Json::Num(x);
+                }
+            },
+            3 => Json::Str(arbitrary_string(rng)),
+            4 => Json::Arr(prop::vec_with(rng, 0..5, |rng| {
+                arbitrary_tree(rng, depth - 1)
+            })),
+            _ => Json::Obj(prop::vec_with(rng, 0..5, |rng| {
+                (arbitrary_string(rng), arbitrary_tree(rng, depth - 1))
+            })),
+        }
+    }
+
+    #[test]
+    fn random_trees_round_trip_render_parse_exactly() {
+        prop::check_with(
+            CASES,
+            |rng| arbitrary_tree(rng, 3),
+            |tree| {
+                let rendered = tree.render();
+                let parsed = parse(&rendered).map_err(|e| e.to_string())?;
+                crate::prop_assert_eq!(&parsed, tree);
+                // Rendering again tells -0 from 0, which `==` does not.
+                crate::prop_assert_eq!(parsed.render(), rendered);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn every_escape_spelling_decodes_to_the_same_string() {
+        prop::check_with(
+            CASES,
+            |rng| {
+                let text = arbitrary_string(rng);
+                let mut quoted = String::from("\"");
+                for c in text.chars() {
+                    let short = match c {
+                        '"' => Some("\\\""),
+                        '\\' => Some("\\\\"),
+                        '/' => Some("\\/"),
+                        '\u{8}' => Some("\\b"),
+                        '\u{c}' => Some("\\f"),
+                        '\n' => Some("\\n"),
+                        '\r' => Some("\\r"),
+                        '\t' => Some("\\t"),
+                        _ => None,
+                    };
+                    let must_escape = matches!(c, '"' | '\\') || (c as u32) < 0x20;
+                    match (rng.gen_range(0..3), short) {
+                        (0, _) if !must_escape => quoted.push(c),
+                        (1, Some(short)) => quoted.push_str(short),
+                        _ => {
+                            let mut units = [0u16; 2];
+                            for &mut unit in c.encode_utf16(&mut units) {
+                                let hex = if rng.gen_bool(0.5) {
+                                    format!("\\u{unit:04x}")
+                                } else {
+                                    format!("\\u{unit:04X}")
+                                };
+                                quoted.push_str(&hex);
+                            }
+                        }
+                    }
+                }
+                quoted.push('"');
+                (text, quoted)
+            },
+            |(text, quoted)| {
+                let parsed = parse(quoted).map_err(|e| e.to_string())?;
+                crate::prop_assert_eq!(parsed, Json::str(text.as_str()));
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn every_proper_prefix_of_a_container_is_an_error() {
+        prop::check_with(
+            CASES,
+            |rng| Json::Arr(prop::vec_with(rng, 1..4, |rng| arbitrary_tree(rng, 2))),
+            |tree| {
+                let rendered = tree.render();
+                for end in (0..rendered.len()).filter(|&end| rendered.is_char_boundary(end)) {
+                    match parse(&rendered[..end]) {
+                        Ok(value) => return Err(format!("prefix {end} parsed as {value:?}")),
+                        Err(e) => {
+                            crate::prop_assert!(e.offset <= end, "offset {} > {end}", e.offset)
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 }

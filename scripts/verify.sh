@@ -59,8 +59,11 @@ cargo run -q --release --offline -p srtd-bench --bin bench_check -- "$bench_json
 # snapshots, re-grouped incrementally, are bit-identical to an
 # in-process engine that re-groups from scratch; the third drives timer
 # epochs; the fourth sends an oversized Content-Length (413), an
-# over-long header line (431) and an out-of-range account (a per-report
-# rejection) and asserts the server keeps serving.
+# over-long header line (431), an 8 MiB JSON string body (400 within the
+# 5 s reply timeout: the string scan must be linear), a non-UTF-8 body, a
+# `01` account and a report missing a field (400 each, nothing buffered)
+# and an out-of-range account (a per-report rejection), and asserts the
+# server keeps serving.
 cargo run -q --release --offline --bin server-check -- target/release/srtd-server
 
 # Benchmark harness: perfbench/loadgen is its own workspace with path

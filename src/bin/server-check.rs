@@ -27,18 +27,23 @@
 //!
 //! A third phase spawns a server with `--epoch-interval-ms 20` and
 //! checks the timer contract: an ingested batch is folded into a
-//! published snapshot without any `POST /epoch`, idle ticks do not run
+//! published snapshot without any `POST /epoch` (and `GET /truths`
+//! serves it, not the empty snapshot read before), idle ticks do not run
 //! empty epochs, and shutdown joins the ticker cleanly.
 //!
 //! A fourth phase probes the input limits: a `Content-Length` of
-//! `usize::MAX` gets `413` and an over-long header line gets `431`, with
-//! `/healthz` answering after each, and a report for account `1e15` comes
-//! back as a per-report `AccountOutOfRange` rejection while the next
-//! `POST /epoch` still succeeds.
+//! `usize::MAX` gets `413`, an over-long header line `431`, and an 8 MiB
+//! JSON string body, a non-UTF-8 body, a `01` account and a report missing
+//! a field each get `400`, the string body within the 5 s every reply is
+//! given. `/healthz` answers after each probe with nothing buffered, and a
+//! report for account `1e15` comes back as a per-report
+//! `AccountOutOfRange` rejection while the next `POST /epoch` still
+//! succeeds.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, ExitCode, Stdio};
+use std::time::Duration;
 
 use sybil_td::core::{AccountGrouping, AgTr, Grouping, SybilResistantTd};
 use sybil_td::platform::{EpochConfig, EpochEngine, IngestError};
@@ -392,10 +397,16 @@ impl AccountGrouping for FromScratch {
 
 /// Phase 3: timer-driven epochs. With `--epoch-interval-ms 20` the
 /// server must publish a snapshot on its own after an ingest (no
-/// explicit `POST /epoch`), must *not* spin epoch numbers while idle
+/// explicit `POST /epoch`), serve it at `GET /truths` although an earlier
+/// snapshot was already rendered, must *not* spin epoch numbers while idle
 /// (timer epochs only run when reports are pending), and must still
 /// shut down cleanly with the ticker thread joined.
 fn drive_timer_epochs(addr: &str) -> Result<(), String> {
+    // Render the empty snapshot now, so the read after the timer epoch
+    // must not be served the stored body.
+    let empty = request(addr, "GET", "/truths", None)?;
+    expect_num(&empty, "epoch", 0.0)?;
+
     let batch = r#"{"reports":[
         {"account":0,"task":0,"value":-70.0,"timestamp":1.0},
         {"account":1,"task":1,"value":-64.0,"timestamp":2.0}
@@ -444,9 +455,13 @@ fn drive_timer_epochs(addr: &str) -> Result<(), String> {
 
 /// Phase 4: bad input fails one request, never the process. An
 /// oversized `Content-Length` and an over-long header line are refused
-/// before anything is buffered, and an account index past the engine's
-/// limit is a per-report rejection; the server keeps answering, and the
-/// epoch after the rejection runs normally.
+/// before anything is buffered, and bodies that are not UTF-8, not
+/// RFC 8259 JSON or not a well-formed report batch are refused without
+/// touching the engine. An 8 MiB string must be answered within the reply
+/// timeout: a parse quadratic in its length would hold the engine for
+/// about 25 minutes. An account index past the engine's limit is a
+/// per-report rejection; the server keeps answering, and the epoch after
+/// the rejection runs normally.
 fn drive_limit_probes(addr: &str) -> Result<(), String> {
     let oversized = format!(
         "POST /ingest HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
@@ -456,13 +471,36 @@ fn drive_limit_probes(addr: &str) -> Result<(), String> {
         "GET /healthz HTTP/1.1\r\nHost: {addr}\r\nX-Pad: {}\r\n\r\n",
         "a".repeat(64 << 10)
     );
-    for (raw, want) in [(oversized, "413"), (long_header, "431")] {
+    let long_string = format!(r#"{{"reports":"{}"}}"#, "a".repeat(8 << 20));
+    let valid = r#"{"account":0,"task":0,"value":-70,"timestamp":1}"#;
+    let leading_zero =
+        format!(r#"{{"reports":[{valid},{{"account":01,"task":1,"value":-70,"timestamp":2}}]}}"#);
+    let missing_field = format!(r#"{{"reports":[{valid},{{"account":1,"task":0,"value":-70}}]}}"#);
+    let probes = [
+        (oversized.into_bytes(), "413"),
+        (long_header.into_bytes(), "431"),
+        (wire(addr, "POST", "/ingest", long_string.as_bytes()), "400"),
+        (
+            wire(addr, "POST", "/ingest", b"{\"reports\":[\xff]}"),
+            "400",
+        ),
+        (
+            wire(addr, "POST", "/ingest", leading_zero.as_bytes()),
+            "400",
+        ),
+        (
+            wire(addr, "POST", "/ingest", missing_field.as_bytes()),
+            "400",
+        ),
+    ];
+    for (raw, want) in probes {
         let (status, body) = exchange(addr, &raw)?;
         if status != want {
             return Err(format!("limit probe: status {status}, want {want}: {body}"));
         }
         let health = request(addr, "GET", "/healthz", None)?;
         expect_num(&health, "epoch", 0.0)?;
+        expect_num(&health, "pending", 0.0)?;
     }
 
     // `1e15` is a valid JSON integer and a valid `usize`, but folding it
@@ -512,31 +550,45 @@ fn request(addr: &str, verb: &str, path: &str, body: Option<&str>) -> Result<Jso
 }
 
 fn request_raw(addr: &str, verb: &str, path: &str, body: Option<&str>) -> Result<String, String> {
-    let body = body.unwrap_or("");
-    let req = format!(
-        "{verb} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let (status, payload) = exchange(addr, &req)?;
+    let raw = wire(addr, verb, path, body.unwrap_or("").as_bytes());
+    let (status, payload) = exchange(addr, &raw)?;
     if status != "200" {
         return Err(format!("{verb} {path}: status {status}, body {payload}"));
     }
     Ok(payload)
 }
 
+/// One request's bytes on the wire; the body need not be UTF-8.
+fn wire(addr: &str, verb: &str, path: &str, body: &[u8]) -> Vec<u8> {
+    let mut raw = format!(
+        "{verb} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    raw.extend_from_slice(body);
+    raw
+}
+
+/// How long any read of a reply may block: every request here is answered
+/// in milliseconds, so a server that stalls fails the check instead of
+/// hanging it.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Sends `raw` on a fresh connection; returns the status code and body.
-fn exchange(addr: &str, raw: &str) -> Result<(String, String), String> {
+fn exchange(addr: &str, raw: &[u8]) -> Result<(String, String), String> {
+    let what = String::from_utf8_lossy(&raw[..raw.len().min(40)]);
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
     stream
-        .write_all(raw.as_bytes())
+        .set_read_timeout(Some(REPLY_TIMEOUT))
         .map_err(|e| e.to_string())?;
+    stream.write_all(raw).map_err(|e| e.to_string())?;
     let mut response = String::new();
     stream
         .read_to_string(&mut response)
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| format!("no reply to {what:?} within {REPLY_TIMEOUT:?}: {e}"))?;
     let (head, payload) = response
         .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("malformed response to {raw:.40?}"))?;
+        .ok_or_else(|| format!("malformed response to {what:?}"))?;
     let status = head.split_whitespace().nth(1).unwrap_or("");
     Ok((status.to_string(), payload.to_string()))
 }

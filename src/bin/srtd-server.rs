@@ -24,7 +24,9 @@
 //!   decision edges + persistent union-find, identical to a from-scratch
 //!   rebuild), run warm-started Algorithm 2, publish; returns the new
 //!   snapshot
-//! * `GET  /truths`   — the latest published snapshot (epoch, truths, …)
+//! * `GET  /truths`   — the latest published snapshot (epoch, truths, …),
+//!   rendered once per snapshot and served from that body until the next
+//!   epoch
 //! * `GET  /groups`   — the latest grouping: labels and group weights
 //! * `GET  /metrics`  — the obs registry's deterministic JSON export;
 //!   `?format=prom` switches to Prometheus text exposition of the full
@@ -45,7 +47,11 @@
 //! runtime's persistent worker pool. Bad input fails one request, not
 //! the process: a body over `MAX_BODY_BYTES` is refused with `413` and a
 //! request or header line over `MAX_LINE_BYTES` with `431`, both before
-//! anything is buffered.
+//! anything is buffered; a body that is not UTF-8 gets `400`. An ingest
+//! body is decoded before the engine lock is taken, in time linear in its
+//! length, and malformed JSON (numbers included: RFC 8259's grammar, so
+//! no `01` or `1.`) or a report with a missing, repeated or mistyped
+//! field gets `400` without touching the engine.
 //!
 //! With `--epoch-interval-ms N` a ticker thread drives epochs on a
 //! timer: every `N` milliseconds it takes the engine lock and, if any
@@ -85,6 +91,39 @@ POST /epoch).";
 /// `EpochEngine::run_epoch` picks incremental or from-scratch re-grouping
 /// from the method itself.
 type Engine = EpochEngine<Box<dyn AccountGrouping + Send + Sync>>;
+
+/// The engine and the rendered body of its latest snapshot, so that each
+/// snapshot is rendered once however often `GET /truths` reads it.
+struct Service {
+    engine: Engine,
+    /// `(epoch, body)` of the last snapshot rendered.
+    truths: Option<(u64, Arc<String>)>,
+}
+
+impl Service {
+    /// Runs one epoch. The rendered body of the previous snapshot is
+    /// dropped first, so it is not held through the epoch's allocations.
+    fn run_epoch(&mut self) {
+        self.truths = None;
+        self.engine.run_epoch();
+    }
+
+    /// The rendered latest snapshot: the stored body while its epoch is
+    /// the latest, else a fresh render (after a timer epoch) that replaces
+    /// it.
+    fn truths(&mut self) -> Arc<String> {
+        let snap = self.engine.latest();
+        if let Some((epoch, body)) = &self.truths {
+            if *epoch == snap.epoch {
+                return Arc::clone(body);
+            }
+        }
+        self.truths = None;
+        let body = Arc::new(snap.to_json().render());
+        self.truths = Some((snap.epoch, Arc::clone(&body)));
+        body
+    }
+}
 
 /// The grouping method named by `--method`.
 fn grouping_method(name: &str) -> Result<Box<dyn AccountGrouping + Send + Sync>, String> {
@@ -141,10 +180,13 @@ fn run(args: &[String]) -> Result<(), String> {
     // The accept loop and the (optional) epoch ticker share the engine
     // behind one mutex; requests stay effectively sequential, the timer
     // just interleaves whole epochs between them.
-    let engine = Arc::new(Mutex::new(engine));
+    let service = Arc::new(Mutex::new(Service {
+        engine,
+        truths: None,
+    }));
     let stop = Arc::new((Mutex::new(false), Condvar::new()));
     let ticker = (epoch_interval_ms > 0)
-        .then(|| spawn_epoch_ticker(epoch_interval_ms, &engine, &stop))
+        .then(|| spawn_epoch_ticker(epoch_interval_ms, &service, &stop))
         .transpose()?;
 
     for stream in listener.incoming() {
@@ -155,7 +197,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 continue;
             }
         };
-        match handle_connection(stream, &engine) {
+        match handle_connection(stream, &service) {
             Ok(keep_serving) => {
                 if !keep_serving {
                     break;
@@ -184,10 +226,10 @@ fn run(args: &[String]) -> Result<(), String> {
 /// immediately on shutdown.
 fn spawn_epoch_ticker(
     interval_ms: u64,
-    engine: &Arc<Mutex<Engine>>,
+    service: &Arc<Mutex<Service>>,
     stop: &Arc<(Mutex<bool>, Condvar)>,
 ) -> Result<std::thread::JoinHandle<()>, String> {
-    let engine = Arc::clone(engine);
+    let service = Arc::clone(service);
     let stop = Arc::clone(stop);
     let interval = std::time::Duration::from_millis(interval_ms);
     std::thread::Builder::new()
@@ -209,9 +251,9 @@ fn spawn_epoch_ticker(
                     drop(stopped);
                     obs::counter_add("server.epoch.timer_ticks", 1);
                     {
-                        let mut engine = engine.lock().expect("engine poisoned");
-                        if engine.pending_reports() > 0 {
-                            engine.run_epoch();
+                        let mut service = service.lock().expect("engine poisoned");
+                        if service.engine.pending_reports() > 0 {
+                            service.run_epoch();
                             obs::counter_add("server.epoch.timer_epochs", 1);
                         }
                     }
@@ -233,7 +275,7 @@ const MAX_LINE_BYTES: usize = 8 << 10;
 
 /// Handles one request on `stream`; `Ok(false)` means a clean shutdown
 /// was requested.
-fn handle_connection(stream: TcpStream, engine: &Mutex<Engine>) -> Result<bool, String> {
+fn handle_connection(stream: TcpStream, service: &Mutex<Service>) -> Result<bool, String> {
     let mut reader = BufReader::new(stream);
     let (verb, path, body) = match read_request(&mut reader)? {
         Ok(request) => request,
@@ -247,10 +289,7 @@ fn handle_connection(stream: TcpStream, engine: &Mutex<Engine>) -> Result<bool, 
 
     let started = std::time::Instant::now();
     let (path, query) = split_query(&path);
-    let (response, keep_serving) = {
-        let mut engine = engine.lock().expect("engine poisoned");
-        route(&verb, path, &query, &body, &mut engine)
-    };
+    let (response, keep_serving) = route(&verb, path, &query, &body, service);
 
     // Per-request telemetry: total + status-class counters and a latency
     // histogram. Recorded before the write so even a failed send counts.
@@ -308,7 +347,9 @@ fn read_request(
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).map_err(|e| e.to_string())?;
-    let body = String::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+    let Ok(body) = String::from_utf8(body) else {
+        return refuse(400, "body is not UTF-8");
+    };
     Ok(Ok((verb, path, body)))
 }
 
@@ -336,19 +377,20 @@ fn discard_unread(mut reader: BufReader<TcpStream>) {
     );
 }
 
-/// One route's outcome, before it is written to the socket.
+/// One route's outcome, before it is written to the socket. The body is
+/// shared so that a stored snapshot body is served without a copy.
 struct Response {
     status: u16,
     content_type: &'static str,
-    body: String,
+    body: Arc<String>,
 }
 
 impl Response {
-    fn json(status: u16, body: String) -> Self {
+    fn json(status: u16, body: impl Into<Arc<String>>) -> Self {
         Self {
             status,
             content_type: "application/json",
-            body,
+            body: body.into(),
         }
     }
 
@@ -356,7 +398,7 @@ impl Response {
         Self {
             status,
             content_type: "text/plain; version=0.0.4",
-            body,
+            body: body.into(),
         }
     }
 }
@@ -367,8 +409,22 @@ fn route(
     path: &str,
     query: &[(String, String)],
     body: &str,
-    engine: &mut Engine,
+    service: &Mutex<Service>,
 ) -> (Response, bool) {
+    if (verb, path) == ("POST", "/ingest") {
+        // Decoded before the engine lock is taken, so an epoch never waits
+        // behind a parse.
+        let response = match decode_reports(body) {
+            Ok(reports) => {
+                let mut service = service.lock().expect("engine poisoned");
+                Response::json(200, ingest_batch(&mut service.engine, &reports).render())
+            }
+            Err(e) => Response::json(400, error_json(&e)),
+        };
+        return (response, true);
+    }
+    let mut service = service.lock().expect("engine poisoned");
+    let engine = &service.engine;
     let param = |name: &str| {
         query
             .iter()
@@ -390,15 +446,11 @@ fn route(
             ]);
             Response::json(200, doc.render())
         }
-        ("POST", "/ingest") => match ingest_batch(engine, body) {
-            Ok(doc) => Response::json(200, doc.render()),
-            Err(e) => Response::json(400, error_json(&e)),
-        },
         ("POST", "/epoch") => {
-            let snap = engine.run_epoch();
-            Response::json(200, snap.to_json().render())
+            service.run_epoch();
+            Response::json(200, service.truths())
         }
-        ("GET", "/truths") => Response::json(200, engine.latest().to_json().render()),
+        ("GET", "/truths") => Response::json(200, service.truths()),
         ("GET", "/groups") => {
             let snap = engine.latest();
             let doc = Json::obj([
@@ -471,10 +523,12 @@ fn split_query(path: &str) -> (&str, Vec<(String, String)>) {
     }
 }
 
-/// Parses an ingest body and feeds each report to the engine. Invalid
-/// JSON is a request-level error; per-report rejections are part of a
-/// successful response.
-fn ingest_batch(engine: &mut Engine, body: &str) -> Result<Json, String> {
+/// One report of an ingest body: `(account, task, value, timestamp)`.
+type Report = (usize, usize, f64, f64);
+
+/// Decodes an ingest body into its reports. Invalid JSON, or a report
+/// with a missing, repeated or mistyped field, fails the whole request.
+fn decode_reports(body: &str) -> Result<Vec<Report>, String> {
     let doc = parse(body).map_err(|e| e.to_string())?;
     let Json::Obj(fields) = &doc else {
         return Err("expected a JSON object".into());
@@ -487,11 +541,19 @@ fn ingest_batch(engine: &mut Engine, body: &str) -> Result<Json, String> {
     let Json::Arr(reports) = reports else {
         return Err("`reports` must be an array".into());
     };
+    reports
+        .iter()
+        .enumerate()
+        .map(|(i, report)| report_fields(report).map_err(|e| format!("report {i}: {e}")))
+        .collect()
+}
+
+/// Feeds decoded reports to the engine; per-report rejections are part of
+/// the successful response.
+fn ingest_batch(engine: &mut Engine, reports: &[Report]) -> Json {
     let mut accepted = 0usize;
     let mut rejections = Vec::new();
-    for (i, report) in reports.iter().enumerate() {
-        let (account, task, value, timestamp) = report_fields(report)
-            .ok_or_else(|| format!("report {i}: need account, task, value, timestamp"))?;
+    for (i, &(account, task, value, timestamp)) in reports.iter().enumerate() {
         match engine.ingest(account, task, value, timestamp) {
             Ok(()) => accepted += 1,
             Err(e) => rejections.push(Json::obj([
@@ -500,34 +562,45 @@ fn ingest_batch(engine: &mut Engine, body: &str) -> Result<Json, String> {
             ])),
         }
     }
-    Ok(Json::obj([
+    Json::obj([
         ("accepted", accepted.to_json()),
         ("rejected", rejections.len().to_json()),
         ("rejections", Json::Arr(rejections)),
         ("pending", engine.pending_reports().to_json()),
-    ]))
+    ])
 }
 
-fn report_fields(report: &Json) -> Option<(usize, usize, f64, f64)> {
+/// One report's fields: indices must be non-negative integers, and no
+/// field may appear twice (which occurrence would win is ambiguous).
+fn report_fields(report: &Json) -> Result<Report, String> {
+    const NEED: &str = "need account, task, value, timestamp";
     let Json::Obj(fields) = report else {
-        return None;
+        return Err(NEED.into());
     };
-    let num = |name: &str| -> Option<f64> {
-        fields.iter().find_map(|(k, v)| match v {
-            Json::Num(x) if k == name => Some(*x),
-            _ => None,
-        })
+    let num = |name: &str| -> Result<Option<f64>, String> {
+        let mut values = fields.iter().filter(|(k, _)| k == name).map(|(_, v)| v);
+        match (values.next(), values.next()) {
+            (_, Some(_)) => Err(format!("repeats `{name}`")),
+            (Some(Json::Num(x)), None) => Ok(Some(*x)),
+            _ => Ok(None),
+        }
     };
-    let index = |name: &str| -> Option<usize> {
-        let x = num(name)?;
-        (x.fract() == 0.0 && x >= 0.0).then_some(x as usize)
+    let index = |name: &str| -> Result<Option<usize>, String> {
+        Ok(num(name)?
+            .filter(|x| x.fract() == 0.0 && *x >= 0.0)
+            .map(|x| x as usize))
     };
-    Some((
+    match (
         index("account")?,
         index("task")?,
         num("value")?,
         num("timestamp")?,
-    ))
+    ) {
+        (Some(account), Some(task), Some(value), Some(timestamp)) => {
+            Ok((account, task, value, timestamp))
+        }
+        _ => Err(NEED.into()),
+    }
 }
 
 fn error_json(message: &str) -> String {
@@ -586,5 +659,156 @@ fn flag_parse<T: std::str::FromStr>(
             .parse()
             .map_err(|_| format!("--{name}: cannot parse `{raw}`")),
         None => Ok(default),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sybil_td::platform::IngestError;
+    use sybil_td::runtime::prop::{self, PropConfig};
+    use sybil_td::runtime::prop_assert;
+    use sybil_td::runtime::rng::{Rng, StdRng};
+
+    const CASES: PropConfig = PropConfig {
+        cases: 48,
+        seed: 0x10ad_5eed,
+    };
+
+    const FIELDS: [&str; 4] = ["account", "task", "value", "timestamp"];
+
+    /// A batch of valid reports. Values and timestamps are mostly of a
+    /// sensing campaign's size, sometimes arbitrary finite bit patterns
+    /// (hundreds of digits long); decoding must be bit-exact either way.
+    fn arbitrary_reports(rng: &mut StdRng) -> Vec<Report> {
+        let finite = |rng: &mut StdRng| loop {
+            if rng.gen_bool(0.9) {
+                break rng.gen_range(-1e5..1e5);
+            }
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                break x;
+            }
+        };
+        prop::vec_with(rng, 1..4, |rng| {
+            (
+                rng.gen_range(0..1 << 20),
+                rng.gen_range(0..1_000),
+                finite(rng),
+                finite(rng),
+            )
+        })
+    }
+
+    /// Each report as its `(field, value)` list, in wire order.
+    fn report_objects(reports: &[Report]) -> Vec<Vec<(String, Json)>> {
+        reports
+            .iter()
+            .map(|&(account, task, value, timestamp)| {
+                let values = [
+                    account.to_json(),
+                    task.to_json(),
+                    value.to_json(),
+                    timestamp.to_json(),
+                ];
+                FIELDS.iter().map(|f| f.to_string()).zip(values).collect()
+            })
+            .collect()
+    }
+
+    fn ingest_body(reports: Vec<Vec<(String, Json)>>) -> String {
+        Json::Obj(vec![(
+            "reports".into(),
+            Json::arr(reports.into_iter().map(Json::Obj)),
+        )])
+        .render()
+    }
+
+    fn bits(reports: &[Report]) -> Vec<(usize, usize, u64, u64)> {
+        reports
+            .iter()
+            .map(|&(a, t, v, s)| (a, t, v.to_bits(), s.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn rendered_batches_decode_exactly_and_their_prefixes_fail() {
+        prop::check_with(CASES, arbitrary_reports, |reports| {
+            let body = ingest_body(report_objects(reports));
+            let decoded = decode_reports(&body)?;
+            prop_assert!(bits(&decoded) == bits(reports), "decoded {decoded:?}");
+            for end in 0..body.len() {
+                let prefix = &body[..end];
+                match parse(prefix) {
+                    Ok(doc) => return Err(format!("prefix {end} parsed as {doc:?}")),
+                    Err(e) => prop_assert!(e.offset <= end, "offset {} > {end}", e.offset),
+                }
+                prop_assert!(decode_reports(prefix).is_err(), "prefix {end} decoded");
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn a_malformed_report_fails_the_whole_request() {
+        prop::check_with(
+            CASES,
+            |rng| {
+                let reports = arbitrary_reports(rng);
+                let victim = rng.gen_range(0..reports.len());
+                let field = rng.gen_range(0..FIELDS.len());
+                // The last two kinds, negative and fractional numbers, are
+                // wrong for the indices only.
+                let kinds = if field < 2 { 9 } else { 7 };
+                (reports, victim, field, rng.gen_range(0..kinds))
+            },
+            |&(ref reports, victim, field, kind)| {
+                let mut objects = report_objects(reports);
+                let report = &mut objects[victim];
+                match kind {
+                    0 => {
+                        report.remove(field);
+                    }
+                    // Repeated, even with the same value.
+                    1 => report.push(report[field].clone()),
+                    _ => {
+                        let wrong = [
+                            Json::str("1"),
+                            Json::Bool(true),
+                            Json::Null,
+                            Json::arr([Json::Num(1.0)]),
+                            Json::obj([("x", Json::Num(1.0))]),
+                            Json::Num(-1.0),
+                            Json::Num(0.5),
+                        ];
+                        report[field].1 = wrong[kind - 2].clone();
+                    }
+                }
+                match decode_reports(&ingest_body(objects)) {
+                    Ok(decoded) => Err(format!("decoded {decoded:?}")),
+                    Err(e) => {
+                        prop_assert!(e.starts_with(&format!("report {victim}: ")), "{e}");
+                        Ok(())
+                    }
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn an_account_past_the_limit_decodes_and_the_engine_rejects_it() {
+        let body = r#"{"reports":[{"account":1e15,"task":0,"value":-70,"timestamp":1}]}"#;
+        let reports = decode_reports(body).unwrap();
+        assert_eq!(reports, vec![(1_000_000_000_000_000, 0, -70.0, 1.0)]);
+        let mut engine = Engine::new(
+            SybilResistantTd::new(grouping_method("singletons").unwrap()),
+            4,
+            EpochConfig::default(),
+        );
+        let (account, task, value, timestamp) = reports[0];
+        assert_eq!(
+            engine.ingest(account, task, value, timestamp),
+            Err(IngestError::AccountOutOfRange { account })
+        );
     }
 }
