@@ -79,9 +79,7 @@ fn main() {
     assert_eq!(g_ts.group_of(4), g_ts.group_of(5));
 
     println!("\nFig. 4 — AG-TR worked example (Table III data)\n");
-    // Unpruned so the printed Fig. 4(c) matrix shows exact distances
-    // (the default pruned path reports above-φ pairs as ∞).
-    let ag_tr = AgTr::default().with_pruning(false);
+    let ag_tr = AgTr::default();
     let trajectories = ag_tr.trajectories(&data);
     let raw = Dtw::new().raw();
     let mut dtw_x = vec![vec![0.0; 6]; 6];

@@ -7,10 +7,10 @@ use srtd_timeseries::{BandPolicy, Dtw, PrunedPairwise};
 use srtd_truth::SensingData;
 
 /// Ceiling for the dense [`AgTr::dissimilarity_matrix`] API: it exists
-/// for the Fig. 4 worked example and equivalence tests, and allocating
-/// n×n floats at campaign scale would be a bug even when every entry is
-/// pruned to ∞ (8 TB at one million accounts). Grouping goes through the
-/// sparse [`AgTr::dissimilarity_edges`] path, which has no such limit.
+/// for the Fig. 4 worked example and as the all-pairs reference in tests,
+/// and allocating n×n floats at campaign scale would be a bug (8 TB at
+/// one million accounts). Grouping goes through the sparse
+/// [`AgTr::dissimilarity_edges`] path, which has no such limit.
 const MAX_DENSE_ACCOUNTS: usize = 4096;
 
 /// Account grouping by trajectory dissimilarity.
@@ -56,14 +56,12 @@ pub struct AgTr {
     timestamp_unit: f64,
     dtw: Dtw,
     band: BandPolicy,
-    prune: bool,
-    blocking: bool,
 }
 
 impl Default for AgTr {
-    /// `φ = 1` with timestamps in hours and *raw* cumulative DTW cost,
-    /// pairwise pruning on, and the adaptive band policy (paper-scale
-    /// trajectories stay unbanded; see [`BandPolicy::adaptive`]).
+    /// `φ = 1` with timestamps in hours, *raw* cumulative DTW cost, and
+    /// the adaptive band policy (paper-scale trajectories stay unbanded;
+    /// see [`BandPolicy::adaptive`]).
     ///
     /// The paper's worked example (Fig. 4) tabulates the raw cumulative
     /// cost, under which task-index series of different task sets are at
@@ -77,8 +75,6 @@ impl Default for AgTr {
             timestamp_unit: 3600.0,
             dtw: Dtw::new().raw(),
             band: BandPolicy::adaptive(),
-            prune: true,
-            blocking: true,
         }
     }
 }
@@ -125,8 +121,8 @@ impl AgTr {
     /// Uses a configured DTW (e.g. raw mode for the Fig. 4 worked example,
     /// or banded for long trajectories). An explicit band on the DTW
     /// overrides the [`AgTr::with_band_policy`] rule; a non-raw
-    /// (Eq. 7 path-normalized) DTW disables pairwise pruning, whose
-    /// cutoff lives in raw-cost space.
+    /// (Eq. 7 path-normalized) DTW disables blocking and pairwise
+    /// pruning, whose bounds live in raw-cost space.
     pub fn with_dtw(mut self, dtw: Dtw) -> Self {
         self.dtw = dtw;
         self
@@ -139,27 +135,8 @@ impl AgTr {
         self
     }
 
-    /// Enables or disables pairwise pruning (default: enabled). The
-    /// pruned and full paths produce identical groupings — disabling is
-    /// only useful to obtain exact above-φ distances for display, or as
-    /// the reference side of an equivalence check.
-    pub fn with_pruning(mut self, prune: bool) -> Self {
-        self.prune = prune;
-        self
-    }
-
-    /// Enables or disables endpoint-cell blocking in front of the LB
-    /// cascade (default on; effective only together with pruning and raw
-    /// DTW, whose cost space the cells quantize). The exhaustive path
-    /// visits all pairs — useful as the oracle in equivalence tests; both
-    /// paths produce identical groupings.
-    pub fn with_blocking(mut self, blocking: bool) -> Self {
-        self.blocking = blocking;
-        self
-    }
-
-    /// The band rule both matrix paths share: an explicit band configured
-    /// on the DTW wins, otherwise the policy decides per pair.
+    /// The band rule the full and pruned paths share: an explicit band
+    /// configured on the DTW wins, otherwise the policy decides per pair.
     fn effective_band(&self) -> BandPolicy {
         match self.dtw.band() {
             Some(w) => BandPolicy::Fixed(w),
@@ -167,13 +144,14 @@ impl AgTr {
         }
     }
 
-    /// The DTW used by the full (unpruned) path for a pair of
-    /// trajectories of `la` and `lb` reports.
-    fn dtw_for(&self, la: usize, lb: usize) -> Dtw {
-        match self.effective_band().band_for(la, lb) {
+    /// Eq. 8 for one pair of trajectories, by full DTW under the band
+    /// rule.
+    fn distance(&self, a: &(Vec<f64>, Vec<f64>), b: &(Vec<f64>, Vec<f64>)) -> f64 {
+        let dtw = match self.effective_band().band_for(a.0.len(), b.0.len()) {
             Some(w) => self.dtw.with_band(w),
             None => self.dtw,
-        }
+        };
+        dtw.distance(&a.0, &b.0) + dtw.distance(&a.1, &b.1)
     }
 
     /// Extracts the `(X_i, Y_i)` trajectory series of every account.
@@ -191,24 +169,18 @@ impl AgTr {
             .collect()
     }
 
-    /// The pairwise dissimilarity matrix (Fig. 4(c)); diagonal is 0.
-    /// Accounts with no reports are infinitely far from everyone —
+    /// The exact pairwise dissimilarity matrix (Fig. 4(c)); diagonal is
+    /// 0. Accounts with no reports are infinitely far from everyone —
     /// including each other: two inactive accounts share no behavioural
     /// evidence, so they must stay singletons rather than merge at
     /// distance zero.
     ///
-    /// With pruning enabled (the default, raw-cost DTW only) the
-    /// `n(n−1)/2` evaluations go through [`PrunedPairwise`] with the
-    /// threshold φ as cutoff: every entry `< φ` is bit-identical to the
-    /// full path, while provably-above-φ pairs read `f64::INFINITY`
-    /// without paying for a full DTW — sufficient because only the
-    /// `D_ij < φ` decision feeds the connected-components step. Disable
-    /// via [`AgTr::with_pruning`] to get exact values everywhere.
-    ///
-    /// Either path runs the pair map through the runtime's scoped-thread
-    /// parallel map over the flattened upper triangle; the
-    /// order-preserving map makes the matrix identical for every
-    /// worker-thread count.
+    /// Every one of the `n(n−1)/2` entries runs full DTW under the same
+    /// band rule as the grouping path, through the runtime's
+    /// order-preserving parallel map over the flattened upper triangle,
+    /// so the matrix is identical for every worker-thread count. This is
+    /// Eq. 8 by definition, for display and as the all-pairs reference;
+    /// grouping never calls it.
     pub fn dissimilarity_matrix(&self, data: &SensingData) -> Vec<Vec<f64>> {
         let _span = srtd_runtime::obs::span("ag_tr.dtw_matrix");
         let trajectories = self.trajectories(data);
@@ -218,37 +190,18 @@ impl AgTr {
             "the dense dissimilarity matrix is capped at {MAX_DENSE_ACCOUNTS} accounts \
              (got {n}); use dissimilarity_edges at scale"
         );
-        let mut matrix = if self.prune && self.dtw.is_raw() {
-            PrunedPairwise::new(self.phi)
-                .with_band(self.effective_band())
-                .matrix2(&trajectories)
-        } else {
-            let pairs = triangle_pairs(n);
-            let distances = parallel_map(&pairs, |&(i, j)| {
-                let (xi, yi) = &trajectories[i];
-                let (xj, yj) = &trajectories[j];
-                let dtw = self.dtw_for(xi.len(), xj.len());
-                dtw.distance(xi, xj) + dtw.distance(yi, yj)
-            });
-            let mut matrix = vec![vec![0.0; n]; n];
-            for (&(i, j), &d) in pairs.iter().zip(&distances) {
-                matrix[i][j] = d;
-                matrix[j][i] = d;
+        let pairs = triangle_pairs(n);
+        let distances = parallel_map(&pairs, |&(i, j)| {
+            if trajectories[i].0.is_empty() || trajectories[j].0.is_empty() {
+                f64::INFINITY
+            } else {
+                self.distance(&trajectories[i], &trajectories[j])
             }
-            matrix
-        };
-        // Inactive accounts: the engine's empty-vs-empty DTW is 0, but
-        // two accounts that never reported must not merge on the absence
-        // of evidence — force their off-diagonal entries to ∞.
-        for (i, (x, _)) in trajectories.iter().enumerate() {
-            if x.is_empty() {
-                for j in 0..n {
-                    if j != i {
-                        matrix[i][j] = f64::INFINITY;
-                        matrix[j][i] = f64::INFINITY;
-                    }
-                }
-            }
+        });
+        let mut matrix = vec![vec![0.0; n]; n];
+        for (&(i, j), &d) in pairs.iter().zip(&distances) {
+            matrix[i][j] = d;
+            matrix[j][i] = d;
         }
         matrix
     }
@@ -259,12 +212,12 @@ impl AgTr {
     /// dense matrix is never materialized on this path, so it has no size
     /// cap.
     ///
-    /// With blocking on (default; requires pruning and raw DTW, whose
-    /// cost space the endpoint cells quantize) only same-or-adjacent
-    /// endpoint-cell pairs from [`blocking::tr_candidates`] enter the LB
-    /// cascade — provably a superset of every below-φ pair. Otherwise all
-    /// active pairs are visited, through the cascade when pruning applies
-    /// and through full DTW when it does not.
+    /// With raw-cost DTW (the default) only same-or-adjacent endpoint-cell
+    /// pairs from [`blocking::tr_candidates`] — provably a superset of
+    /// every below-φ pair — enter the [`PrunedPairwise`] cascade with φ as
+    /// cutoff, which skips provably-above-φ pairs without a full DTW and
+    /// keeps every below-φ distance bit-identical. A non-raw DTW has no
+    /// raw-cost bounds, so all active pairs run full DTW.
     pub fn dissimilarity_edges(&self, data: &SensingData) -> Vec<(usize, usize, f64)> {
         self.dissimilarity_edges_masked(data, None)
     }
@@ -279,8 +232,8 @@ impl AgTr {
         let _span = srtd_runtime::obs::span("ag_tr.dtw_edges");
         let trajectories = self.trajectories(data);
         let n = trajectories.len();
-        let pruned = self.prune && self.dtw.is_raw();
-        let candidates = if self.blocking && pruned {
+        let raw = self.dtw.is_raw();
+        let candidates = if raw {
             blocking::tr_candidates(&trajectories, self.phi, dirty)
         } else {
             Candidates::exhaustive(n, dirty)
@@ -288,13 +241,13 @@ impl AgTr {
         candidates.record("ag_tr");
         // Inactive accounts must stay singletons: drop their pairs before
         // any distance work (the blocked path never generates them, and
-        // the dense path forces the same pairs to ∞ after the fact).
+        // the dense matrix holds ∞ for them).
         let pairs: Vec<(usize, usize)> = candidates
             .pairs
             .into_iter()
             .filter(|&(i, j)| !trajectories[i].0.is_empty() && !trajectories[j].0.is_empty())
             .collect();
-        if pruned {
+        if raw {
             let (edges, _stats) = PrunedPairwise::new(self.phi)
                 .with_band(self.effective_band())
                 .edges2_with_stats(&trajectories, &pairs);
@@ -304,10 +257,7 @@ impl AgTr {
                 .collect()
         } else {
             let distances = parallel_map(&pairs, |&(i, j)| {
-                let (xi, yi) = &trajectories[i];
-                let (xj, yj) = &trajectories[j];
-                let dtw = self.dtw_for(xi.len(), xj.len());
-                dtw.distance(xi, xj) + dtw.distance(yi, yj)
+                self.distance(&trajectories[i], &trajectories[j])
             });
             pairs
                 .iter()
@@ -381,6 +331,41 @@ mod tests {
         d
     }
 
+    /// The below-φ entries of the exact dense matrix: Eq. 8's decision
+    /// over every pair, the reference the sparse path must reproduce.
+    fn dense_edges(ag: &AgTr, d: &SensingData) -> Vec<(usize, usize, f64)> {
+        let mut edges = Vec::new();
+        for (i, row) in ag.dissimilarity_matrix(d).iter().enumerate() {
+            for (j, &v) in row.iter().enumerate().skip(i + 1) {
+                if v < ag.phi() {
+                    edges.push((i, j, v));
+                }
+            }
+        }
+        edges
+    }
+
+    /// Asserts `ag`'s edge list equals [`dense_edges`] bit for bit and its
+    /// grouping equals the components of those edges.
+    fn assert_matches_dense(ag: &AgTr, d: &SensingData) {
+        let expected = dense_edges(ag, d);
+        let edges = ag.dissimilarity_edges(d);
+        assert_eq!(edges.len(), expected.len(), "{ag:?}");
+        for (got, want) in edges.iter().zip(&expected) {
+            assert_eq!((got.0, got.1), (want.0, want.1), "{ag:?}");
+            assert_eq!(got.2.to_bits(), want.2.to_bits(), "{ag:?}");
+        }
+        let mut components = UnionFind::new(d.num_accounts());
+        for &(i, j, _) in &expected {
+            components.union(i, j);
+        }
+        assert_eq!(
+            ag.group(d, &[]),
+            Grouping::new(components.into_groups()),
+            "{ag:?}"
+        );
+    }
+
     #[test]
     fn table_iii_reproduces_fig4_grouping() {
         // Fig. 4(d): the Sybil accounts {4', 4'', 4'''} form the single
@@ -400,11 +385,12 @@ mod tests {
     fn dissimilarity_matrix_structure() {
         let d = table_iii_data();
         let m = AgTr::default().dissimilarity_matrix(&d);
-        // Symmetric with zero diagonal (pruned above-φ entries are ∞, so
-        // compare bits rather than differences).
+        // Exact everywhere (every account is active), symmetric bit for
+        // bit, zero diagonal.
         for (i, row) in m.iter().enumerate() {
             assert_eq!(row[i], 0.0);
             for (j, v) in row.iter().enumerate() {
+                assert!(v.is_finite(), "({i},{j}) = {v}");
                 assert_eq!(v.to_bits(), m[j][i].to_bits());
             }
         }
@@ -470,26 +456,24 @@ mod tests {
     }
 
     #[test]
-    fn pruned_path_matches_full_on_ragged_trajectories() {
+    fn pruned_path_matches_the_dense_matrix_on_ragged_trajectories() {
         // Table III trajectories are ragged (lengths 4, 2, 3, 3, 3, 3):
         // LB_Keogh would panic on unequal lengths, so the engine must fall
         // back to LB_Kim for those pairs — this is the regression test for
         // the AG-TR call site.
         let d = table_iii_data();
-        let pruned = AgTr::default();
-        let full = AgTr::default().with_pruning(false);
-        let gp = pruned.group(&d, &[]);
-        let gf = full.group(&d, &[]);
-        assert_eq!(gp.groups(), gf.groups());
-        let phi = pruned.phi();
-        let mp = pruned.dissimilarity_matrix(&d);
-        let mf = full.dissimilarity_matrix(&d);
-        for i in 0..mp.len() {
-            for j in 0..mp.len() {
-                if mp[i][j].is_infinite() {
-                    assert!(mf[i][j] >= phi, "pruned a below-φ pair ({i},{j})");
+        let ag = AgTr::default();
+        assert_matches_dense(&ag, &d);
+        // Over the whole triangle too: kept entries are bit-identical to
+        // the exact matrix, pruned ones provably at or above φ.
+        let exact = ag.dissimilarity_matrix(&d);
+        let pruned = PrunedPairwise::new(ag.phi()).matrix2(&ag.trajectories(&d));
+        for i in 0..exact.len() {
+            for j in 0..exact.len() {
+                if pruned[i][j].is_infinite() {
+                    assert!(exact[i][j] >= ag.phi(), "pruned a below-φ pair ({i},{j})");
                 } else {
-                    assert_eq!(mp[i][j].to_bits(), mf[i][j].to_bits());
+                    assert_eq!(pruned[i][j].to_bits(), exact[i][j].to_bits());
                 }
             }
         }
@@ -497,28 +481,22 @@ mod tests {
 
     #[test]
     fn explicit_dtw_band_overrides_the_policy() {
-        // A user-fixed band must apply identically on both paths.
+        // A user-fixed band must apply identically to the pruned edges and
+        // the exact matrix.
         let d = table_iii_data();
-        let banded = Dtw::new().raw().with_band(1);
-        let pruned = AgTr::default().with_dtw(banded);
-        let full = pruned.with_pruning(false);
-        assert_eq!(pruned.group(&d, &[]).groups(), full.group(&d, &[]).groups());
+        let ag = AgTr::default().with_dtw(Dtw::new().raw().with_band(1));
+        assert_matches_dense(&ag, &d);
     }
 
     #[test]
     fn normalized_dtw_falls_back_to_the_full_path() {
         // Eq. 7 path-normalized distances are not raw cumulative costs, so
-        // the raw-space pruning cutoff does not apply; grouping must still
-        // work (via the unpruned path) with a threshold in that space.
+        // neither the endpoint cells nor the pruning cutoff apply; grouping
+        // must still work (all pairs, full DTW) with a threshold in that
+        // space.
         let d = table_iii_data();
         let ag = AgTr::new(0.5).with_dtw(Dtw::new());
-        let m = ag.dissimilarity_matrix(&d);
-        // No pruning: every active-pair entry is finite.
-        for i in 0..6 {
-            for j in 0..6 {
-                assert!(m[i][j].is_finite(), "({i},{j}) = {}", m[i][j]);
-            }
-        }
+        assert_matches_dense(&ag, &d);
     }
 
     #[test]
@@ -530,42 +508,24 @@ mod tests {
     #[test]
     fn sparse_edges_match_the_dense_decision() {
         // The edge list must be exactly the below-φ entries of the dense
-        // matrix (bitwise), blocked or not, pruned or not.
+        // matrix (bitwise), for every threshold regime: nothing, all
+        // Sybil pairs, everything.
         let d = table_iii_data();
-        for ag in [
-            AgTr::default(),
-            AgTr::default().with_blocking(false),
-            AgTr::default().with_pruning(false),
-            AgTr::new(0.5).with_dtw(Dtw::new()), // normalized → full path
-        ] {
-            let matrix = ag.dissimilarity_matrix(&d);
-            let mut expected = Vec::new();
-            for i in 0..matrix.len() {
-                for j in i + 1..matrix.len() {
-                    if matrix[i][j] < ag.phi() {
-                        expected.push((i, j, matrix[i][j]));
-                    }
-                }
-            }
-            let edges = ag.dissimilarity_edges(&d);
-            assert_eq!(edges.len(), expected.len(), "{ag:?}");
-            for (got, want) in edges.iter().zip(&expected) {
-                assert_eq!((got.0, got.1), (want.0, want.1), "{ag:?}");
-                assert_eq!(got.2.to_bits(), want.2.to_bits(), "{ag:?}");
-            }
+        for phi in [1e-4, 1.0, 1e6] {
+            assert_matches_dense(&AgTr::new(phi), &d);
         }
     }
 
     #[test]
-    fn blocked_and_exhaustive_edges_agree() {
+    fn endpoint_cells_cover_every_dense_edge() {
         let d = table_iii_data();
-        let blocked = AgTr::default().dissimilarity_edges(&d);
-        let exhaustive = AgTr::default().with_blocking(false).dissimilarity_edges(&d);
-        assert_eq!(blocked, exhaustive);
-        assert_eq!(
-            AgTr::default().group(&d, &[]),
-            AgTr::default().with_blocking(false).group(&d, &[])
-        );
+        let ag = AgTr::default();
+        let candidates = blocking::tr_candidates(&ag.trajectories(&d), ag.phi(), None);
+        let expected = dense_edges(&ag, &d);
+        assert!(!expected.is_empty());
+        for (i, j, _) in expected {
+            assert!(candidates.pairs.binary_search(&(i, j)).is_ok(), "({i},{j})");
+        }
     }
 
     #[test]
@@ -585,7 +545,9 @@ mod tests {
         d.add_report(0, 0, 1.0, 5.0);
         d.add_report(3, 0, 1.0, 6.0);
         d.reserve_accounts(4);
-        for ag in [AgTr::default(), AgTr::default().with_blocking(false)] {
+        // Blocked and pruned (raw DTW), and all pairs through full DTW
+        // (normalized).
+        for ag in [AgTr::default(), AgTr::new(1.0).with_dtw(Dtw::new())] {
             let edges = ag.dissimilarity_edges(&d);
             assert!(
                 edges

@@ -51,16 +51,12 @@ const MAX_DENSE_ACCOUNTS: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgTs {
     rho: f64,
-    blocking: bool,
 }
 
 impl Default for AgTs {
     /// The paper's worked example uses `ρ = 1`.
     fn default() -> Self {
-        Self {
-            rho: 1.0,
-            blocking: true,
-        }
+        Self { rho: 1.0 }
     }
 }
 
@@ -72,18 +68,7 @@ impl AgTs {
     /// Panics if `rho` is not finite.
     pub fn new(rho: f64) -> Self {
         assert!(rho.is_finite(), "threshold must be finite");
-        Self {
-            rho,
-            blocking: true,
-        }
-    }
-
-    /// Enables or disables prefix-filter blocking (default on). The
-    /// exhaustive path visits all `n(n−1)/2` pairs — useful as the oracle
-    /// in equivalence tests; both paths produce identical groupings.
-    pub fn with_blocking(mut self, blocking: bool) -> Self {
-        self.blocking = blocking;
-        self
+        Self { rho }
     }
 
     /// The affinity threshold ρ.
@@ -96,8 +81,8 @@ impl AgTs {
     /// [`AccountGrouping::group`] connects — the dense
     /// [`AgTs::affinity_matrix`] is never materialized on this path.
     ///
-    /// With blocking on and `ρ ≥ 0`, candidate pairs come from the prefix
-    /// filter in [`blocking::ts_candidates`] (provably a superset of every
+    /// For `ρ ≥ 0`, candidate pairs come from the prefix filter in
+    /// [`blocking::ts_candidates`] (provably a superset of every
     /// above-threshold pair, see its proof). A negative `ρ` can admit
     /// pairs with arbitrarily little overlap, which no overlap-based
     /// blocking can bound, so that case falls back to the exhaustive scan.
@@ -115,7 +100,7 @@ impl AgTs {
         let n = data.num_accounts();
         let m = data.num_tasks().max(1) as f64;
         let task_sets: Vec<Vec<usize>> = (0..n).map(|a| data.tasks_of(a)).collect();
-        let candidates = if self.blocking && self.rho >= 0.0 {
+        let candidates = if self.rho >= 0.0 {
             blocking::ts_candidates(&task_sets, data.num_tasks(), dirty)
         } else {
             Candidates::exhaustive(n, dirty)
@@ -353,9 +338,13 @@ pub(crate) mod tests {
                 }
             }
             assert_eq!(ag.affinity_edges(&d), expected, "rho = {rho}");
+            let mut components = UnionFind::new(6);
+            for &(i, j, _) in &expected {
+                components.union(i, j);
+            }
             assert_eq!(
                 ag.group(&d, &[]),
-                ag.with_blocking(false).group(&d, &[]),
+                Grouping::new(components.into_groups()),
                 "rho = {rho}"
             );
         }

@@ -442,13 +442,20 @@ impl Parser<'_> {
         })
     }
 
+    /// Exactly four hex digits (`u32::from_str_radix` would also take a
+    /// leading `+`).
     fn hex4(&mut self) -> Result<u32, ParseError> {
         let end = self.pos + 4;
         let Some(slice) = self.bytes.get(self.pos..end) else {
             return Err(self.error("truncated \\u escape"));
         };
-        let s = std::str::from_utf8(slice).map_err(|_| self.error("invalid \\u escape"))?;
-        let code = u32::from_str_radix(s, 16).map_err(|_| self.error("invalid \\u escape"))?;
+        let mut code = 0;
+        for &b in slice {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.error("invalid \\u escape"))?;
+            code = code * 16 + digit;
+        }
         self.pos = end;
         Ok(code)
     }
@@ -672,6 +679,9 @@ mod tests {
             "-",
             "1e",
             "1e+",
+            // `\u` takes exactly four hex digits.
+            r#""\u+fff""#,
+            r#""\u 123""#,
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
         }
@@ -697,6 +707,12 @@ mod tests {
             let err = parse(bad).unwrap_err();
             assert_eq!(err.offset, offset, "{bad}");
             assert_eq!(err.message, format!("invalid number `{token}`"), "{bad}");
+        }
+        // A bad `\u` escape is reported at its first hex position.
+        for bad in [r#""\u+fff""#, r#""\u 123""#, r#""\u12g4""#] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.offset, 3, "{bad}");
+            assert_eq!(err.message, "invalid \\u escape", "{bad}");
         }
     }
 

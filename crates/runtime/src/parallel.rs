@@ -3,17 +3,17 @@
 //! Each call splits its input into one contiguous chunk per worker and
 //! concatenates the chunk outputs in input order, so the result of every
 //! function is **independent of the worker count** — byte-identical on 1
-//! thread and on 64. Two execution backends share that contract:
+//! thread and on 64. Chunks run on one of two paths that share that
+//! contract:
 //!
-//! * [`Backend::Pool`] (the default) dispatches chunks to the persistent
-//!   worker pool in [`crate::pool`] — parked threads woken per batch, no
-//!   spawn cost, and thread-local scratch that survives across batches;
-//! * [`Backend::Scoped`] spawns a fresh [`std::thread::scope`] per call
-//!   — no shared state whatsoever, kept as the fallback for nested or
-//!   concurrent parallel regions and as the equivalence oracle in tests.
+//! * the persistent worker pool in [`crate::pool`] — parked threads woken
+//!   per batch, no spawn cost, and thread-local scratch that survives
+//!   across batches — whenever its dispatch token is free;
+//! * a fresh [`std::thread::scope`] per call otherwise, i.e. for nested
+//!   or concurrent parallel regions, which find the token taken.
 //!
 //! Chunk boundaries depend only on the input length and [`max_threads`],
-//! never on the backend, so the two produce identical bytes
+//! never on the path, so the two produce identical bytes
 //! (`tests/pool_equivalence.rs` pins this).
 //!
 //! The worker count defaults to [`std::thread::available_parallelism`]
@@ -34,47 +34,6 @@ use std::sync::Mutex;
 
 /// Process-wide worker cap; 0 means "ask the OS".
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Which execution backend runs parallel chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The persistent worker pool ([`crate::pool`]); the default.
-    Pool,
-    /// A fresh `std::thread::scope` per call; fallback and test oracle.
-    Scoped,
-}
-
-/// Backend selector: 0 = unresolved (consult `SRTD_PARALLEL_BACKEND` on
-/// first use), 1 = pool, 2 = scoped.
-static BACKEND: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the execution backend process-wide. Outputs are identical
-/// either way; only dispatch cost changes.
-pub fn set_backend(backend: Backend) {
-    let code = match backend {
-        Backend::Pool => 1,
-        Backend::Scoped => 2,
-    };
-    BACKEND.store(code, Ordering::Relaxed);
-}
-
-/// The current execution backend: the [`set_backend`] override if set,
-/// otherwise `SRTD_PARALLEL_BACKEND=scoped|pool` from the environment,
-/// otherwise [`Backend::Pool`].
-pub fn backend() -> Backend {
-    match BACKEND.load(Ordering::Relaxed) {
-        1 => Backend::Pool,
-        2 => Backend::Scoped,
-        _ => {
-            let resolved = match std::env::var("SRTD_PARALLEL_BACKEND").as_deref() {
-                Ok("scoped") => Backend::Scoped,
-                _ => Backend::Pool,
-            };
-            set_backend(resolved);
-            resolved
-        }
-    }
-}
 
 /// Overrides the worker count used by every function in this module.
 ///
@@ -100,10 +59,9 @@ pub fn max_threads() -> usize {
 ///
 /// Falls back to a sequential loop when only one worker is available or
 /// the input has fewer than two items. Panics in `f` propagate to the
-/// caller. Chunks run on the persistent pool by default and on scoped
-/// threads when the pool is busy (nested or concurrent parallel regions)
-/// or [`Backend::Scoped`] is selected — the output bytes are identical
-/// either way.
+/// caller. Chunks run on the persistent pool, or on scoped threads when
+/// the pool is busy (nested or concurrent parallel regions) — the output
+/// bytes are identical either way.
 pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -127,12 +85,10 @@ where
         return items.iter().map(f).collect();
     }
     let chunk_len = items.len().div_ceil(workers);
-    if backend() == Backend::Pool {
-        if let Some(token) = crate::pool::try_dispatch() {
-            return pool_map(items, chunk_len, &f, token);
-        }
+    match crate::pool::try_dispatch() {
+        Some(token) => pool_map(items, chunk_len, &f, token),
+        None => scoped_map(items, chunk_len, &f),
     }
-    scoped_map(items, chunk_len, &f)
 }
 
 /// The scoped-thread execution path: one spawned thread per chunk,
@@ -166,7 +122,7 @@ where
 /// byte-identical to [`scoped_map`]. The dispatching thread claims
 /// chunks alongside the pool workers, which is why its per-chunk spans
 /// are trace-suppressed — on the scoped path item closures never run on
-/// the opener thread, and the trace tree must not depend on the backend.
+/// the opener thread, and the trace tree must not depend on the path.
 fn pool_map<T, U, F>(items: &[T], chunk_len: usize, f: &F, token: crate::pool::Dispatch) -> Vec<U>
 where
     T: Sync,

@@ -166,14 +166,17 @@ pub struct Dispatch {
 /// Tries to acquire the exclusive dispatch slot. `None` means a batch is
 /// already in flight (possibly on this very thread, via a nested
 /// `parallel_map` from inside a job) — the caller must use the scoped
-/// fallback instead.
+/// fallback instead. While anyone holds a token, every `parallel_map` in
+/// the process takes that fallback.
 pub fn try_dispatch() -> Option<Dispatch> {
     match dispatch_lock().try_lock() {
         Ok(guard) => Some(Dispatch { _guard: guard }),
         Err(TryLockError::WouldBlock) => None,
-        Err(TryLockError::Poisoned(_)) => {
-            unreachable!("dispatch lock never poisons: no code panics while holding it")
-        }
+        // The lock guards no data, so a holder that panicked (a job on the
+        // scoped fallback, say) leaves nothing inconsistent behind.
+        Err(TryLockError::Poisoned(poisoned)) => Some(Dispatch {
+            _guard: poisoned.into_inner(),
+        }),
     }
 }
 
@@ -291,14 +294,19 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    #[test]
-    fn runs_every_job_exactly_once() {
-        let token = loop {
-            if let Some(t) = try_dispatch() {
-                break t;
+    /// Waits out whichever concurrent test holds the dispatch token.
+    fn acquire() -> Dispatch {
+        loop {
+            if let Some(token) = try_dispatch() {
+                return token;
             }
             std::thread::yield_now();
-        };
+        }
+    }
+
+    #[test]
+    fn runs_every_job_exactly_once() {
+        let token = acquire();
         let hits: Vec<AtomicUsize> = (0..23).map(|_| AtomicUsize::new(0)).collect();
         run(
             hits.len(),
@@ -314,12 +322,7 @@ mod tests {
 
     #[test]
     fn panics_re_raise_after_the_whole_batch_ran() {
-        let token = loop {
-            if let Some(t) = try_dispatch() {
-                break t;
-            }
-            std::thread::yield_now();
-        };
+        let token = acquire();
         let ran = AtomicUsize::new(0);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run(
@@ -341,13 +344,27 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_a_no_op() {
-        let token = loop {
-            if let Some(t) = try_dispatch() {
-                break t;
-            }
-            std::thread::yield_now();
-        };
+        let token = acquire();
         run(0, &|_| unreachable!("no jobs to run"), token);
+    }
+
+    #[test]
+    fn a_token_holder_that_panics_does_not_disable_the_pool() {
+        let outcome = std::panic::catch_unwind(|| {
+            let _token = acquire();
+            panic!("boom");
+        });
+        assert!(outcome.is_err());
+        let token = acquire();
+        let ran = AtomicUsize::new(0);
+        run(
+            3,
+            &|_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            },
+            token,
+        );
+        assert_eq!(ran.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -90,8 +90,7 @@ fn main() {
     );
 
     println!("== Fig. 4: AG-TR trajectory dissimilarity (Eqs. 7-8) ==\n");
-    // Unpruned: the table below prints exact above-φ distances.
-    let ag_tr = AgTr::default().with_pruning(false);
+    let ag_tr = AgTr::default();
     let dissimilarity = ag_tr.dissimilarity_matrix(&attacked);
     print!("      ");
     for n in NAMES {

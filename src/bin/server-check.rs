@@ -33,9 +33,9 @@
 //!
 //! A fourth phase probes the input limits: a `Content-Length` of
 //! `usize::MAX` gets `413`, an over-long header line `431`, and an 8 MiB
-//! JSON string body, a non-UTF-8 body, a `01` account and a report missing
-//! a field each get `400`, the string body within the 5 s every reply is
-//! given. `/healthz` answers after each probe with nothing buffered, and a
+//! JSON string body, a non-UTF-8 body, a `01` account, a report missing a
+//! field and a body repeating its `reports` key each get `400`, the string
+//! body within the 5 s every reply is given. `/healthz` answers after each probe with nothing buffered, and a
 //! report for account `1e15` comes back as a per-report
 //! `AccountOutOfRange` rejection while the next `POST /epoch` still
 //! succeeds.
@@ -476,6 +476,8 @@ fn drive_limit_probes(addr: &str) -> Result<(), String> {
     let leading_zero =
         format!(r#"{{"reports":[{valid},{{"account":01,"task":1,"value":-70,"timestamp":2}}]}}"#);
     let missing_field = format!(r#"{{"reports":[{valid},{{"account":1,"task":0,"value":-70}}]}}"#);
+    // Taking the first `reports` would buffer nothing and answer 200.
+    let repeated_reports = format!(r#"{{"reports":[],"reports":[{valid}]}}"#);
     let probes = [
         (oversized.into_bytes(), "413"),
         (long_header.into_bytes(), "431"),
@@ -490,6 +492,10 @@ fn drive_limit_probes(addr: &str) -> Result<(), String> {
         ),
         (
             wire(addr, "POST", "/ingest", missing_field.as_bytes()),
+            "400",
+        ),
+        (
+            wire(addr, "POST", "/ingest", repeated_reports.as_bytes()),
             "400",
         ),
     ];

@@ -526,18 +526,15 @@ fn split_query(path: &str) -> (&str, Vec<(String, String)>) {
 /// One report of an ingest body: `(account, task, value, timestamp)`.
 type Report = (usize, usize, f64, f64);
 
-/// Decodes an ingest body into its reports. Invalid JSON, or a report
-/// with a missing, repeated or mistyped field, fails the whole request.
+/// Decodes an ingest body into its reports. Invalid JSON, a repeated
+/// `reports` key, or a report with a missing, repeated or mistyped field
+/// fails the whole request.
 fn decode_reports(body: &str) -> Result<Vec<Report>, String> {
     let doc = parse(body).map_err(|e| e.to_string())?;
     let Json::Obj(fields) = &doc else {
         return Err("expected a JSON object".into());
     };
-    let reports = fields
-        .iter()
-        .find(|(k, _)| k == "reports")
-        .map(|(_, v)| v)
-        .ok_or_else(|| "missing `reports` array".to_string())?;
+    let reports = unique_field(fields, "reports")?.ok_or("missing `reports` array")?;
     let Json::Arr(reports) = reports else {
         return Err("`reports` must be an array".into());
     };
@@ -570,18 +567,26 @@ fn ingest_batch(engine: &mut Engine, reports: &[Report]) -> Json {
     ])
 }
 
-/// One report's fields: indices must be non-negative integers, and no
-/// field may appear twice (which occurrence would win is ambiguous).
+/// The value of object field `name`, if present. No field may appear
+/// twice: which occurrence would win is ambiguous.
+fn unique_field<'a>(fields: &'a [(String, Json)], name: &str) -> Result<Option<&'a Json>, String> {
+    let mut values = fields.iter().filter(|(k, _)| k == name).map(|(_, v)| v);
+    match (values.next(), values.next()) {
+        (_, Some(_)) => Err(format!("repeats `{name}`")),
+        (value, None) => Ok(value),
+    }
+}
+
+/// One report's fields: each at most once, and indices must be
+/// non-negative integers.
 fn report_fields(report: &Json) -> Result<Report, String> {
     const NEED: &str = "need account, task, value, timestamp";
     let Json::Obj(fields) = report else {
         return Err(NEED.into());
     };
     let num = |name: &str| -> Result<Option<f64>, String> {
-        let mut values = fields.iter().filter(|(k, _)| k == name).map(|(_, v)| v);
-        match (values.next(), values.next()) {
-            (_, Some(_)) => Err(format!("repeats `{name}`")),
-            (Some(Json::Num(x)), None) => Ok(Some(*x)),
+        match unique_field(fields, name)? {
+            Some(Json::Num(x)) => Ok(Some(*x)),
             _ => Ok(None),
         }
     };
@@ -793,6 +798,22 @@ mod tests {
                 }
             },
         );
+    }
+
+    #[test]
+    fn a_repeated_reports_key_fails_the_whole_request() {
+        let report = r#"{"account":0,"task":0,"value":-70,"timestamp":1}"#;
+        for body in [
+            format!(r#"{{"reports":[],"reports":[{report}]}}"#),
+            format!(r#"{{"reports":[{report}],"reports":[]}}"#),
+            format!(r#"{{"reports":[{report}],"other":1,"reports":[{report}]}}"#),
+        ] {
+            assert_eq!(
+                decode_reports(&body),
+                Err("repeats `reports`".into()),
+                "{body}"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Golden export for the DTW pruning counters: one pruned AG-TR run must
-//! surface the `timeseries.dtw.*` cascade counters, their deterministic
-//! JSON export must be byte-identical across worker-thread counts, the
-//! prune rate must be positive on a φ-sparse campaign, and exactly zero
-//! when the cutoff is ∞.
+//! Golden export for the DTW pruning counters: one pruned pairwise run
+//! over AG-TR's trajectories must surface the `timeseries.dtw.*` cascade
+//! counters, their deterministic JSON export must be byte-identical across
+//! worker-thread counts, the prune rate must be positive on a φ-sparse
+//! campaign, and exactly zero when the cutoff is ∞.
 //!
 //! This file holds a single test on purpose: the obs registry is
 //! process-wide, and a second concurrently running test would bleed
@@ -42,7 +42,8 @@ fn pruning_counters_export_deterministically_and_track_the_cascade() {
 
     // Reference stats from the engine itself (outside instrumentation).
     let trajectories = ag.trajectories(&data);
-    let (_, stats) = PrunedPairwise::new(ag.phi()).matrix2_with_stats(&trajectories);
+    let engine = PrunedPairwise::new(ag.phi());
+    let (_, stats) = engine.matrix2_with_stats(&trajectories);
     assert_eq!(stats.pairs, 40 * 39 / 2);
 
     // One instrumented pruned run per thread count; the deterministic
@@ -55,7 +56,7 @@ fn pruning_counters_export_deterministically_and_track_the_cascade() {
         set_max_threads(threads);
         obs::set_enabled(true);
         obs::reset();
-        let _ = ag.dissimilarity_matrix(&data);
+        let _ = engine.matrix2(&trajectories);
         let report = obs::snapshot();
         obs::set_enabled(false);
         exports.push(report.deterministic_json());

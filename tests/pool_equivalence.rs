@@ -1,29 +1,93 @@
 //! Pool-vs-scoped execution equivalence.
 //!
-//! The persistent worker pool replaced spawn-per-call scoped threads as
-//! the default `parallel_map` backend. The contract that makes the swap
-//! safe: chunk boundaries and output assembly depend only on the input
-//! and `max_threads`, never on which backend (or which pool thread) ran
-//! a chunk — so outputs must be **byte-identical** between the two
-//! backends at every worker count, panics must propagate the same way,
-//! and thread-local scratch must never leak state between jobs.
+//! `parallel_map` runs its chunks on the persistent worker pool whenever
+//! the pool's dispatch token is free, and on spawn-per-call scoped
+//! threads when it is not — a nested region inside a pool job, or a
+//! region that overlaps another thread's. The contract that makes the two
+//! paths interchangeable: chunk boundaries and output assembly depend
+//! only on the input and `max_threads`, never on which path (or which
+//! pool thread) ran a chunk — so outputs must be **byte-identical**
+//! between the paths at every worker count, panics must propagate the
+//! same way, and thread-local scratch must never leak state between jobs.
+//!
+//! There is no switch for the path. These tests reach the scoped path the
+//! way production does: by holding the dispatch token around the call.
 
-use sybil_td::runtime::parallel::{
-    parallel_map, parallel_reduce, set_backend, set_max_threads, Backend,
-};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+use sybil_td::runtime::parallel::{parallel_map, parallel_reduce, set_max_threads};
 use sybil_td::runtime::rng::{Rng, SeedableRng, StdRng};
 use sybil_td::runtime::{pool, prop, prop_assert};
 use sybil_td::signal::{stream_features_batch, FeatureConfig};
 
-/// Runs `f` under the given backend and worker count, restoring the
-/// defaults afterwards.
-fn with_exec<T>(backend: Backend, threads: usize, f: impl FnOnce() -> T) -> T {
-    set_backend(backend);
-    set_max_threads(threads);
+/// Where a region's chunks run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// The persistent pool: nothing else holds the dispatch token.
+    Pool,
+    /// The scoped fallback: the caller holds the token, as an enclosing
+    /// or concurrent region would.
+    Scoped,
+}
+
+/// Serialises this file's regions, so a `Path::Pool` region always finds
+/// the dispatch token free.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static EXCLUSIVE: Mutex<()> = Mutex::new(());
+    EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Blocks until the dispatch token is ours.
+fn hold_dispatch() -> pool::Dispatch {
+    loop {
+        if let Some(token) = pool::try_dispatch() {
+            return token;
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Restores the default worker count on drop, panics included.
+struct Threads;
+
+impl Threads {
+    fn set(n: usize) -> Self {
+        set_max_threads(n);
+        Self
+    }
+}
+
+impl Drop for Threads {
+    fn drop(&mut self) {
+        set_max_threads(0);
+    }
+}
+
+/// Runs `f` on `path` with `threads` workers. On the scoped path the pool
+/// cannot run a single job while `f` does.
+fn with_exec<T>(path: Path, threads: usize, f: impl FnOnce() -> T) -> T {
+    let _serial = exclusive();
+    let _threads = Threads::set(threads);
+    match path {
+        Path::Pool => f(),
+        Path::Scoped => {
+            let _token = hold_dispatch();
+            let before = pool::stats().jobs;
+            let out = f();
+            assert_eq!(
+                pool::stats().jobs,
+                before,
+                "the pool ran jobs on the scoped path"
+            );
+            out
+        }
+    }
+}
+
+/// Pool jobs dispatched while `f` ran.
+fn jobs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = pool::stats().jobs;
     let out = f();
-    set_max_threads(0);
-    set_backend(Backend::Pool);
-    out
+    (out, pool::stats().jobs - before)
 }
 
 #[test]
@@ -32,17 +96,18 @@ fn map_outputs_are_byte_identical_across_backends_and_worker_counts() {
         .map(|i| (i as f64 * 0.137).sin() * 1e3)
         .collect();
     let f = |&x: &f64| (x.abs() + 1.0).ln() * x.mul_add(0.25, -3.0);
-    let reference: Vec<u64> = with_exec(Backend::Scoped, 1, || parallel_map(&items, f))
+    let reference: Vec<u64> = with_exec(Path::Scoped, 1, || parallel_map(&items, f))
         .into_iter()
         .map(f64::to_bits)
         .collect();
-    for backend in [Backend::Pool, Backend::Scoped] {
+    for path in [Path::Pool, Path::Scoped] {
         for threads in [1usize, 2, 4] {
-            let got: Vec<u64> = with_exec(backend, threads, || parallel_map(&items, f))
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            assert_eq!(got, reference, "{backend:?} at {threads} workers");
+            let (got, jobs) = with_exec(path, threads, || jobs_during(|| parallel_map(&items, f)));
+            let got: Vec<u64> = got.into_iter().map(f64::to_bits).collect();
+            assert_eq!(got, reference, "{path:?} at {threads} workers");
+            if path == Path::Pool && threads > 1 {
+                assert_eq!(jobs, threads as u64, "one pool job per chunk");
+            }
         }
     }
 }
@@ -53,21 +118,21 @@ fn reduce_merges_identically_across_backends() {
     let sum = |items: &[f64]| {
         parallel_reduce(items, 64, || 0.0f64, |acc, &x| acc + x, |a, b| a + b).to_bits()
     };
-    let reference = with_exec(Backend::Scoped, 1, || sum(&items));
-    for backend in [Backend::Pool, Backend::Scoped] {
+    let reference = with_exec(Path::Scoped, 1, || sum(&items));
+    for path in [Path::Pool, Path::Scoped] {
         for threads in [1usize, 2, 4] {
             assert_eq!(
-                with_exec(backend, threads, || sum(&items)),
+                with_exec(path, threads, || sum(&items)),
                 reference,
-                "{backend:?} at {threads} workers"
+                "{path:?} at {threads} workers"
             );
         }
     }
 }
 
-/// A real pipeline stage through both backends: the feature batch runs
-/// its FFT jobs inside `parallel_map`, with per-thread scratch arenas on
-/// the pool path — bits must not depend on any of it.
+/// A real pipeline stage on both paths: the feature batch runs its FFT
+/// jobs inside `parallel_map`, with per-thread scratch arenas on the pool
+/// path — bits must not depend on any of it.
 #[test]
 fn feature_batch_is_backend_invariant() {
     let cfg = FeatureConfig::new(100.0);
@@ -78,8 +143,8 @@ fn feature_batch_is_backend_invariant() {
                 .collect()
         })
         .collect();
-    let run = |backend, threads| {
-        with_exec(backend, threads, || {
+    let run = |path, threads| {
+        with_exec(path, threads, || {
             stream_features_batch(&streams, &cfg)
                 .into_iter()
                 .flat_map(|f| f.to_vec())
@@ -87,19 +152,19 @@ fn feature_batch_is_backend_invariant() {
                 .collect::<Vec<u64>>()
         })
     };
-    let reference = run(Backend::Scoped, 1);
-    for backend in [Backend::Pool, Backend::Scoped] {
+    let reference = run(Path::Scoped, 1);
+    for path in [Path::Pool, Path::Scoped] {
         for threads in [1usize, 2, 4] {
-            assert_eq!(run(backend, threads), reference, "{backend:?}/{threads}");
+            assert_eq!(run(path, threads), reference, "{path:?}/{threads}");
         }
     }
 }
 
 #[test]
 fn pool_panics_propagate_like_scoped_joins() {
-    for backend in [Backend::Pool, Backend::Scoped] {
+    for path in [Path::Pool, Path::Scoped] {
         let outcome = std::panic::catch_unwind(|| {
-            with_exec(backend, 4, || {
+            with_exec(path, 4, || {
                 let items: Vec<u64> = (0..100).collect();
                 parallel_map(&items, |&x| {
                     assert!(x != 57, "boom");
@@ -107,14 +172,16 @@ fn pool_panics_propagate_like_scoped_joins() {
                 })
             })
         });
-        assert!(outcome.is_err(), "{backend:?} must propagate job panics");
-        set_max_threads(0);
-        set_backend(Backend::Pool);
+        assert!(outcome.is_err(), "{path:?} must propagate job panics");
     }
-    // The pool must survive a panicked batch: the next dispatch works.
+    // The pool must survive a panicked batch: the next dispatch runs on
+    // it and works.
     let items: Vec<u64> = (0..100).collect();
-    let ok = with_exec(Backend::Pool, 4, || parallel_map(&items, |&x| x + 1));
+    let (ok, jobs) = with_exec(Path::Pool, 4, || {
+        jobs_during(|| parallel_map(&items, |&x| x + 1))
+    });
     assert_eq!(ok[99], 100);
+    assert_eq!(jobs, 4);
 }
 
 /// Nested parallel regions: an outer pool batch whose jobs call
@@ -123,18 +190,76 @@ fn pool_panics_propagate_like_scoped_joins() {
 #[test]
 fn nested_parallel_map_inside_pool_jobs_is_identical() {
     let outer: Vec<u64> = (0..16).collect();
-    let run = |backend, threads| {
-        with_exec(backend, threads, || {
+    let run = |path, threads| {
+        with_exec(path, threads, || {
             parallel_map(&outer, |&o| {
                 let inner: Vec<u64> = (0..50).map(|i| o * 100 + i).collect();
                 parallel_map(&inner, |&x| x.wrapping_mul(2654435761))
             })
         })
     };
-    let reference = run(Backend::Scoped, 1);
+    let reference = run(Path::Scoped, 1);
     for threads in [1usize, 2, 4] {
-        assert_eq!(run(Backend::Pool, threads), reference);
+        assert_eq!(run(Path::Pool, threads), reference);
     }
+}
+
+/// Concurrent top-level regions: two threads each run a `parallel_map`
+/// and then a `parallel_reduce` at the same time. Each region's first
+/// item waits for the other thread's first item, so the two regions are
+/// in flight together: whichever took the dispatch token runs on the
+/// pool, the other finds it taken and falls back to scoped threads. Both
+/// must match the 1-worker run bit for bit.
+#[test]
+fn concurrent_top_level_regions_match_the_one_worker_run() {
+    let items: Vec<f64> = (0..4_099).map(|i| (i as f64 * 0.29).sin() * 7.0).collect();
+    let f = |&x: &f64| x.mul_add(x, -0.5).abs().sqrt();
+    let run = |meet: Option<&Barrier>| {
+        let first = &items[0];
+        let wait_at_first = |x: &f64| {
+            if let Some(meet) = meet.filter(|_| std::ptr::eq(x, first)) {
+                meet.wait();
+            }
+        };
+        let mapped: Vec<u64> = parallel_map(&items, |x| {
+            wait_at_first(x);
+            f(x).to_bits()
+        });
+        let sum = parallel_reduce(
+            &items,
+            64,
+            || 0.0f64,
+            |acc, x| {
+                wait_at_first(x);
+                acc + f(x)
+            },
+            |a, b| a + b,
+        );
+        (mapped, sum.to_bits())
+    };
+    let reference = with_exec(Path::Pool, 1, || run(None));
+
+    let _serial = exclusive();
+    let _threads = Threads::set(4);
+    let meet = Barrier::new(2);
+    let (results, jobs) = jobs_during(|| {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2).map(|_| scope.spawn(|| run(Some(&meet)))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("region panicked"))
+                .collect::<Vec<_>>()
+        })
+    });
+    for (k, got) in results.iter().enumerate() {
+        assert_eq!(got, &reference, "thread {k}");
+    }
+    // Per region pair, one took the pool (4 chunks) and one fell back.
+    assert_eq!(
+        jobs,
+        2 * 4,
+        "exactly one region of each pair ran on the pool"
+    );
 }
 
 /// Poisoned-arena property test: jobs that deliberately leave garbage in
@@ -157,7 +282,7 @@ fn scratch_arenas_never_leak_state_between_jobs() {
             (streams, rng.gen_range(0u64..u64::MAX))
         },
         |(streams, poison_seed)| {
-            let clean = with_exec(Backend::Scoped, 1, || {
+            let clean = with_exec(Path::Scoped, 1, || {
                 stream_features_batch(streams, &cfg)
                     .into_iter()
                     .flat_map(|f| f.to_vec())
@@ -182,7 +307,7 @@ fn scratch_arenas_never_leak_state_between_jobs() {
                         .collect()
                 })
                 .collect();
-            let got = with_exec(Backend::Pool, 4, || {
+            let got = with_exec(Path::Pool, 4, || {
                 let _ = stream_features_batch(&garbage, &cfg);
                 stream_features_batch(streams, &cfg)
                     .into_iter()
@@ -198,14 +323,10 @@ fn scratch_arenas_never_leak_state_between_jobs() {
 
 #[test]
 fn pool_stats_move_when_the_pool_dispatches() {
-    // Dispatch straight through the pool API (not `parallel_map`) so the
-    // assertion cannot race other tests toggling the backend flag.
-    let token = loop {
-        if let Some(t) = pool::try_dispatch() {
-            break t;
-        }
-        std::thread::yield_now();
-    };
+    // Dispatch straight through the pool API (not `parallel_map`), so the
+    // count is exactly the batch size.
+    let _serial = exclusive();
+    let token = hold_dispatch();
     let before = pool::stats();
     pool::run(5, &|_| {}, token);
     let after = pool::stats();

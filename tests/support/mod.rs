@@ -1,0 +1,210 @@
+//! Shared fixtures for the grouping equivalence suites
+//! (`blocked_equivalence.rs`, `ag_tr_equivalence.rs`): the all-pairs
+//! reference grouping and the checks against it, the 202-group
+//! Sybil-replay campaign, and the `Platform` replay of a generated
+//! scenario.
+
+use sybil_td::core::grouping::blocking::{tr_candidates, ts_candidates};
+use sybil_td::core::{AccountGrouping, AgTr, AgTs, Grouping};
+use sybil_td::graph::UnionFind;
+use sybil_td::platform::{Platform, PlatformConfig};
+use sybil_td::runtime::parallel::set_max_threads;
+use sybil_td::runtime::prop_assert;
+use sybil_td::runtime::rng::{Rng, SeedableRng, StdRng};
+use sybil_td::sensing::Scenario;
+use sybil_td::truth::SensingData;
+
+/// AG-TS or AG-TR exactly as the paper defines it: link every pair the
+/// exact dense matrix accepts — Eq. 6 affinity above ρ, or Eq. 8
+/// dissimilarity below φ — and take connected components. Every pair is
+/// scored in full, so this one reference is both exhaustive (no blocking)
+/// and unpruned; the product's sparse paths must reproduce it exactly.
+#[derive(Debug, Clone, Copy)]
+pub enum DenseReference {
+    Ts(AgTs),
+    Tr(AgTr),
+}
+
+impl DenseReference {
+    /// The accepted pairs `(i, j, value)` with `i < j`, in lexicographic
+    /// order, read off [`AgTs::affinity_matrix`] or
+    /// [`AgTr::dissimilarity_matrix`].
+    pub fn accepted_pairs(&self, data: &SensingData) -> Vec<(usize, usize, f64)> {
+        let matrix = match self {
+            Self::Ts(ag) => ag.affinity_matrix(data),
+            Self::Tr(ag) => ag.dissimilarity_matrix(data),
+        };
+        let accepts = |v: f64| match self {
+            Self::Ts(ag) => v > ag.rho(),
+            Self::Tr(ag) => v < ag.phi(),
+        };
+        let mut pairs = Vec::new();
+        for (i, row) in matrix.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate().skip(i + 1) {
+                if accepts(v) {
+                    pairs.push((i, j, v));
+                }
+            }
+        }
+        pairs
+    }
+}
+
+/// The connected components of `pairs` over `n` accounts.
+pub fn components(n: usize, pairs: &[(usize, usize, f64)]) -> Grouping {
+    let mut uf = UnionFind::new(n);
+    for &(i, j, _) in pairs {
+        uf.union(i, j);
+    }
+    Grouping::new(uf.into_groups())
+}
+
+impl AccountGrouping for DenseReference {
+    fn group(&self, data: &SensingData, _fingerprints: &[Vec<f64>]) -> Grouping {
+        components(data.num_accounts(), &self.accepted_pairs(data))
+    }
+
+    /// The wrapped method's name, so audit reports compare equal.
+    fn name(&self) -> &'static str {
+        match self {
+            Self::Ts(ag) => ag.name(),
+            Self::Tr(ag) => ag.name(),
+        }
+    }
+}
+
+/// Checks the product against `reference` on `data`, at 1 and 4 worker
+/// threads:
+///
+/// 1. `group()` equals the dense reference's components (groups and
+///    labels);
+/// 2. `affinity_edges` / `dissimilarity_edges` equal the dense matrix's
+///    accepted pairs, values bit for bit — pruning neither drops a
+///    below-φ pair nor perturbs a kept distance;
+/// 3. `blocking::{ts,tr}_candidates` contains every accepted pair —
+///    blocking checked on its own, apart from pruning.
+///
+/// AG-TS with ρ < 0 skips check 3: such a threshold accepts pairs with no
+/// overlap at all, so the product scans every pair instead of blocking.
+pub fn check_against_dense(reference: DenseReference, data: &SensingData) -> Result<(), String> {
+    let expected = reference.accepted_pairs(data);
+    let expected_bits: Vec<(usize, usize, u64)> = expected
+        .iter()
+        .map(|&(i, j, v)| (i, j, v.to_bits()))
+        .collect();
+    let expected_grouping = components(data.num_accounts(), &expected);
+    for threads in [1usize, 4] {
+        set_max_threads(threads);
+        let (grouping, edges, candidates) = match reference {
+            DenseReference::Ts(ag) => {
+                let task_sets: Vec<Vec<usize>> =
+                    (0..data.num_accounts()).map(|a| data.tasks_of(a)).collect();
+                (
+                    ag.group(data, &[]),
+                    ag.affinity_edges(data),
+                    (ag.rho() >= 0.0).then(|| ts_candidates(&task_sets, data.num_tasks(), None)),
+                )
+            }
+            DenseReference::Tr(ag) => (
+                ag.group(data, &[]),
+                ag.dissimilarity_edges(data),
+                Some(tr_candidates(&ag.trajectories(data), ag.phi(), None)),
+            ),
+        };
+        set_max_threads(0);
+        let what = format!("{reference:?} at {threads} thread(s)");
+        prop_assert!(
+            grouping == expected_grouping,
+            "{what}: group() differs from the dense components"
+        );
+        let edge_bits: Vec<(usize, usize, u64)> =
+            edges.iter().map(|&(i, j, v)| (i, j, v.to_bits())).collect();
+        prop_assert!(
+            edge_bits == expected_bits,
+            "{what}: {} edges, the dense matrix accepts {}",
+            edge_bits.len(),
+            expected_bits.len()
+        );
+        if let Some(candidates) = candidates {
+            for &(i, j, _) in &expected {
+                prop_assert!(
+                    candidates.pairs.binary_search(&(i, j)).is_ok(),
+                    "{what}: blocking dropped accepted pair ({i}, {j})"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// [`check_against_dense`], panicking with its reason on a mismatch.
+pub fn assert_matches_dense(reference: DenseReference, data: &SensingData) {
+    if let Err(reason) = check_against_dense(reference, data) {
+        panic!("{reason}");
+    }
+}
+
+/// A 202-true-group synthetic campaign: 200 legitimate accounts with
+/// random trajectories plus 2 Sybil attackers whose 10 accounts each
+/// replay one physical walk with small per-account timestamp offsets —
+/// so blocking and pruning have genuine merges to preserve, not just
+/// singletons.
+pub fn campaign_202_groups(seed: u64) -> SensingData {
+    const LEGIT: usize = 200;
+    const ATTACKERS: usize = 2;
+    const SYBILS: usize = 10;
+    const TASKS: usize = 100;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut data = SensingData::new(TASKS);
+    for a in 0..LEGIT {
+        for t in 0..TASKS {
+            if rng.gen_range(0f64..1.0) < 0.25 {
+                data.add_report(a, t, -70.0 + rng.gen_range(-5f64..5.0), t as f64 * 30.0);
+            }
+        }
+    }
+    for attacker in 0..ATTACKERS {
+        // One walk per attacker...
+        let mut walk: Vec<(usize, f64)> = Vec::new();
+        for t in 0..TASKS {
+            if rng.gen_range(0f64..1.0) < 0.25 {
+                walk.push((t, t as f64 * 30.0 + rng.gen_range(0f64..5.0)));
+            }
+        }
+        // ...replayed by each of its accounts a few seconds apart.
+        for s in 0..SYBILS {
+            let account = LEGIT + attacker * SYBILS + s;
+            for &(t, ts) in &walk {
+                data.add_report(account, t, -50.0, ts + s as f64 * 2.0);
+            }
+        }
+    }
+    data
+}
+
+/// Replays `scenario` through the `Platform` front door: publish its
+/// tasks, move the clock past the last report, enroll every account with
+/// its fingerprint, and submit each account's trajectory.
+pub fn replay_on_platform(scenario: &Scenario) -> Platform {
+    let mut platform = Platform::new(PlatformConfig::default());
+    platform.publish_tasks(scenario.data.num_tasks());
+    let max_ts = scenario
+        .data
+        .reports()
+        .iter()
+        .map(|r| r.timestamp)
+        .fold(0.0, f64::max);
+    platform.advance_clock(max_ts + 1.0);
+    let mut ids = Vec::new();
+    for fp in &scenario.fingerprints {
+        ids.push(platform.enroll(fp.clone(), 0.0).expect("enroll"));
+    }
+    for (account, &id) in ids.iter().enumerate() {
+        for r in scenario.data.trajectory_of(account) {
+            platform
+                .submit(id, r.task, r.value, r.timestamp)
+                .expect("submit");
+        }
+    }
+    platform
+}
