@@ -151,24 +151,29 @@ fn run_cell(s: &Scenario, defense: &Defense, seed: u64, total_epochs: usize) -> 
     });
     let chunk = order.len().div_ceil(INGEST_EPOCHS);
     let mut first_flag: Vec<Option<u64>> = vec![None; s.num_accounts()];
-    let mut max_account = 0usize;
+    // AG-FP insists on one fingerprint per folded account: every account
+    // up to the highest one reporting so far is enrolled.
+    let mut enrolled = 0usize;
     for epoch in 1..=total_epochs as u64 {
         if epoch as usize <= INGEST_EPOCHS {
             let lo = (epoch as usize - 1) * chunk;
             for &i in order.iter().skip(lo).take(chunk) {
                 let r = &s.data.reports()[i];
-                max_account = max_account.max(r.account);
+                for account in enrolled..=r.account {
+                    engine
+                        .enroll(account, s.fingerprints[account].clone(), 0.0)
+                        .expect("campaign fingerprints are valid");
+                }
+                enrolled = enrolled.max(r.account + 1);
                 engine
                     .ingest(r.account, r.task, r.value, r.timestamp)
                     .expect("campaign reports are valid");
             }
         }
-        // AG-FP insists on one fingerprint per folded account.
-        engine.set_fingerprints(s.fingerprints[..=max_account].to_vec());
         engine.run_epoch();
         let report = engine.audit_report(3);
         for (a, streak) in first_flag.iter_mut().enumerate() {
-            if a <= max_account && report.is_suspect(a) {
+            if a < enrolled && report.is_suspect(a) {
                 streak.get_or_insert(epoch);
             } else {
                 *streak = None;

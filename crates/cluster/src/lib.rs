@@ -8,9 +8,7 @@
 //!
 //! * [`KMeans`] — Lloyd's algorithm with k-means++ seeding,
 //! * [`elbow`] — SSE-curve elbow estimation of `k`,
-//! * [`Pca`] — principal component analysis via a Jacobi eigensolver,
-//! * [`silhouette_score`] — an additional internal quality index used by
-//!   the ablation experiments.
+//! * [`Pca`] — principal component analysis via a Jacobi eigensolver.
 //!
 //! # Examples
 //!
@@ -35,14 +33,12 @@ pub mod hierarchical;
 pub mod kmeans;
 pub mod linalg;
 pub mod pca;
-pub mod silhouette;
 
 pub use elbow::{elbow, knee_of, ElbowResult};
 pub use hierarchical::{agglomerative, HierarchicalResult, Linkage};
 pub use kmeans::{AssignPruning, KMeans, KMeansConfig, KMeansResult};
 pub use linalg::Matrix;
 pub use pca::Pca;
-pub use silhouette::silhouette_score;
 
 /// Squared Euclidean distance between two equal-length vectors.
 ///

@@ -11,7 +11,7 @@ pub struct SuspectGroup {
     pub accounts: Vec<usize>,
 }
 
-/// The outcome of [`crate::Platform::audit`].
+/// The outcome of [`crate::EpochEngine::audit_report`].
 ///
 /// The paper deliberately does *not* ban suspected accounts ("we do not
 /// directly eliminate the data submitted by suspicious accounts since

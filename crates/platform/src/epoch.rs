@@ -25,6 +25,7 @@
 //! byte-identical snapshots regardless of worker count.
 
 use crate::audit::AuditReport;
+use crate::error::{EnrollError, IngestError};
 use crate::stochastic::{AuditPolicy, StochasticAuditor};
 use srtd_core::{AccountGrouping, Grouping, SybilResistantTd};
 use srtd_graph::UnionFind;
@@ -32,8 +33,7 @@ use srtd_runtime::json::{Json, ToJson};
 use srtd_runtime::obs;
 use srtd_truth::{Report, SensingData};
 use std::collections::HashSet;
-use std::error::Error;
-use std::fmt;
+use std::ops::RangeInclusive;
 use std::sync::{Arc, Mutex};
 
 /// Epoch engine policy knobs.
@@ -58,56 +58,35 @@ impl Default for EpochConfig {
 }
 
 /// Exclusive upper bound on the account indices [`EpochEngine::ingest`]
-/// accepts. The data plane sizes its per-account storage by the largest
-/// index it has folded, so an unbounded client-chosen index would become
-/// an unbounded allocation at the next epoch.
+/// and [`EpochEngine::enroll`] accept. The data plane sizes its
+/// per-account storage by the largest index it has folded, so an
+/// unbounded client-chosen index would become an unbounded allocation at
+/// the next epoch.
 pub const MAX_ACCOUNTS: usize = 1 << 20;
 
-/// Why the epoch engine refused a report at ingest.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IngestError {
-    /// The task index is outside the campaign.
-    UnknownTask {
-        /// The offending task index.
-        task: usize,
-        /// Tasks in the campaign.
-        num_tasks: usize,
-    },
-    /// The account index is at or above [`MAX_ACCOUNTS`].
-    AccountOutOfRange {
-        /// The offending account index.
-        account: usize,
-    },
-    /// The value is NaN or infinite.
-    NonFiniteValue,
-    /// The timestamp is NaN or infinite.
-    NonFiniteTimestamp,
-    /// The account already reported this task — folded or still buffered.
-    DuplicateReport,
-}
+/// How far past the clock set by [`EpochEngine::advance_clock`] a
+/// report's timestamp may lie, in seconds: devices and the platform are
+/// never perfectly synced.
+pub const CLOCK_TOLERANCE_S: f64 = 30.0;
 
-impl fmt::Display for IngestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IngestError::UnknownTask { task, num_tasks } => {
-                write!(f, "task {task} is outside the {num_tasks}-task campaign")
-            }
-            IngestError::AccountOutOfRange { account } => {
-                write!(
-                    f,
-                    "account {account} is not below the {MAX_ACCOUNTS}-account limit"
-                )
-            }
-            IngestError::NonFiniteValue => write!(f, "value is not finite"),
-            IngestError::NonFiniteTimestamp => write!(f, "timestamp is not finite"),
-            IngestError::DuplicateReport => {
-                write!(f, "account already reported this task")
-            }
-        }
-    }
-}
+/// The plausible Wi-Fi RSSI band in dBm, ends included: a +20 dBm reading
+/// is physical nonsense whoever submits it.
+pub const WIFI_RSSI_DBM: RangeInclusive<f64> = -120.0..=0.0;
 
-impl Error for IngestError {}
+/// The campaign-specific admission rules [`EpochEngine::ingest`] applies
+/// on top of the ones every campaign gets (see [`IngestError`] for the
+/// full admission order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReportRules {
+    /// The default: any finite value, and an account's timestamps in any
+    /// order — what a campaign of arbitrary values, or a replay that is
+    /// not sorted by time, needs.
+    Basic,
+    /// A Wi-Fi RSSI campaign: each account's timestamps never run
+    /// backwards ([`IngestError::NonMonotoneTimestamp`]), and every value
+    /// lies in [`WIFI_RSSI_DBM`] ([`IngestError::ImplausibleValue`]).
+    WifiRssi,
+}
 
 /// One epoch's published output: the truths and grouping readers serve
 /// while the next epoch computes. Immutable by construction — a new epoch
@@ -217,8 +196,19 @@ impl EpochReader {
 pub struct EpochEngine<G> {
     framework: SybilResistantTd<G>,
     config: EpochConfig,
+    rules: ReportRules,
     data: SensingData,
+    /// The clock set by [`Self::advance_clock`]; `None` until first set.
+    clock: Option<f64>,
+    /// Enrolled fingerprints by account index; an account never enrolled
+    /// holds an empty vector.
     fingerprints: Vec<Vec<f64>>,
+    /// Enrollment time by account index; `None` for an account never
+    /// enrolled.
+    enrolled_at: Vec<Option<f64>>,
+    /// Latest accepted timestamp by account index, buffered or folded;
+    /// kept under [`ReportRules::WifiRssi`] only.
+    latest: Vec<f64>,
     shards: Vec<Vec<Report>>,
     pending: HashSet<(usize, usize)>,
     rejected: u64,
@@ -250,8 +240,12 @@ impl<G: AccountGrouping> EpochEngine<G> {
         Self {
             framework,
             config,
+            rules: ReportRules::Basic,
             data: SensingData::new(num_tasks),
+            clock: None,
             fingerprints: Vec::new(),
+            enrolled_at: Vec::new(),
+            latest: Vec::new(),
             shards: vec![Vec::new(); shards],
             pending: HashSet::new(),
             rejected: 0,
@@ -307,12 +301,70 @@ impl<G: AccountGrouping> EpochEngine<G> {
         }
     }
 
-    /// Registers account fingerprints for fingerprint-based grouping
-    /// methods (one feature vector per account index, replacing any
-    /// previous registration). Methods that don't use fingerprints can
-    /// skip this entirely.
-    pub fn set_fingerprints(&mut self, fingerprints: Vec<Vec<f64>>) {
-        self.fingerprints = fingerprints;
+    /// Sets the campaign-specific admission rules (default
+    /// [`ReportRules::Basic`]).
+    pub fn with_report_rules(mut self, rules: ReportRules) -> Self {
+        self.rules = rules;
+        self
+    }
+
+    /// Moves the clock to `t`. From the first call on, ingest refuses a
+    /// timestamp more than [`CLOCK_TOLERANCE_S`] past the clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not finite or would move the clock backwards.
+    pub fn advance_clock(&mut self, t: f64) {
+        assert!(t.is_finite(), "clock must be finite");
+        assert!(
+            self.clock.is_none_or(|clock| t >= clock),
+            "clock cannot move backwards"
+        );
+        self.clock = Some(t);
+    }
+
+    /// Enrolls `account` at time `at` with its sign-in device
+    /// `fingerprint` (the paper's 6-second hold), which fingerprint-based
+    /// grouping methods read. The account joins the campaign at the next
+    /// epoch, reported or not, and ingest refuses its reports dated
+    /// before `at`.
+    ///
+    /// # Errors
+    ///
+    /// Refuses an account at or above [`MAX_ACCOUNTS`], a second
+    /// enrollment, a fingerprint whose width differs from the first
+    /// enrolled one's, and a fingerprint with a non-finite value.
+    pub fn enroll(
+        &mut self,
+        account: usize,
+        fingerprint: Vec<f64>,
+        at: f64,
+    ) -> Result<(), EnrollError> {
+        if account >= MAX_ACCOUNTS {
+            return Err(EnrollError::AccountOutOfRange { account });
+        }
+        if self.enrolled_at.get(account).is_some_and(Option::is_some) {
+            return Err(EnrollError::AlreadyEnrolled { account });
+        }
+        if let Some(first) = self.enrolled_at.iter().position(Option::is_some) {
+            let want = self.fingerprints[first].len();
+            if fingerprint.len() != want {
+                return Err(EnrollError::BadFingerprint {
+                    got: fingerprint.len(),
+                    want,
+                });
+            }
+        }
+        if fingerprint.iter().any(|v| !v.is_finite()) {
+            return Err(EnrollError::NonFiniteFingerprint);
+        }
+        if account >= self.enrolled_at.len() {
+            self.enrolled_at.resize(account + 1, None);
+            self.fingerprints.resize(account + 1, Vec::new());
+        }
+        self.enrolled_at[account] = Some(at);
+        self.fingerprints[account] = fingerprint;
+        Ok(())
     }
 
     /// Validates one report and parks it in its account's shard buffer;
@@ -320,10 +372,14 @@ impl<G: AccountGrouping> EpochEngine<G> {
     ///
     /// # Errors
     ///
-    /// Rejects out-of-campaign tasks, account indices at or above
-    /// [`MAX_ACCOUNTS`], non-finite values or timestamps, and duplicates
-    /// against both folded and still-buffered reports. Rejected reports
-    /// are counted and otherwise ignored.
+    /// Refuses the report with the first check it fails, in
+    /// [`IngestError`]'s order: out-of-campaign tasks, non-finite values
+    /// or timestamps, account indices at or above [`MAX_ACCOUNTS`],
+    /// duplicates against both folded and still-buffered reports,
+    /// timestamps past the clock or before the account's enrollment once
+    /// the caller has supplied those facts, then the rules chosen by
+    /// [`Self::with_report_rules`]. Rejected reports are counted and
+    /// otherwise ignored.
     pub fn ingest(
         &mut self,
         account: usize,
@@ -342,6 +398,12 @@ impl<G: AccountGrouping> EpochEngine<G> {
                     value,
                     timestamp,
                 });
+                if self.rules == ReportRules::WifiRssi {
+                    if account >= self.latest.len() {
+                        self.latest.resize(account + 1, f64::NEG_INFINITY);
+                    }
+                    self.latest[account] = timestamp;
+                }
                 obs::counter_add("server.epoch.ingested", 1);
                 Ok(())
             }
@@ -376,6 +438,31 @@ impl<G: AccountGrouping> EpochEngine<G> {
         }
         if self.data.has_report(account, task) || self.pending.contains(&(account, task)) {
             return Err(IngestError::DuplicateReport);
+        }
+        if let Some(clock) = self.clock {
+            if timestamp > clock + CLOCK_TOLERANCE_S {
+                return Err(IngestError::FutureTimestamp {
+                    claimed: timestamp,
+                    clock,
+                });
+            }
+        }
+        if let Some(&Some(at)) = self.enrolled_at.get(account) {
+            if timestamp < at {
+                return Err(IngestError::BeforeEnrollment);
+            }
+        }
+        if self.rules == ReportRules::WifiRssi {
+            if self
+                .latest
+                .get(account)
+                .is_some_and(|&latest| timestamp < latest)
+            {
+                return Err(IngestError::NonMonotoneTimestamp);
+            }
+            if !WIFI_RSSI_DBM.contains(&value) {
+                return Err(IngestError::ImplausibleValue { value });
+            }
         }
         Ok(())
     }
@@ -416,6 +503,7 @@ impl<G: AccountGrouping> EpochEngine<G> {
     /// grouping-flagged clusters of at least `min_group_size` accounts,
     /// joined with every account the stochastic audit has convicted.
     pub fn audit_report(&self, min_group_size: usize) -> AuditReport {
+        let _span = obs::span("platform.audit");
         let snap = self.latest();
         let grouping = Grouping::from_labels(&snap.labels);
         AuditReport::build(
@@ -480,11 +568,13 @@ impl<G: AccountGrouping> EpochEngine<G> {
             let folded = batch.len();
             {
                 let _fold = obs::span("epoch.fold");
+                // Enrolled accounts join with the batch's, reported or not.
+                let accounts = batch
+                    .iter()
+                    .map(|r| r.account + 1)
+                    .fold(self.fingerprints.len(), usize::max);
+                self.data.reserve_accounts(accounts);
                 if folded > 0 {
-                    let max_account = batch.iter().map(|r| r.account).max().expect("non-empty");
-                    if max_account >= self.data.num_accounts() {
-                        self.data.reserve_accounts(max_account + 1);
-                    }
                     self.data.fold_batch(&batch);
                     obs::counter_add("server.epoch.folded", folded as u64);
                 }
@@ -774,5 +864,156 @@ mod tests {
             !snap.warm_started,
             "grouping changed shape, seed must be dropped"
         );
+    }
+
+    /// A Wi-Fi engine with account 0 enrolled at 0 and the clock at 1 000.
+    fn wifi_engine() -> EpochEngine<SingletonGrouping> {
+        let mut e = engine(2).with_report_rules(ReportRules::WifiRssi);
+        e.enroll(0, vec![0.5; 8], 0.0).expect("valid fingerprint");
+        e.advance_clock(1_000.0);
+        e
+    }
+
+    #[test]
+    fn future_timestamps_are_rejected_once_the_clock_is_set() {
+        let mut e = engine(2);
+        e.ingest(0, 0, -70.0, 1e12).expect("no clock, no future");
+        e.advance_clock(1_000.0);
+        assert_eq!(
+            e.ingest(1, 0, -70.0, 2_000.0),
+            Err(IngestError::FutureTimestamp {
+                claimed: 2_000.0,
+                clock: 1_000.0
+            })
+        );
+        e.ingest(1, 0, -70.0, 1_000.0 + CLOCK_TOLERANCE_S)
+            .expect("exactly the tolerance past the clock");
+        assert!(matches!(
+            e.ingest(2, 0, -70.0, 1_000.0 + CLOCK_TOLERANCE_S + 1e-9),
+            Err(IngestError::FutureTimestamp { .. })
+        ));
+        assert_eq!(e.rejected_reports(), 2);
+    }
+
+    #[test]
+    fn timestamps_before_enrollment_are_rejected() {
+        let mut e = engine(2);
+        e.enroll(3, vec![0.5; 8], 400.0).expect("valid");
+        assert_eq!(
+            e.ingest(3, 0, -70.0, 100.0),
+            Err(IngestError::BeforeEnrollment)
+        );
+        e.ingest(3, 0, -70.0, 400.0).expect("at enrollment");
+        e.ingest(4, 0, -70.0, 100.0).expect("an unenrolled account");
+    }
+
+    #[test]
+    fn wifi_rules_keep_each_accounts_timestamps_monotone() {
+        let mut e = wifi_engine();
+        e.ingest(0, 0, -70.0, 600.0).expect("first");
+        e.ingest(0, 1, -71.0, 600.0)
+            .expect("equal to the account's last");
+        assert_eq!(
+            e.ingest(0, 2, -71.0, 550.0),
+            Err(IngestError::NonMonotoneTimestamp),
+            "behind a buffered report"
+        );
+        e.run_epoch();
+        assert_eq!(
+            e.ingest(0, 2, -71.0, 599.0),
+            Err(IngestError::NonMonotoneTimestamp),
+            "behind a folded report"
+        );
+        e.ingest(0, 2, -71.0, 650.0).expect("forward in time");
+        e.ingest(1, 0, -70.0, 10.0)
+            .expect("another account's timeline");
+    }
+
+    #[test]
+    fn wifi_rules_refuse_implausible_values_ends_included() {
+        let mut e = wifi_engine();
+        assert_eq!(
+            e.ingest(0, 0, 25.0, 500.0),
+            Err(IngestError::ImplausibleValue { value: 25.0 })
+        );
+        assert_eq!(
+            e.ingest(0, 0, -120.5, 500.0),
+            Err(IngestError::ImplausibleValue { value: -120.5 })
+        );
+        assert_eq!(
+            e.ingest(0, 0, f64::NAN, 500.0),
+            Err(IngestError::NonFiniteValue)
+        );
+        e.ingest(0, 0, -120.0, 500.0).expect("lower end");
+        e.ingest(0, 1, 0.0, 500.0).expect("upper end");
+        // Rejected reports never reach the data.
+        e.run_epoch();
+        let r = srtd_truth::TruthDiscovery::discover(&srtd_truth::Crh::default(), e.data());
+        assert_eq!(r.truths[0], Some(-120.0));
+    }
+
+    #[test]
+    fn basic_rules_admit_any_finite_value_in_any_order() {
+        let mut e = engine(2);
+        e.ingest(0, 0, 20.0, 600.0).unwrap();
+        e.ingest(0, 1, -500.0, 100.0).unwrap();
+        assert_eq!(e.pending_reports(), 2);
+    }
+
+    #[test]
+    fn the_duplicate_check_runs_before_the_rules() {
+        let mut e = wifi_engine();
+        e.ingest(0, 0, -70.0, 600.0).unwrap();
+        // A retried report is a duplicate, whatever else is wrong with it.
+        for (value, timestamp) in [(-70.0, 600.0), (25.0, 10.0), (-70.0, 1e9)] {
+            assert_eq!(
+                e.ingest(0, 0, value, timestamp),
+                Err(IngestError::DuplicateReport)
+            );
+        }
+    }
+
+    #[test]
+    fn enrollment_validates_accounts_and_fingerprints() {
+        let mut e = engine(2);
+        assert_eq!(
+            e.enroll(MAX_ACCOUNTS, vec![1.0; 3], 0.0),
+            Err(EnrollError::AccountOutOfRange {
+                account: MAX_ACCOUNTS
+            })
+        );
+        assert_eq!(
+            e.enroll(0, vec![f64::NAN; 3], 0.0),
+            Err(EnrollError::NonFiniteFingerprint)
+        );
+        e.enroll(2, vec![1.0; 3], 0.0)
+            .expect("the first sets the width");
+        assert_eq!(
+            e.enroll(0, vec![1.0; 80], 0.0),
+            Err(EnrollError::BadFingerprint { got: 80, want: 3 })
+        );
+        assert_eq!(
+            e.enroll(2, vec![1.0; 3], 0.0),
+            Err(EnrollError::AlreadyEnrolled { account: 2 })
+        );
+        e.enroll(0, vec![2.0; 3], 0.0).expect("below the first");
+    }
+
+    #[test]
+    fn enrolled_accounts_join_at_the_next_epoch_before_they_report() {
+        let mut e = engine(2);
+        e.ingest(0, 0, -70.0, 1.0).unwrap();
+        e.enroll(5, vec![0.5; 8], 0.0).unwrap();
+        let snap = e.run_epoch();
+        assert_eq!(snap.num_accounts, 6);
+        assert_eq!(snap.labels.len(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot move backwards")]
+    fn the_clock_is_monotone() {
+        let mut e = engine(1);
+        e.advance_clock(10.0);
+        e.advance_clock(5.0);
     }
 }

@@ -1,12 +1,26 @@
-//! Platform-side rejection reasons.
+//! Platform-side rejection reasons: why [`crate::EpochEngine::ingest`]
+//! refused a report and why [`crate::EpochEngine::enroll`] refused an
+//! account.
 
+use crate::epoch::MAX_ACCOUNTS;
 use std::error::Error;
 use std::fmt;
 
 /// Why an enrollment was refused.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EnrollError {
-    /// The fingerprint vector has the wrong dimensionality.
+    /// The account index is at or above [`MAX_ACCOUNTS`].
+    AccountOutOfRange {
+        /// The offending account index.
+        account: usize,
+    },
+    /// The account is already enrolled.
+    AlreadyEnrolled {
+        /// The account index.
+        account: usize,
+    },
+    /// The fingerprint's width differs from the first enrolled
+    /// fingerprint's.
     BadFingerprint {
         /// Dimensions received.
         got: usize,
@@ -20,6 +34,15 @@ pub enum EnrollError {
 impl fmt::Display for EnrollError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            EnrollError::AccountOutOfRange { account } => {
+                write!(
+                    f,
+                    "account {account} is not below the {MAX_ACCOUNTS}-account limit"
+                )
+            }
+            EnrollError::AlreadyEnrolled { account } => {
+                write!(f, "account {account} is already enrolled")
+            }
             EnrollError::BadFingerprint { got, want } => {
                 write!(
                     f,
@@ -35,71 +58,90 @@ impl fmt::Display for EnrollError {
 
 impl Error for EnrollError {}
 
-/// Why a report submission was refused.
+/// Why the epoch engine refused a report at ingest. The variants are
+/// listed in admission order: the first failing check wins.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SubmitError {
-    /// The account id was never enrolled.
-    UnknownAccount,
-    /// The task id is outside the published campaign.
-    UnknownTask,
-    /// The account already reported this task (the paper's one-report
-    /// rule: "each account is allowed to submit at most one data for one
-    /// task").
+pub enum IngestError {
+    /// The task index is outside the campaign.
+    UnknownTask {
+        /// The offending task index.
+        task: usize,
+        /// Tasks in the campaign.
+        num_tasks: usize,
+    },
+    /// The value is NaN or infinite.
+    NonFiniteValue,
+    /// The timestamp is NaN or infinite.
+    NonFiniteTimestamp,
+    /// The account index is at or above [`MAX_ACCOUNTS`].
+    AccountOutOfRange {
+        /// The offending account index.
+        account: usize,
+    },
+    /// The account already reported this task — folded or still buffered
+    /// (the paper's one-report rule: "each account is allowed to submit
+    /// at most one data for one task").
     DuplicateReport,
-    /// The claimed timestamp lies in the platform's future — the §III-C
-    /// assumption that "the timestamps cannot be fabricated", enforced.
+    /// The timestamp lies more than [`crate::CLOCK_TOLERANCE_S`] past the
+    /// clock the caller set — the §III-C assumption that "the timestamps
+    /// cannot be fabricated", enforced.
     FutureTimestamp {
         /// Claimed submission time.
         claimed: f64,
-        /// Platform clock at receipt.
+        /// Clock at receipt.
         clock: f64,
     },
-    /// The claimed timestamp precedes the account's enrollment.
+    /// The timestamp precedes the account's enrollment.
     BeforeEnrollment,
-    /// The claimed timestamp runs backwards relative to the account's own
-    /// previous submission (a device cannot un-visit a POI).
+    /// Under [`crate::ReportRules::WifiRssi`]: the timestamp runs
+    /// backwards relative to the account's latest accepted report (a
+    /// device cannot un-visit a POI).
     NonMonotoneTimestamp,
-    /// The value is NaN or infinite.
-    NonFiniteValue,
-    /// The value lies outside the campaign's plausible band.
+    /// Under [`crate::ReportRules::WifiRssi`]: the value lies outside
+    /// [`crate::WIFI_RSSI_DBM`].
     ImplausibleValue {
         /// The rejected value.
         value: f64,
     },
-    /// No campaign is open.
-    NoCampaign,
 }
 
-impl fmt::Display for SubmitError {
+impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SubmitError::UnknownAccount => write!(f, "account is not enrolled"),
-            SubmitError::UnknownTask => write!(f, "task is not part of the campaign"),
-            SubmitError::DuplicateReport => {
+            IngestError::UnknownTask { task, num_tasks } => {
+                write!(f, "task {task} is outside the {num_tasks}-task campaign")
+            }
+            IngestError::NonFiniteValue => write!(f, "value is not finite"),
+            IngestError::NonFiniteTimestamp => write!(f, "timestamp is not finite"),
+            IngestError::AccountOutOfRange { account } => {
+                write!(
+                    f,
+                    "account {account} is not below the {MAX_ACCOUNTS}-account limit"
+                )
+            }
+            IngestError::DuplicateReport => {
                 write!(f, "account already reported this task")
             }
-            SubmitError::FutureTimestamp { claimed, clock } => {
+            IngestError::FutureTimestamp { claimed, clock } => {
                 write!(
                     f,
                     "timestamp {claimed} is ahead of the platform clock {clock}"
                 )
             }
-            SubmitError::BeforeEnrollment => {
+            IngestError::BeforeEnrollment => {
                 write!(f, "timestamp precedes the account's enrollment")
             }
-            SubmitError::NonMonotoneTimestamp => {
+            IngestError::NonMonotoneTimestamp => {
                 write!(f, "timestamp runs backwards for this account")
             }
-            SubmitError::NonFiniteValue => write!(f, "value is not finite"),
-            SubmitError::ImplausibleValue { value } => {
+            IngestError::ImplausibleValue { value } => {
                 write!(f, "value {value} is outside the campaign's plausible band")
             }
-            SubmitError::NoCampaign => write!(f, "no campaign has been published"),
         }
     }
 }
 
-impl Error for SubmitError {}
+impl Error for IngestError {}
 
 #[cfg(test)]
 mod tests {
@@ -108,14 +150,17 @@ mod tests {
     #[test]
     fn messages_are_lowercase_and_informative() {
         let errors: Vec<Box<dyn Error>> = vec![
+            Box::new(EnrollError::AccountOutOfRange { account: 7 }),
+            Box::new(EnrollError::AlreadyEnrolled { account: 7 }),
             Box::new(EnrollError::BadFingerprint { got: 3, want: 80 }),
             Box::new(EnrollError::NonFiniteFingerprint),
-            Box::new(SubmitError::UnknownAccount),
-            Box::new(SubmitError::FutureTimestamp {
+            Box::new(IngestError::FutureTimestamp {
                 claimed: 10.0,
                 clock: 5.0,
             }),
-            Box::new(SubmitError::ImplausibleValue { value: 9e9 }),
+            Box::new(IngestError::BeforeEnrollment),
+            Box::new(IngestError::NonMonotoneTimestamp),
+            Box::new(IngestError::ImplausibleValue { value: 9e9 }),
         ];
         for e in errors {
             let msg = e.to_string();

@@ -7,8 +7,8 @@
 //! time (robust to scheduler noise) together with the min/max spread.
 //! No statistics beyond that — for regressions, compare medians.
 //!
-//! Every `crates/bench` bench binary builds one [`Bench`] per group and
-//! calls [`Bench::run`] per case; set `SRTD_BENCH_QUICK=1` to shrink
+//! `bench_pipeline` (in `crates/bench`) builds one [`Bench`] per group
+//! and calls [`Bench::run`] per case; [`BenchConfig::quick`] shrinks
 //! warmup and sample counts for smoke runs.
 //!
 //! # Examples
@@ -56,15 +56,6 @@ impl BenchConfig {
             samples: 7,
         }
     }
-
-    /// [`BenchConfig::quick`] when `SRTD_BENCH_QUICK=1` is set in the
-    /// environment, the default budget otherwise.
-    pub fn from_env() -> Self {
-        match std::env::var("SRTD_BENCH_QUICK") {
-            Ok(v) if v == "1" => Self::quick(),
-            _ => Self::default(),
-        }
-    }
 }
 
 /// Median/min/max per-call nanoseconds of one benchmark case.
@@ -102,12 +93,6 @@ pub struct Bench {
 }
 
 impl Bench {
-    /// A group using the environment-selected budget
-    /// ([`BenchConfig::from_env`]).
-    pub fn new(group: impl Into<String>) -> Self {
-        Self::with_config(group, BenchConfig::from_env())
-    }
-
     /// A group with an explicit timing budget.
     pub fn with_config(group: impl Into<String>, config: BenchConfig) -> Self {
         let group = group.into();

@@ -1,7 +1,7 @@
 //! The platform lifecycle, end to end.
 //!
-//! Plays the cloud platform's role from §III-A: publish a campaign,
-//! enroll accounts with their sign-in fingerprints, accept (and reject!)
+//! Plays the cloud platform's role from §III-A: open a campaign, enroll
+//! accounts with their sign-in fingerprints, accept (and reject!)
 //! submissions, audit the account base for Sybil clusters, and aggregate
 //! with and without the resistant framework.
 //!
@@ -9,58 +9,61 @@
 
 use sybil_td::core::{AgTr, SybilResistantTd};
 use sybil_td::metrics::mae;
-use sybil_td::platform::{Platform, PlatformConfig};
+use sybil_td::platform::{EpochConfig, EpochEngine, ReportRules};
 use sybil_td::sensing::{Scenario, ScenarioConfig};
-use sybil_td::truth::Crh;
+use sybil_td::truth::{Crh, TruthDiscovery};
 
 fn main() {
     // The volunteers' behaviour comes from the simulator; the platform
     // sees only what a real one would: fingerprints and submissions.
     let scenario = Scenario::generate(&ScenarioConfig::paper_default().with_seed(11));
 
-    let mut platform = Platform::new(PlatformConfig::default());
-    platform.publish_tasks(scenario.data.num_tasks());
+    let mut engine = EpochEngine::new(
+        SybilResistantTd::new(AgTr::default()),
+        scenario.data.num_tasks(),
+        EpochConfig::default(),
+    )
+    .with_report_rules(ReportRules::WifiRssi);
     println!(
         "published {} Wi-Fi measurement tasks",
         scenario.data.num_tasks()
     );
 
-    let ids: Vec<_> = scenario
-        .fingerprints
-        .iter()
-        .map(|fp| platform.enroll(fp.clone(), 0.0).expect("valid fingerprint"))
-        .collect();
+    for (account, fp) in scenario.fingerprints.iter().enumerate() {
+        engine
+            .enroll(account, fp.clone(), 0.0)
+            .expect("valid fingerprint");
+    }
     println!(
         "enrolled {} accounts (fingerprints captured at sign-in)",
-        ids.len()
+        scenario.fingerprints.len()
     );
 
     let mut reports: Vec<_> = scenario.data.reports().to_vec();
     reports.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
     for r in &reports {
-        platform.advance_clock(platform.clock().max(r.timestamp));
-        platform
-            .submit(ids[r.account], r.task, r.value, r.timestamp)
+        engine.advance_clock(r.timestamp);
+        engine
+            .ingest(r.account, r.task, r.value, r.timestamp)
             .expect("simulated reports are plausible");
     }
     // Tampered submissions from a late-joining account bounce off the
     // validator.
-    let late = platform
-        .enroll(scenario.fingerprints[0].clone(), platform.clock())
+    let clock = reports.last().expect("the campaign has reports").timestamp;
+    let late = scenario.fingerprints.len();
+    engine
+        .enroll(late, scenario.fingerprints[0].clone(), clock)
         .expect("valid fingerprint");
-    let future = platform
-        .submit(late, 0, -70.0, platform.clock() + 9_999.0)
-        .unwrap_err();
-    let implausible = platform
-        .submit(late, 1, 45.0, platform.clock())
-        .unwrap_err();
+    let future = engine.ingest(late, 0, -70.0, clock + 9_999.0).unwrap_err();
+    let implausible = engine.ingest(late, 1, 45.0, clock).unwrap_err();
     println!(
         "accepted {} reports, rejected {} ({future}; {implausible})",
-        platform.data().num_reports(),
-        platform.rejected_submissions(),
+        engine.pending_reports(),
+        engine.rejected_reports(),
     );
 
-    let audit = platform.audit(&AgTr::default(), 3);
+    let snapshot = engine.run_epoch();
+    let audit = engine.audit_report(3);
     println!("\naudit via {}:", audit.method());
     for suspect in audit.suspects() {
         println!(
@@ -73,10 +76,10 @@ fn main() {
         100.0 * audit.suspect_share()
     );
 
-    let plain = platform.aggregate(&Crh::default());
-    let resistant = platform.aggregate_resistant(&SybilResistantTd::new(AgTr::default()));
+    let plain = Crh::default().discover(engine.data());
+    let resistant: Vec<f64> = snapshot.truths.iter().map(|t| t.unwrap_or(0.0)).collect();
     let crh_mae = mae(&plain.truths_or(0.0), &scenario.ground_truth).expect("lengths");
-    let ours_mae = mae(&resistant.truths_or(0.0), &scenario.ground_truth).expect("lengths");
+    let ours_mae = mae(&resistant, &scenario.ground_truth).expect("lengths");
     println!("\naggregation MAE: CRH {crh_mae:.2} dBm vs TD-TR {ours_mae:.2} dBm");
     assert!(ours_mae < crh_mae);
 }

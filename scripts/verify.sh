@@ -63,13 +63,18 @@ cargo run -q --release --offline -p srtd-bench --bin bench_check -- "$bench_json
 # drives the sequence and checks exit status). The second phase replays
 # a Sybil-ring ingest schedule over POST /epoch and asserts the HTTP
 # snapshots, re-grouped incrementally, are bit-identical to an
-# in-process engine that re-groups from scratch; the third drives timer
-# epochs; the fourth sends an oversized Content-Length (413), an
-# over-long header line (431), an 8 MiB JSON string body (400 within the
-# 5 s reply timeout: the string scan must be linear), a non-UTF-8 body, a
-# `01` account, a report missing a field and a repeated `reports` key
-# (400 each, nothing buffered) and an out-of-range account (a per-report
-# rejection), and asserts the server keeps serving.
+# in-process engine that re-groups from scratch under the server's Wi-Fi
+# admission rules; the third drives timer epochs; the fourth sends an
+# oversized Content-Length (413), an over-long header line (431), an
+# 8 MiB JSON string body (400 within the 5 s reply timeout: the string
+# scan must be linear), a non-UTF-8 body, a `01` account, a report
+# missing a field, a repeated `reports` key, a repeated Content-Length
+# and a `+61` one (400 each, nothing buffered) and an out-of-range
+# account (a per-report rejection), and asserts the server keeps
+# serving; the fifth posts values 20, -120 and 0 and an equal then a
+# backwards timestamp for one account, and asserts the 20 and the
+# backwards report are refused with IngestError's reasons and only the
+# other three are buffered.
 cargo run -q --release --offline --bin server-check -- target/release/srtd-server
 
 # Benchmark harness: perfbench/loadgen is its own workspace with path

@@ -18,7 +18,8 @@
 //!
 //! A second phase spawns an AG-TR server and mirrors the same ingest
 //! schedule into an in-process engine whose grouping has no edge view,
-//! so its `EpochEngine::run_epoch` re-groups from scratch: the server's
+//! so its `EpochEngine::run_epoch` re-groups from scratch, and which
+//! admits reports under the server's `ReportRules::WifiRssi`: the server's
 //! incremental re-grouping path must publish snapshots whose truths,
 //! labels, and group weights are identical (the JSON renderer is
 //! shortest-roundtrip, so the comparison is bitwise) across a
@@ -34,11 +35,18 @@
 //! A fourth phase probes the input limits: a `Content-Length` of
 //! `usize::MAX` gets `413`, an over-long header line `431`, and an 8 MiB
 //! JSON string body, a non-UTF-8 body, a `01` account, a report missing a
-//! field and a body repeating its `reports` key each get `400`, the string
-//! body within the 5 s every reply is given. `/healthz` answers after each probe with nothing buffered, and a
-//! report for account `1e15` comes back as a per-report
+//! field, a body repeating its `reports` key, a repeated `Content-Length`
+//! and a `+61` one each get `400`, the string body within the 5 s every
+//! reply is given. `/healthz` answers after each probe with nothing
+//! buffered, and a report for account `1e15` comes back as a per-report
 //! `AccountOutOfRange` rejection while the next `POST /epoch` still
 //! succeeds.
+//!
+//! A fifth phase checks the Wi-Fi admission rules over HTTP: values 20,
+//! −120 and 0, then an equal and a backwards timestamp for one account.
+//! The 20 dBm and the backwards report are refused per report with
+//! `IngestError`'s reasons, the other three are accepted, and only they
+//! are buffered.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -46,7 +54,7 @@ use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::Duration;
 
 use sybil_td::core::{AccountGrouping, AgTr, Grouping, SybilResistantTd};
-use sybil_td::platform::{EpochConfig, EpochEngine, IngestError};
+use sybil_td::platform::{EpochConfig, EpochEngine, IngestError, ReportRules};
 use sybil_td::runtime::json::{parse, Json, ToJson};
 use sybil_td::truth::SensingData;
 
@@ -96,6 +104,11 @@ fn run(server_path: &str) -> Result<(), String> {
         server_path,
         &["--port", "0", "--tasks", "4", "--method", "singletons"],
         drive_limit_probes,
+    )?;
+    with_server(
+        server_path,
+        &["--port", "0", "--tasks", "5", "--method", "singletons"],
+        drive_report_rules,
     )
 }
 
@@ -303,7 +316,8 @@ fn drive_incremental_equivalence(addr: &str) -> Result<(), String> {
         SybilResistantTd::new(FromScratch(AgTr::default())),
         6,
         EpochConfig::default(),
-    );
+    )
+    .with_report_rules(ReportRules::WifiRssi);
     let epochs: [&[(usize, usize, f64, f64)]; 3] = [
         &[
             (0, 0, -70.0, 100.0),
@@ -478,6 +492,15 @@ fn drive_limit_probes(addr: &str) -> Result<(), String> {
     let missing_field = format!(r#"{{"reports":[{valid},{{"account":1,"task":0,"value":-70}}]}}"#);
     // Taking the first `reports` would buffer nothing and answer 200.
     let repeated_reports = format!(r#"{{"reports":[],"reports":[{valid}]}}"#);
+    // Letting the last `Content-Length` win, or parsing a signed one,
+    // would buffer the report.
+    let body = format!(r#"{{"reports":[{valid}]}}"#);
+    let framed = |lengths: &str| {
+        format!("POST /ingest HTTP/1.1\r\nHost: {addr}\r\n{lengths}\r\n{body}").into_bytes()
+    };
+    let n = body.len();
+    let repeated_length = framed(&format!("Content-Length: 2\r\nContent-Length: {n}\r\n"));
+    let signed_length = framed(&format!("Content-Length: +{n}\r\n"));
     let probes = [
         (oversized.into_bytes(), "413"),
         (long_header.into_bytes(), "431"),
@@ -498,6 +521,8 @@ fn drive_limit_probes(addr: &str) -> Result<(), String> {
             wire(addr, "POST", "/ingest", repeated_reports.as_bytes()),
             "400",
         ),
+        (repeated_length, "400"),
+        (signed_length, "400"),
     ];
     for (raw, want) in probes {
         let (status, body) = exchange(addr, &raw)?;
@@ -517,27 +542,66 @@ fn drive_limit_probes(addr: &str) -> Result<(), String> {
     ]}"#;
     let ingest = request(addr, "POST", "/ingest", Some(batch))?;
     expect_num(&ingest, "accepted", 1.0)?;
-    expect_num(&ingest, "rejected", 1.0)?;
-    let reason = IngestError::AccountOutOfRange {
-        account: 1_000_000_000_000_000,
-    }
-    .to_string();
-    let rejection = match field(&ingest, "rejections") {
-        Some(Json::Arr(rs)) if rs.len() == 1 => &rs[0],
-        other => return Err(format!("bad rejections: {other:?}")),
-    };
-    expect_num(rejection, "index", 0.0)?;
-    if field(rejection, "reason") != Some(&Json::str(reason.as_str())) {
-        return Err(format!(
-            "huge account: want reason `{reason}`, got {rejection:?}"
-        ));
-    }
+    expect_rejections(
+        &ingest,
+        &[(
+            0,
+            IngestError::AccountOutOfRange {
+                account: 1_000_000_000_000_000,
+            },
+        )],
+    )?;
     let snap = request(addr, "POST", "/epoch", None)?;
     expect_num(&snap, "epoch", 1.0)?;
     expect_num(&snap, "num_accounts", 1.0)?;
     let health = request(addr, "GET", "/healthz", None)?;
     expect_num(&health, "epoch", 1.0)?;
     shutdown(addr)
+}
+
+/// Phase 5: the server admits reports under `ReportRules::WifiRssi`. A
+/// +20 dBm value and a timestamp behind the account's latest accepted
+/// one are refused per report; the band's ends and an equal timestamp
+/// are accepted, and nothing refused is buffered.
+fn drive_report_rules(addr: &str) -> Result<(), String> {
+    let batch = r#"{"reports":[
+        {"account":0,"task":0,"value":20,"timestamp":100},
+        {"account":0,"task":1,"value":-120,"timestamp":100},
+        {"account":0,"task":2,"value":0,"timestamp":110},
+        {"account":0,"task":3,"value":-70,"timestamp":110},
+        {"account":0,"task":4,"value":-70,"timestamp":105}
+    ]}"#;
+    let ingest = request(addr, "POST", "/ingest", Some(batch))?;
+    expect_num(&ingest, "accepted", 3.0)?;
+    expect_num(&ingest, "pending", 3.0)?;
+    expect_rejections(
+        &ingest,
+        &[
+            (0, IngestError::ImplausibleValue { value: 20.0 }),
+            (4, IngestError::NonMonotoneTimestamp),
+        ],
+    )?;
+    let health = request(addr, "GET", "/healthz", None)?;
+    expect_num(&health, "pending", 3.0)?;
+    let snap = request(addr, "POST", "/epoch", None)?;
+    expect_num(&snap, "folded", 3.0)?;
+    shutdown(addr)
+}
+
+/// Checks an ingest reply's per-report rejections, in order: each one's
+/// index and reason (`IngestError`'s `Display`).
+fn expect_rejections(ingest: &Json, want: &[(usize, IngestError)]) -> Result<(), String> {
+    expect_num(ingest, "rejected", want.len() as f64)?;
+    let want = Json::arr(want.iter().map(|&(index, e)| {
+        Json::obj([
+            ("index", index.to_json()),
+            ("reason", Json::str(e.to_string())),
+        ])
+    }));
+    match field(ingest, "rejections") {
+        Some(got) if *got == want => Ok(()),
+        got => Err(format!("rejections: want {want:?}, got {got:?}")),
+    }
 }
 
 /// Asks the server to exit and checks the acknowledgement.

@@ -16,9 +16,10 @@
 //! * `GET  /healthz`  — readiness: epoch and generation counters, ingest
 //!   backlog, last-epoch duration
 //! * `POST /ingest`   — `{"reports":[{"account":A,"task":T,"value":V,"timestamp":S},…]}`;
-//!   each report is validated and buffered (account indices must stay
-//!   below `MAX_ACCOUNTS`), the response counts acceptances and
-//!   rejections (with reasons)
+//!   each report is admitted under `ReportRules::WifiRssi` (values in
+//!   [−120, 0] dBm, each account's timestamps non-decreasing, account
+//!   indices below `MAX_ACCOUNTS`) and buffered, the response counts
+//!   acceptances and rejections (with reasons)
 //! * `POST /epoch`    — `EpochEngine::run_epoch`: drain the buffers,
 //!   fold, re-group (all three methods re-group incrementally: cached
 //!   decision edges + persistent union-find, identical to a from-scratch
@@ -47,7 +48,8 @@
 //! runtime's persistent worker pool. Bad input fails one request, not
 //! the process: a body over `MAX_BODY_BYTES` is refused with `413` and a
 //! request or header line over `MAX_LINE_BYTES` with `431`, both before
-//! anything is buffered; a body that is not UTF-8 gets `400`. An ingest
+//! anything is buffered; a body that is not UTF-8, or a `Content-Length`
+//! that is repeated or not all digits, gets `400`. An ingest
 //! body is decoded before the engine lock is taken, in time linear in its
 //! length, and malformed JSON (numbers included: RFC 8259's grammar, so
 //! no `01` or `1.`) or a report with a missing, repeated or mistyped
@@ -70,7 +72,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use sybil_td::core::{AccountGrouping, AgTr, AgTs, SingletonGrouping, SybilResistantTd};
-use sybil_td::platform::{EpochConfig, EpochEngine};
+use sybil_td::platform::{EpochConfig, EpochEngine, ReportRules};
 use sybil_td::runtime::json::{parse, Json, ToJson};
 use sybil_td::runtime::obs;
 
@@ -168,7 +170,8 @@ fn run(args: &[String]) -> Result<(), String> {
             num_shards: shards,
             warm_start: true,
         },
-    );
+    )
+    .with_report_rules(ReportRules::WifiRssi);
     obs::set_enabled(true);
 
     let listener = TcpListener::bind(("127.0.0.1", port))
@@ -323,8 +326,9 @@ fn read_request(
     };
     let (verb, path) = (verb.to_string(), path.to_string());
 
-    // Headers: only Content-Length matters for this wire format.
-    let mut content_length = 0usize;
+    // Headers: only Content-Length matters for this wire format. RFC 9112
+    // §6.3 makes a repeated or non-`1*DIGIT` one unrecoverable framing.
+    let mut content_length = None;
     loop {
         let Some(line) = read_line_bounded(reader)? else {
             return refuse(431, "header line too long");
@@ -335,13 +339,21 @@ fn read_request(
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                let Ok(length) = value.trim().parse() else {
-                    return refuse(400, "bad Content-Length");
-                };
-                content_length = length;
+                if content_length.is_some() {
+                    return refuse(400, "repeats Content-Length");
+                }
+                // `usize::from_str` alone would take a leading `+`.
+                let value = value.trim();
+                match value.parse() {
+                    Ok(length) if value.bytes().all(|b| b.is_ascii_digit()) => {
+                        content_length = Some(length);
+                    }
+                    _ => return refuse(400, "bad Content-Length"),
+                }
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return refuse(413, &format!("body exceeds {MAX_BODY_BYTES} bytes"));
     }
@@ -634,9 +646,11 @@ fn respond(mut stream: &TcpStream, response: &Response) -> Result<(), String> {
         .map_err(|e| e.to_string())
 }
 
-/// Flags that take no value; their presence alone is the signal.
-const BOOLEAN_FLAGS: &[&str] = &[];
+/// Every flag `srtd-server` takes; each takes a value.
+const FLAGS: &[&str] = &["port", "tasks", "method", "shards", "epoch-interval-ms"];
 
+/// Parses `--name value` pairs; an unknown flag is an error, so a typo
+/// fails before the server binds instead of being silently ignored.
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
@@ -644,9 +658,8 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{flag}`"));
         };
-        if BOOLEAN_FLAGS.contains(&name) {
-            flags.insert(name.to_string(), String::from("1"));
-            continue;
+        if !FLAGS.contains(&name) {
+            return Err(format!("unknown flag `{flag}`"));
         }
         let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
         flags.insert(name.to_string(), value.clone());
@@ -814,6 +827,20 @@ mod tests {
                 "{body}"
             );
         }
+    }
+
+    #[test]
+    fn unknown_flags_are_refused() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        for typo in ["--epoch-intervl-ms", "--shard"] {
+            assert_eq!(
+                parse_flags(&args(&[typo, "8"])),
+                Err(format!("unknown flag `{typo}`"))
+            );
+        }
+        let flags = parse_flags(&args(&["--shards", "8", "--epoch-interval-ms", "50"])).unwrap();
+        assert_eq!(flags["shards"], "8");
+        assert_eq!(flags["epoch-interval-ms"], "50");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! exact matrix's components (groups and labels), that
 //! `dissimilarity_edges` equals its below-φ entries bit for bit — pruning
 //! neither drops a below-φ pair nor perturbs a kept distance — and that
-//! `tr_candidates` contains every one of them; `Platform::audit` reports
-//! must match too.
+//! `tr_candidates` contains every one of them; `EpochEngine::audit_report`
+//! reports must match too.
 //!
 //! Campaigns: paper-scale scenarios, a sparse-activeness scenario and a
 //! 202-group Sybil-replay campaign. AG-TS on the same campaigns, and both
@@ -22,7 +22,7 @@
 #[allow(dead_code)]
 mod support;
 
-use support::{assert_matches_dense, campaign_202_groups, replay_on_platform, DenseReference};
+use support::{assert_matches_dense, campaign_202_groups, replay_on_engine, DenseReference};
 use sybil_td::core::{AccountGrouping, AgTr};
 use sybil_td::sensing::{Scenario, ScenarioConfig};
 use sybil_td::truth::SensingData;
@@ -72,10 +72,9 @@ fn synthetic_202_group_campaign_groups_identically() {
 #[test]
 fn audit_reports_match_between_pruned_and_full_paths() {
     let scenario = Scenario::generate(&ScenarioConfig::paper_default().with_seed(5));
-    let platform = replay_on_platform(&scenario);
     let tr = AgTr::default();
     assert_eq!(
-        platform.audit(&tr, 2),
-        platform.audit(&DenseReference::Tr(tr), 2)
+        replay_on_engine(&scenario, tr).audit_report(2),
+        replay_on_engine(&scenario, DenseReference::Tr(tr)).audit_report(2)
     );
 }

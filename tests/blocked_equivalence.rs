@@ -9,7 +9,7 @@
 //! 4 worker threads, [`support::check_against_dense`] asserts that
 //! `group()` and the decision edges (values bit for bit) equal the dense
 //! reference and that the blocking candidates contain every accepted
-//! pair; `Platform::audit` reports must match too.
+//! pair; `EpochEngine::audit_report` reports must match too.
 //!
 //! Campaigns: AG-TS on paper-scale scenarios, a sparse-activeness
 //! scenario and a 202-group Sybil-replay campaign (AG-TR on the same
@@ -21,7 +21,7 @@
 mod support;
 
 use support::{
-    assert_matches_dense, campaign_202_groups, check_against_dense, replay_on_platform,
+    assert_matches_dense, campaign_202_groups, check_against_dense, replay_on_engine,
     DenseReference,
 };
 use sybil_td::core::grouping::blocking::ts_candidates;
@@ -162,10 +162,9 @@ fn scaled_3000_account_campaign_groups_identically() {
 #[test]
 fn audit_reports_match_between_blocked_and_exhaustive_paths() {
     let scenario = Scenario::generate(&ScenarioConfig::paper_default().with_seed(5));
-    let platform = replay_on_platform(&scenario);
     let ts = AgTs::default();
     assert_eq!(
-        platform.audit(&ts, 2),
-        platform.audit(&DenseReference::Ts(ts), 2)
+        replay_on_engine(&scenario, ts).audit_report(2),
+        replay_on_engine(&scenario, DenseReference::Ts(ts)).audit_report(2)
     );
 }

@@ -8,7 +8,7 @@
 //! metrics into the snapshot.
 
 use sybil_td::core::{AgFp, AgTr, SybilResistantTd};
-use sybil_td::platform::{Platform, PlatformConfig};
+use sybil_td::platform::{EpochConfig, EpochEngine, ReportRules};
 use sybil_td::runtime::json::{parse, Json, ToJson};
 use sybil_td::runtime::obs;
 use sybil_td::sensing::{Scenario, ScenarioConfig};
@@ -35,28 +35,30 @@ fn instrumented_pipeline_covers_every_stage_and_exports_valid_json() {
     );
 
     // The platform audit layer on top: enroll every account, replay the
-    // campaign's reports, audit with AG-TR.
-    let mut platform = Platform::new(PlatformConfig::default());
-    platform.publish_tasks(scenario.data.num_tasks());
+    // campaign's reports through the epoch engine, audit with AG-TR.
+    let mut engine = EpochEngine::new(
+        SybilResistantTd::new(AgTr::default()),
+        scenario.data.num_tasks(),
+        EpochConfig::default(),
+    )
+    .with_report_rules(ReportRules::WifiRssi);
     let max_ts = scenario
         .data
         .reports()
         .iter()
         .map(|r| r.timestamp)
         .fold(0.0, f64::max);
-    platform.advance_clock(max_ts + 1.0);
-    let mut ids = Vec::new();
-    for fp in &scenario.fingerprints {
-        ids.push(platform.enroll(fp.clone(), 0.0).expect("enroll"));
-    }
-    for (account, &id) in ids.iter().enumerate() {
+    engine.advance_clock(max_ts + 1.0);
+    for (account, fp) in scenario.fingerprints.iter().enumerate() {
+        engine.enroll(account, fp.clone(), 0.0).expect("enroll");
         for r in scenario.data.trajectory_of(account) {
-            platform
-                .submit(id, r.task, r.value, r.timestamp)
-                .expect("submit");
+            engine
+                .ingest(account, r.task, r.value, r.timestamp)
+                .expect("ingest");
         }
     }
-    let audit = platform.audit(&AgTr::default(), 2);
+    engine.run_epoch();
+    let audit = engine.audit_report(2);
     assert_eq!(audit.effective_min_group_size(), 2);
 
     let report = obs::snapshot();

@@ -1,13 +1,13 @@
 //! Shared fixtures for the grouping equivalence suites
 //! (`blocked_equivalence.rs`, `ag_tr_equivalence.rs`): the all-pairs
 //! reference grouping and the checks against it, the 202-group
-//! Sybil-replay campaign, and the `Platform` replay of a generated
+//! Sybil-replay campaign, and the epoch-engine replay of a generated
 //! scenario.
 
 use sybil_td::core::grouping::blocking::{tr_candidates, ts_candidates};
-use sybil_td::core::{AccountGrouping, AgTr, AgTs, Grouping};
+use sybil_td::core::{AccountGrouping, AgTr, AgTs, Grouping, SybilResistantTd};
 use sybil_td::graph::UnionFind;
-use sybil_td::platform::{Platform, PlatformConfig};
+use sybil_td::platform::{EpochConfig, EpochEngine, ReportRules};
 use sybil_td::runtime::parallel::set_max_threads;
 use sybil_td::runtime::prop_assert;
 use sybil_td::runtime::rng::{Rng, SeedableRng, StdRng};
@@ -182,29 +182,32 @@ pub fn campaign_202_groups(seed: u64) -> SensingData {
     data
 }
 
-/// Replays `scenario` through the `Platform` front door: publish its
-/// tasks, move the clock past the last report, enroll every account with
-/// its fingerprint, and submit each account's trajectory.
-pub fn replay_on_platform(scenario: &Scenario) -> Platform {
-    let mut platform = Platform::new(PlatformConfig::default());
-    platform.publish_tasks(scenario.data.num_tasks());
+/// Replays `scenario` through the engine's front door under the Wi-Fi
+/// rules, grouping with `method`: move the clock past the last report,
+/// enroll every account with its fingerprint, ingest each account's
+/// trajectory, and run one epoch.
+pub fn replay_on_engine<G: AccountGrouping>(scenario: &Scenario, method: G) -> EpochEngine<G> {
+    let mut engine = EpochEngine::new(
+        SybilResistantTd::new(method),
+        scenario.data.num_tasks(),
+        EpochConfig::default(),
+    )
+    .with_report_rules(ReportRules::WifiRssi);
     let max_ts = scenario
         .data
         .reports()
         .iter()
         .map(|r| r.timestamp)
         .fold(0.0, f64::max);
-    platform.advance_clock(max_ts + 1.0);
-    let mut ids = Vec::new();
-    for fp in &scenario.fingerprints {
-        ids.push(platform.enroll(fp.clone(), 0.0).expect("enroll"));
-    }
-    for (account, &id) in ids.iter().enumerate() {
+    engine.advance_clock(max_ts + 1.0);
+    for (account, fp) in scenario.fingerprints.iter().enumerate() {
+        engine.enroll(account, fp.clone(), 0.0).expect("enroll");
         for r in scenario.data.trajectory_of(account) {
-            platform
-                .submit(id, r.task, r.value, r.timestamp)
-                .expect("submit");
+            engine
+                .ingest(account, r.task, r.value, r.timestamp)
+                .expect("ingest");
         }
     }
-    platform
+    engine.run_epoch();
+    engine
 }
