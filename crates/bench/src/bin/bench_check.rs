@@ -7,8 +7,8 @@
 use srtd_runtime::json::{parse, Json};
 use std::process::exit;
 
-const SCHEMA: &str = "srtd-bench-pipeline-v7";
-const TOP_LEVEL_KEYS: [&str; 14] = [
+const SCHEMA: &str = "srtd-bench-pipeline-v8";
+const TOP_LEVEL_KEYS: [&str; 15] = [
     "schema",
     "quick",
     "threads_available",
@@ -20,11 +20,35 @@ const TOP_LEVEL_KEYS: [&str; 14] = [
     "determinism",
     "dtw_prune",
     "grouping_scale",
+    "regroup_scale",
     "feature_fusion",
     "obs_overhead",
     "counters",
 ];
 const CASE_KEYS: [&str; 6] = ["group", "name", "median_ns", "min_ns", "max_ns", "batch"];
+
+/// `regroup_scale`'s campaign sizes, in export order.
+const REGROUP_SIZES: [f64; 3] = [5_000.0, 20_000.0, 80_000.0];
+
+/// `regroup_scale`'s epoch stages, in export order.
+const REGROUP_STAGES: [&str; 5] = [
+    "epoch.fold",
+    "epoch.regroup",
+    "epoch.index_update",
+    "epoch.discover",
+    "epoch.swap",
+];
+
+/// Ceilings on `epoch.regroup` time per dirty account at 80k accounts over
+/// 5k, per signal, within one run. The campaign grows 16×, and an edge
+/// path that rescans it every epoch reads 26–30×. Twelve quick runs on a
+/// 2-vCPU VM read 7.9–11.4× (AG-TR) and 5.7–7.4× (AG-TS); most of what
+/// still grows is the union-find and `Grouping` build over every account.
+const REGROUP_RATIO_MAX: [(&str, f64); 2] = [("ag_tr", 16.0), ("ag_ts", 11.0)];
+
+/// Ceiling on the edge index's update in an epoch with nothing new, at
+/// 80k accounts; a rescan of the campaign takes 109–221 ms there.
+const EMPTY_INDEX_UPDATE_MAX_NS: f64 = 1e6;
 
 fn fail(msg: &str) -> ! {
     eprintln!("bench-check: {msg}");
@@ -344,6 +368,101 @@ fn main() {
     }
     if !matches!(get(scale, "note"), Some(Json::Str(_))) {
         fail("grouping_scale.note must be a string");
+    }
+    let Some(Json::Obj(regroup)) = get(&fields, "regroup_scale") else {
+        fail("`regroup_scale` must be an object");
+    };
+    let regroup_num = |key: &str| -> f64 {
+        match get(regroup, key) {
+            Some(Json::Num(n)) if *n >= 0.0 => *n,
+            _ => fail(&format!("regroup_scale.{key} must be a number >= 0")),
+        }
+    };
+    let dirty_accounts = regroup_num("dirty_accounts");
+    if dirty_accounts < 1.0 || regroup_num("rounds") < 1.0 {
+        fail("regroup_scale.dirty_accounts and rounds must be positive");
+    }
+    for (signal, ratio_max) in REGROUP_RATIO_MAX {
+        let Some(Json::Obj(sig)) = get(regroup, signal) else {
+            fail(&format!("regroup_scale.{signal} must be an object"));
+        };
+        let Some(Json::Arr(sizes)) = get(sig, "sizes") else {
+            fail(&format!("regroup_scale.{signal}.sizes must be an array"));
+        };
+        if sizes.len() != REGROUP_SIZES.len() {
+            fail(&format!(
+                "regroup_scale.{signal}.sizes must hold {} campaigns",
+                REGROUP_SIZES.len()
+            ));
+        }
+        let mut per_dirty = Vec::new();
+        let mut empty_index_ns = 0.0;
+        for (size, want) in sizes.iter().zip(REGROUP_SIZES) {
+            let what = format!("regroup_scale.{signal}[{want}]");
+            let Json::Obj(size) = size else {
+                fail(&format!("{what} must be an object"));
+            };
+            let num = |fields: &[(String, Json)], key: &str| -> f64 {
+                match get(fields, key) {
+                    Some(Json::Num(n)) if *n >= 0.0 => *n,
+                    _ => fail(&format!("{what}.{key} must be a number >= 0")),
+                }
+            };
+            if num(size, "accounts") != want || num(size, "reports") < want {
+                fail(&format!(
+                    "{what}: accounts must be {want}, with a report each"
+                ));
+            }
+            let split = |key: &str| -> [f64; 5] {
+                let Some(Json::Obj(stages)) = get(size, key) else {
+                    fail(&format!("{what}.{key} must be an object"));
+                };
+                let ns = REGROUP_STAGES.map(|stage| num(stages, stage));
+                // The index update runs inside the regroup stage.
+                if ns[2] > ns[1] {
+                    fail(&format!(
+                        "{what}.{key}: epoch.index_update exceeds epoch.regroup"
+                    ));
+                }
+                ns
+            };
+            let touched = split("touched_epoch_ns");
+            let empty = split("empty_epoch_ns");
+            if touched[1] <= 0.0 || touched[2] <= 0.0 {
+                fail(&format!("{what}: the touched epoch must regroup"));
+            }
+            per_dirty.push(touched[1] / dirty_accounts);
+            empty_index_ns = empty[2];
+        }
+        let ratio = match get(sig, "regroup_per_dirty_80k_vs_5k") {
+            Some(Json::Num(n)) if *n > 0.0 => *n,
+            _ => fail(&format!(
+                "regroup_scale.{signal}.regroup_per_dirty_80k_vs_5k must be positive"
+            )),
+        };
+        if (ratio - per_dirty[2] / per_dirty[0]).abs() > 1e-9 * ratio {
+            fail(&format!(
+                "regroup_scale.{signal}.regroup_per_dirty_80k_vs_5k is inconsistent with its sizes"
+            ));
+        }
+        if ratio > ratio_max {
+            fail(&format!(
+                "regroup_scale.{signal}: regroup per dirty account grew {ratio:.1}x from 5k \
+                 to 80k accounts (ceiling {ratio_max}x); the edge index should cost in \
+                 proportion to the dirty accounts, not the campaign"
+            ));
+        }
+        if empty_index_ns >= EMPTY_INDEX_UPDATE_MAX_NS {
+            fail(&format!(
+                "regroup_scale.{signal}: an epoch with nothing new spent {:.3} ms updating \
+                 the edge index at 80k accounts (ceiling {} ms)",
+                empty_index_ns / 1e6,
+                EMPTY_INDEX_UPDATE_MAX_NS / 1e6
+            ));
+        }
+    }
+    if !matches!(get(regroup, "note"), Some(Json::Str(_))) {
+        fail("regroup_scale.note must be a string");
     }
     let Some(Json::Obj(fusion)) = get(&fields, "feature_fusion") else {
         fail("`feature_fusion` must be an object");

@@ -31,6 +31,7 @@ use srtd_core::{
     AccountGrouping, AgTr, AgTs, GroupAggregation, Grouping, PerfectGrouping, SybilResistantTd,
 };
 use srtd_graph::UnionFind;
+use srtd_platform::{EpochConfig, EpochEngine};
 use srtd_runtime::bench::{black_box, Bench, BenchConfig, BenchStats};
 use srtd_runtime::json::{Json, ToJson};
 use srtd_runtime::obs;
@@ -43,6 +44,7 @@ use srtd_signal::fft::{fft_real, fft_real_pair};
 use srtd_signal::{stream_features, stream_features_batch, FeatureConfig};
 use srtd_timeseries::{Dtw, PrunedPairwise};
 use srtd_truth::{max_abs_delta, ConvergenceCriterion, Report, SensingData};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Campaign shape: the `exp_large_scale` regime scaled until the
@@ -355,6 +357,127 @@ fn stats_json(group: &str, name: &str, stats: BenchStats, params: Vec<(&str, Jso
     ];
     fields.extend(params);
     Json::obj(fields)
+}
+
+/// Accounts each `regroup_scale` round touches.
+const REGROUP_DIRTY: usize = 100;
+
+/// Campaign sizes of the `regroup_scale` section.
+const REGROUP_SIZES: [usize; 3] = [5_000, 20_000, 80_000];
+
+/// The epoch stages `regroup_scale` splits, in export order; the index
+/// update is nested in `epoch.regroup`, the others under `server.epoch`.
+const REGROUP_STAGES: [&str; 5] = [
+    "epoch.fold",
+    "epoch.regroup",
+    "epoch.index_update",
+    "epoch.discover",
+    "epoch.swap",
+];
+
+/// Wall-clock nanoseconds of each of [`REGROUP_STAGES`] in one epoch's
+/// telemetry window.
+fn epoch_stage_ns(window: &obs::WindowRecord) -> [f64; 5] {
+    fn child<'a>(node: &'a obs::TraceNode, name: &str) -> Option<&'a obs::TraceNode> {
+        node.children.iter().find(|c| c.name == name)
+    }
+    let root = window
+        .trace
+        .iter()
+        .find(|n| n.name == "server.epoch")
+        .expect("an epoch window");
+    let regroup = child(root, "epoch.regroup").expect("a regroup stage");
+    REGROUP_STAGES.map(|stage| {
+        let node = if stage == "epoch.index_update" {
+            child(regroup, stage)
+        } else {
+            child(root, stage)
+        };
+        node.expect("every stage runs").total_ns as f64
+    })
+}
+
+/// The per-stage medians of several epochs' [`epoch_stage_ns`].
+fn median_stages(epochs: &[[f64; 5]]) -> [f64; 5] {
+    std::array::from_fn(|stage| {
+        let mut times: Vec<f64> = epochs.iter().map(|e| e[stage]).collect();
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    })
+}
+
+/// One engine grouping `campaign` with `method`: a set-up epoch folds all
+/// but `rounds × REGROUP_DIRTY` held-back reports (the latest of as many
+/// accounts); then each round folds one held-back report into each of
+/// `REGROUP_DIRTY` accounts, and runs one more epoch with nothing new.
+/// Returns the median stage split of the touched epochs and of the empty
+/// ones, read from each epoch's telemetry window.
+fn regroup_rounds<G: AccountGrouping>(
+    method: G,
+    campaign: &ScaledCampaign,
+    rounds: usize,
+) -> ([f64; 5], [f64; 5]) {
+    let data = &campaign.data;
+    let stride = data.num_accounts() / (rounds * REGROUP_DIRTY);
+    let held: Vec<Report> = (0..rounds * REGROUP_DIRTY)
+        .map(|k| {
+            let trajectory = data.trajectory_of(k * stride);
+            *trajectory.last().expect("every account reports")
+        })
+        .collect();
+    let held_keys: HashSet<(usize, usize)> = held.iter().map(|r| (r.account, r.task)).collect();
+    let mut engine = EpochEngine::new(
+        SybilResistantTd::new(method),
+        data.num_tasks(),
+        EpochConfig::default(),
+    );
+    let mut epoch = |reports: &mut dyn Iterator<Item = &Report>| {
+        for r in reports {
+            engine
+                .ingest(r.account, r.task, r.value, r.timestamp)
+                .expect("a campaign report");
+        }
+        engine.run_epoch();
+        obs::latest_window()
+    };
+    epoch(
+        &mut data
+            .reports()
+            .iter()
+            .filter(|r| !held_keys.contains(&(r.account, r.task))),
+    );
+    obs::set_enabled(true);
+    obs::reset();
+    let (mut touched, mut empty) = (Vec::new(), Vec::new());
+    for round in held.chunks(REGROUP_DIRTY) {
+        let window = epoch(&mut round.iter()).expect("an epoch window");
+        let dirty = window
+            .report
+            .counters
+            .iter()
+            .find(|(name, _)| name == "epoch.regroup.dirty_accounts")
+            .map_or(0, |&(_, n)| n);
+        assert_eq!(
+            dirty, REGROUP_DIRTY as u64,
+            "a round touches exactly its accounts"
+        );
+        touched.push(epoch_stage_ns(&window));
+        empty.push(epoch_stage_ns(
+            &epoch(&mut std::iter::empty()).expect("an epoch window"),
+        ));
+    }
+    obs::set_enabled(false);
+    (median_stages(&touched), median_stages(&empty))
+}
+
+/// `regroup_scale`'s export of one stage split.
+fn stages_json(stages: &[f64; 5]) -> Json {
+    Json::obj(
+        REGROUP_STAGES
+            .iter()
+            .zip(stages)
+            .map(|(name, ns)| (*name, ns.to_json())),
+    )
 }
 
 fn main() {
@@ -899,6 +1022,54 @@ fn main() {
             .unwrap_or(0)
     };
 
+    // ---- Regroup at scale: the engine-owned edge index ----
+    // An epoch that touches 100 accounts, and one that touches none, on
+    // AG-TR and AG-TS engines over 5k, 20k and 80k ScaledCampaign
+    // accounts. The stage split comes from each epoch's own telemetry
+    // window; with the index, the edge work (`epoch.index_update`) grows
+    // with the touched accounts, not with the campaign.
+    let regroup_rounds_n = if quick { 3 } else { 7 };
+    let mut regroup_cases: Vec<(&str, Json)> = Vec::new();
+    for (signal, rho) in [("ag_tr", None), ("ag_ts", Some(0.01))] {
+        let mut sizes = Vec::new();
+        let mut regroup_ns = Vec::new();
+        for accounts in REGROUP_SIZES {
+            let campaign =
+                ScaledCampaign::generate(&ScaledCampaignConfig::new(accounts).with_seed(42));
+            let (touched, empty) = match rho {
+                None => regroup_rounds(AgTr::default(), &campaign, regroup_rounds_n),
+                Some(rho) => regroup_rounds(AgTs::new(rho), &campaign, regroup_rounds_n),
+            };
+            println!(
+                "regroup_scale {signal}, {accounts} accounts: regroup {:.2} ms (index \
+                 update {:.2} ms) touching {REGROUP_DIRTY} accounts, index update {:.3} ms \
+                 touching none",
+                touched[1] / 1e6,
+                touched[2] / 1e6,
+                empty[2] / 1e6
+            );
+            regroup_ns.push(touched[1]);
+            sizes.push(Json::obj([
+                ("accounts", accounts.to_json()),
+                ("reports", campaign.data.num_reports().to_json()),
+                ("touched_epoch_ns", stages_json(&touched)),
+                ("empty_epoch_ns", stages_json(&empty)),
+            ]));
+        }
+        // Every touched epoch dirties the same 100 accounts, so the
+        // regroup ratio is the per-dirty-account ratio.
+        regroup_cases.push((
+            signal,
+            Json::obj([
+                ("sizes", Json::arr(sizes)),
+                (
+                    "regroup_per_dirty_80k_vs_5k",
+                    (regroup_ns[2] / regroup_ns[0]).to_json(),
+                ),
+            ]),
+        ));
+    }
+
     // ---- Obs disabled-path overhead ----
     // Every obs entry point bails on one relaxed atomic load while
     // collection is off; these loops pin that the instrumented hot paths
@@ -945,7 +1116,7 @@ fn main() {
     ));
 
     let doc = Json::obj([
-        ("schema", Json::str("srtd-bench-pipeline-v7")),
+        ("schema", Json::str("srtd-bench-pipeline-v8")),
         ("quick", quick.to_json()),
         ("threads_available", threads_available.to_json()),
         (
@@ -1183,6 +1354,27 @@ fn main() {
                     ),
                 ),
             ]),
+        ),
+        (
+            "regroup_scale",
+            Json::obj(
+                [
+                    ("dirty_accounts", REGROUP_DIRTY.to_json()),
+                    ("rounds", regroup_rounds_n.to_json()),
+                ]
+                .into_iter()
+                .chain(regroup_cases)
+                .chain([(
+                    "note",
+                    Json::str(
+                        "median stage times over the rounds, from each epoch's own \
+                         obs window: an epoch folding one report into each of 100 \
+                         accounts, and one folding nothing; epoch.index_update is \
+                         nested in epoch.regroup, which adds the union-find and the \
+                         Grouping build",
+                    ),
+                )]),
+            ),
         ),
         (
             "obs_overhead",

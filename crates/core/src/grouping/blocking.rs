@@ -41,9 +41,18 @@
 //!   its blocking lives in `srtd-cluster` as a norm-sketch bound on the
 //!   k-means assignment step. The counters recorded here keep the three
 //!   signals comparable under one `grouping.pairs.*` scheme.
+//!
+//! Both blocked signals file accounts in one structure, `KeyRuns`:
+//! `(key, account)` entries kept sorted, so a bucket is one contiguous run
+//! and re-keying a few accounts is one merge pass. The same generator
+//! serves the one-shot functions here and the persistent indexes AG-TS
+//! and AG-TR hand the epoch engine (`EdgeGrouping::edge_index`): a
+//! one-shot call is a fresh index keyed once. With few dirty accounts the
+//! generator probes only their own buckets; with many it sweeps every
+//! bucket once. Both enumerate the same pairs.
 
 use srtd_runtime::obs;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// The outcome of one blocking pass: the candidate pairs that must be
 /// scored, plus the bookkeeping the obs layer and benches report.
@@ -68,14 +77,19 @@ impl Candidates {
     /// An exhaustive (no-blocking) candidate set over `n` accounts,
     /// optionally restricted to pairs touching a dirty account. Used by
     /// the fallback paths so the `grouping.pairs.*` counters stay a
-    /// partition (`candidate == total`, nothing skipped).
+    /// partition (`candidate == total`, nothing skipped). With a mask the
+    /// walk costs `O(n + dirty·n)`: a clean account's row lists only the
+    /// dirty accounts after it.
     pub fn exhaustive(n: usize, dirty: Option<&[bool]>) -> Self {
+        let mask = dirty_mask(n, dirty);
+        let dirty_accounts: Vec<usize> = (0..n).filter(|&a| mask[a]).collect();
         let mut pairs = Vec::new();
         for i in 0..n {
-            for j in i + 1..n {
-                if dirty.is_none_or(|d| d[i] || d[j]) {
-                    pairs.push((i, j));
-                }
+            if mask[i] {
+                pairs.extend((i + 1..n).map(|j| (i, j)));
+            } else {
+                let later = dirty_accounts.partition_point(|&j| j < i);
+                pairs.extend(dirty_accounts[later..].iter().map(|&j| (i, j)));
             }
         }
         let total_pairs = pairs.len() as u64;
@@ -84,19 +98,6 @@ impl Candidates {
             buckets: usize::from(n > 0),
             total_pairs,
         }
-    }
-
-    /// Records the `grouping.pairs.{total,candidate,skipped_by_blocking}`
-    /// counters (global and per-signal) and the `grouping.buckets` gauges
-    /// for this pass. `signal` is the short lowercase name (`ag_ts`,
-    /// `ag_tr`, `ag_fp`).
-    pub fn record(&self, signal: &str) {
-        record_pair_counts(
-            signal,
-            self.total_pairs,
-            self.pairs.len() as u64,
-            self.buckets as u64,
-        );
     }
 }
 
@@ -120,7 +121,7 @@ pub fn record_pair_counts(signal: &str, total: u64, candidate: u64, buckets: u64
 
 /// Unordered pairs over `n` accounts that touch at least one dirty
 /// account; `n(n−1)/2` when no mask is given.
-fn total_pairs(n: usize, dirty: Option<&[bool]>) -> u64 {
+pub(crate) fn total_pairs(n: usize, dirty: Option<&[bool]>) -> u64 {
     let n = n as u64;
     let all = n * n.saturating_sub(1) / 2;
     match dirty {
@@ -130,6 +131,194 @@ fn total_pairs(n: usize, dirty: Option<&[bool]>) -> u64 {
             all - clean * clean.saturating_sub(1) / 2
         }
     }
+}
+
+/// `dirty`, or every account dirty when it is `None`.
+///
+/// # Panics
+///
+/// Panics if the mask does not have one flag per account.
+pub(crate) fn dirty_mask(n: usize, dirty: Option<&[bool]>) -> Cow<'_, [bool]> {
+    match dirty {
+        Some(mask) => {
+            assert_eq!(mask.len(), n, "dirty mask must cover every account");
+            Cow::Borrowed(mask)
+        }
+        None => Cow::Owned(vec![true; n]),
+    }
+}
+
+/// Accounts filed under their blocking keys: `(key, account)` entries
+/// sorted by key, then account. A bucket (every account under one key) is
+/// one contiguous run, and a range of adjacent keys is one binary search
+/// away. Accounts `0..seen` have been filed; re-filing a batch of accounts
+/// costs one pass over the entries, however many accounts move.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeyRuns<K> {
+    entries: Vec<(K, u32)>,
+    buckets: usize,
+    seen: usize,
+}
+
+impl<K: Ord + Copy> KeyRuns<K> {
+    /// Re-files every account that is dirty or not yet filed under the
+    /// keys `keys_of(account, out)` appends, and returns the dirty
+    /// accounts' entries: the probes that find their candidates.
+    pub(crate) fn refile(
+        &mut self,
+        dirty: &[bool],
+        mut keys_of: impl FnMut(usize, &mut Vec<K>),
+    ) -> Vec<(K, u32)> {
+        assert!(dirty.len() >= self.seen, "accounts never leave a campaign");
+        let (mut added, mut probes, mut keys) = (Vec::new(), Vec::new(), Vec::new());
+        let mut moved = false;
+        for (account, &is_dirty) in dirty.iter().enumerate() {
+            let filed = account < self.seen;
+            if filed && !is_dirty {
+                continue;
+            }
+            moved |= filed;
+            keys.clear();
+            keys_of(account, &mut keys);
+            let id = u32::try_from(account).expect("account index fits in u32");
+            added.extend(keys.iter().map(|&k| (k, id)));
+            if is_dirty {
+                probes.extend(keys.iter().map(|&k| (k, id)));
+            }
+        }
+        self.seen = dirty.len();
+        if moved {
+            self.entries.retain(|&(_, a)| !dirty[a as usize]);
+        }
+        if moved || !added.is_empty() {
+            self.merge(added);
+        }
+        probes
+    }
+
+    /// Merges `added` into the sorted entries from the back, so each old
+    /// entry moves at most once.
+    fn merge(&mut self, mut added: Vec<(K, u32)>) {
+        added.sort_unstable();
+        let mut old = self.entries.len();
+        self.entries.extend_from_slice(&added);
+        let mut slot = self.entries.len();
+        for &entry in added.iter().rev() {
+            while old > 0 && self.entries[old - 1] > entry {
+                old -= 1;
+                slot -= 1;
+                self.entries[slot] = self.entries[old];
+            }
+            slot -= 1;
+            self.entries[slot] = entry;
+        }
+        self.buckets = self.runs().count();
+    }
+
+    /// The entries whose key lies in `lo..=hi`.
+    fn range(&self, lo: K, hi: K) -> &[(K, u32)] {
+        let start = self.entries.partition_point(|e| e.0 < lo);
+        let len = self.entries[start..].partition_point(|e| e.0 <= hi);
+        &self.entries[start..start + len]
+    }
+
+    /// The buckets in key order.
+    fn runs(&self) -> impl Iterator<Item = &[(K, u32)]> {
+        self.entries.chunk_by(|a, b| a.0 == b.0)
+    }
+
+    /// Distinct keys held.
+    pub(crate) fn buckets(&self) -> usize {
+        self.buckets
+    }
+
+    /// Whether probing `probes` entries one binary search each beats one
+    /// sweep over every entry (a factor-of-two estimate is enough: both
+    /// routes enumerate the same pairs).
+    fn probe_is_cheaper(&self, probes: usize) -> bool {
+        probes.saturating_mul(32) < self.entries.len()
+    }
+}
+
+/// An AG-TS blocking key: two prefix tasks of one account, the one ranked
+/// rarer first (`(t, t)` for a one-task set).
+pub(crate) type PairKey = (u32, u32);
+
+/// Ranks tasks rarest first, ties by task id: `rank[t]` is task `t`'s
+/// place in the order, `freq[t]` its report count.
+pub(crate) fn rarity_rank(freq: &[u32]) -> Vec<u32> {
+    let mut order: Vec<usize> = (0..freq.len()).collect();
+    order.sort_by_key(|&t| (freq[t], t));
+    let mut rank = vec![0u32; freq.len()];
+    for (r, &t) in order.iter().enumerate() {
+        rank[t] = u32::try_from(r).expect("task index fits in u32");
+    }
+    rank
+}
+
+/// Appends the pair keys of the task set `tasks` under `rank`: every
+/// unordered pair of its `min(⌈a/3⌉ + 1, a)` lowest-ranked tasks, rarer
+/// task first, so the same two tasks form the same key in every account;
+/// `(t, t)` for a one-task set; nothing for an empty one. Sorts `tasks`
+/// by rank in place.
+pub(crate) fn prefix_keys(tasks: &mut [usize], rank: &[u32], out: &mut Vec<PairKey>) {
+    let task = |t: usize| u32::try_from(t).expect("task index fits in u32");
+    tasks.sort_unstable_by_key(|&t| rank[t]);
+    let prefix = (tasks.len().div_ceil(3) + 1).min(tasks.len());
+    match tasks {
+        [] => {}
+        [t] => out.push((task(*t), task(*t))),
+        _ => {
+            for (u, &first) in tasks[..prefix].iter().enumerate() {
+                for &second in &tasks[u + 1..prefix] {
+                    out.push((task(first), task(second)));
+                }
+            }
+        }
+    }
+}
+
+/// The AG-TS candidates with a dirty endpoint: accounts sharing a pair key
+/// whose set sizes (`size(account)`) pass the length-ratio filter.
+/// `probes` are the dirty accounts' entries (see [`KeyRuns::refile`]).
+pub(crate) fn prefix_pairs(
+    keys: &KeyRuns<PairKey>,
+    probes: &[(PairKey, u32)],
+    dirty: &[bool],
+    size: impl Fn(usize) -> usize,
+) -> Vec<(usize, usize)> {
+    let fits = |i: usize, j: usize| {
+        let (a, b) = (size(i), size(j));
+        3 * a.min(b) > 2 * a.max(b)
+    };
+    let mut pairs = Vec::new();
+    if keys.probe_is_cheaper(probes.len()) {
+        // A pair of two dirty accounts is emitted from its smaller
+        // endpoint's probes only.
+        for &(key, d) in probes {
+            for &(_, o) in keys.range(key, key) {
+                let (d, o) = (d as usize, o as usize);
+                if o != d && (!dirty[o] || d < o) && fits(d, o) {
+                    pairs.push((d.min(o), d.max(o)));
+                }
+            }
+        }
+    } else {
+        for bucket in keys.runs() {
+            for (x, &(_, i)) in bucket.iter().enumerate() {
+                for &(_, j) in &bucket[x + 1..] {
+                    let (i, j) = (i as usize, j as usize);
+                    if (dirty[i] || dirty[j]) && fits(i, j) {
+                        pairs.push((i, j));
+                    }
+                }
+            }
+        }
+    }
+    // Two accounts sharing several keys meet once per key.
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 /// AG-TS candidate generation by two-level prefix filtering over task
@@ -166,7 +355,9 @@ fn total_pairs(n: usize, dirty: Option<&[bool]>) -> u64 {
 /// degenerate key `(t, t)`. Ordering tasks by ascending global frequency
 /// keeps the pair buckets tiny: two accounts must now agree on two rare
 /// tasks at once, which on campaign-scale workloads cuts candidates by
-/// orders of magnitude compared to the single-task prefix filter.
+/// orders of magnitude compared to the single-task prefix filter. The
+/// proof holds for *any* fixed order, which is what lets AG-TS's
+/// persistent index keep an order frozen while the frequencies drift.
 ///
 /// **Length-ratio filter.** `T ≤ min(a, b)` and `T > 2·max(a, b)/3`
 /// force `3·min(a, b) > 2·max(a, b)`; bucket members failing this can
@@ -180,79 +371,139 @@ pub fn ts_candidates(
     dirty: Option<&[bool]>,
 ) -> Candidates {
     let n = task_sets.len();
-    if let Some(mask) = dirty {
-        assert_eq!(mask.len(), n, "dirty mask must cover every account");
-    }
-    let total = total_pairs(n, dirty);
-
-    // Global task frequencies, then a total order: rarest first, ties by
-    // task id (deterministic).
+    let mask = dirty_mask(n, dirty);
     let mut freq = vec![0u32; num_tasks];
     for set in task_sets {
         for &t in set {
             freq[t] += 1;
         }
     }
-    let mut order: Vec<usize> = (0..num_tasks).collect();
-    order.sort_by_key(|&t| (freq[t], t));
-    let mut rank = vec![0usize; num_tasks];
-    for (r, &t) in order.iter().enumerate() {
-        rank[t] = r;
+    let rank = rarity_rank(&freq);
+    let mut keys = KeyRuns::default();
+    let mut tasks = Vec::new();
+    let probes = keys.refile(&mask, |a, out| {
+        tasks.clear();
+        tasks.extend_from_slice(&task_sets[a]);
+        prefix_keys(&mut tasks, &rank, out);
+    });
+    Candidates {
+        pairs: prefix_pairs(&keys, &probes, &mask, |a| task_sets[a].len()),
+        buckets: keys.buckets(),
+        total_pairs: total_pairs(n, dirty),
     }
+}
 
-    // Index every account under all unordered pairs from the
-    // min(⌈a/3⌉ + 1, a) rarest tasks of its set; singletons under the
-    // degenerate (t, t) key. Keys are rank-ordered task-id pairs, so the
-    // same two tasks form the same key in every account.
-    let mut buckets: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    let mut scratch: Vec<usize> = Vec::new();
-    for (i, set) in task_sets.iter().enumerate() {
-        if set.is_empty() {
-            continue;
+/// An AG-TR endpoint cell: `(X_first, X_last, Y_first, Y_last)` quantized
+/// at width `√φ`.
+pub(crate) type Cell = [i32; 4];
+
+/// The endpoint cell of a trajectory running from `(x0, y0)` to
+/// `(xl, yl)`, at cell width `w`. Quantization saturates at the `i32`
+/// range; clamping is monotone and never widens a gap, so two values less
+/// than `w` apart still land at most one cell apart.
+pub(crate) fn endpoint_cell(x0: f64, xl: f64, y0: f64, yl: f64, w: f64) -> Cell {
+    let q = |v: f64| (v / w).floor() as i32;
+    [q(x0), q(xl), q(y0), q(yl)]
+}
+
+/// The `(d0, d1, d2)` offsets of a cell's neighbours on the first three
+/// axes, in lexicographic order: `[-1, -1, -1]` first, `[0, 0, 0]` at
+/// index 13, the 13 lexicographically positive ones after it.
+fn neighbour_prefixes() -> impl Iterator<Item = [i32; 3]> {
+    (0..27).map(|k| [k / 9 - 1, k / 3 % 3 - 1, k % 3 - 1])
+}
+
+/// The key range from `cell + (prefix, lo)` to `cell + (prefix, hi)`: the
+/// neighbours sharing one first-three-axes offset differ only in the last
+/// axis, so they are contiguous. `None` when the prefix leaves the `i32`
+/// range, where no cell lies.
+fn neighbour_range(cell: Cell, prefix: [i32; 3], lo: i32, hi: i32) -> Option<(Cell, Cell)> {
+    let mut from = [0; 4];
+    for axis in 0..3 {
+        from[axis] = cell[axis].checked_add(prefix[axis])?;
+    }
+    // The last axis clips to the i32 range; a range wholly past it is
+    // empty (clipping it would land back on the cell itself).
+    let (lo, hi) = (
+        i64::from(cell[3]) + i64::from(lo),
+        i64::from(cell[3]) + i64::from(hi),
+    );
+    if lo > i64::from(i32::MAX) || hi < i64::from(i32::MIN) {
+        return None;
+    }
+    let mut to = from;
+    from[3] = lo.max(i64::from(i32::MIN)) as i32;
+    to[3] = hi.min(i64::from(i32::MAX)) as i32;
+    Some((from, to))
+}
+
+/// The AG-TR candidates with a dirty endpoint: accounts whose endpoint
+/// cells are at most one apart on every axis, sorted, each pair once.
+/// `probes` are the dirty accounts' entries (see [`KeyRuns::refile`]).
+pub(crate) fn cell_pairs(
+    cells: &KeyRuns<Cell>,
+    probes: &[(Cell, u32)],
+    dirty: &[bool],
+) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    let mut emit = |i: u32, j: u32| {
+        let (i, j) = (i as usize, j as usize);
+        if dirty[i] || dirty[j] {
+            pairs.push((i.min(j), i.max(j)));
         }
-        if let [t] = set.as_slice() {
-            buckets.entry((*t, *t)).or_default().push(i);
-            continue;
-        }
-        scratch.clear();
-        scratch.extend_from_slice(set);
-        scratch.sort_by_key(|&t| rank[t]);
-        let prefix = (set.len().div_ceil(3) + 1).min(set.len());
-        for u in 0..prefix {
-            for v in u + 1..prefix {
-                buckets.entry((scratch[u], scratch[v])).or_default().push(i);
+    };
+    if cells.probe_is_cheaper(probes.len()) {
+        // Each dirty account scans its 81 neighbouring cells as 27 ranges;
+        // a pair of two dirty accounts is emitted from its smaller
+        // endpoint's probe only.
+        for &(cell, d) in probes {
+            for prefix in neighbour_prefixes() {
+                let Some((lo, hi)) = neighbour_range(cell, prefix, -1, 1) else {
+                    continue;
+                };
+                for &(_, o) in cells.range(lo, hi) {
+                    if o != d && (!dirty[o as usize] || d < o) {
+                        emit(d, o);
+                    }
+                }
             }
         }
-    }
-
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for bucket in buckets.values() {
-        for (x, &i) in bucket.iter().enumerate() {
-            let a = task_sets[i].len();
-            for &j in &bucket[x + 1..] {
-                let b = task_sets[j].len();
-                if 3 * a.min(b) > 2 * a.max(b) && dirty.is_none_or(|d| d[i] || d[j]) {
-                    pairs.push((i.min(j), i.max(j)));
+    } else {
+        // Cell-major over the 40 lexicographically positive offsets (13
+        // three-cell ranges and the last axis's +1), so each unordered
+        // cell pair is visited once. The ranges move forward with the
+        // cell, so one cursor per range sweeps the entries once.
+        let ranges: Vec<([i32; 3], i32, i32)> = neighbour_prefixes()
+            .skip(14)
+            .map(|prefix| (prefix, -1, 1))
+            .chain([([0, 0, 0], 1, 1)])
+            .collect();
+        let mut cursors = vec![0usize; ranges.len()];
+        let entries = &cells.entries;
+        for bucket in cells.runs() {
+            for (x, &(_, i)) in bucket.iter().enumerate() {
+                for &(_, j) in &bucket[x + 1..] {
+                    emit(i, j);
+                }
+            }
+            let cell = bucket[0].0;
+            for (&(prefix, lo, hi), cursor) in ranges.iter().zip(&mut cursors) {
+                let Some((lo, hi)) = neighbour_range(cell, prefix, lo, hi) else {
+                    continue;
+                };
+                while *cursor < entries.len() && entries[*cursor].0 < lo {
+                    *cursor += 1;
+                }
+                for &(_, j) in entries[*cursor..].iter().take_while(|e| e.0 <= hi) {
+                    for &(_, i) in bucket {
+                        emit(i, j);
+                    }
                 }
             }
         }
     }
     pairs.sort_unstable();
-    pairs.dedup();
-    Candidates {
-        pairs,
-        buckets: buckets.len(),
-        total_pairs: total,
-    }
-}
-
-/// The 4-D endpoint cell of one trajectory at cell width `w`; `None` for
-/// inactive accounts (no reports, no endpoints).
-fn endpoint_cell(x: &[f64], y: &[f64], w: f64) -> Option<[i64; 4]> {
-    let (&x0, &xl) = (x.first()?, x.last()?);
-    let (&y0, &yl) = (y.first()?, y.last()?);
-    let q = |v: f64| (v / w).floor() as i64;
-    Some([q(x0), q(xl), q(y0), q(yl)])
+    pairs
 }
 
 /// AG-TR candidate generation by quantized trajectory endpoints.
@@ -286,74 +537,21 @@ pub fn tr_candidates(
         "endpoint blocking needs a positive finite threshold"
     );
     let n = trajectories.len();
-    if let Some(mask) = dirty {
-        assert_eq!(mask.len(), n, "dirty mask must cover every account");
-    }
-    let total = total_pairs(n, dirty);
+    let mask = dirty_mask(n, dirty);
     let w = phi.sqrt();
-
-    let mut cells: HashMap<[i64; 4], Vec<usize>> = HashMap::new();
-    for (i, (x, y)) in trajectories.iter().enumerate() {
-        if let Some(key) = endpoint_cell(x, y, w) {
-            cells.entry(key).or_default().push(i);
+    let mut cells = KeyRuns::default();
+    let probes = cells.refile(&mask, |a, out| {
+        let (x, y) = &trajectories[a];
+        if let (Some(&x0), Some(&xl), Some(&y0), Some(&yl)) =
+            (x.first(), x.last(), y.first(), y.last())
+        {
+            out.push(endpoint_cell(x0, xl, y0, yl, w));
         }
-    }
-    // Deterministic traversal order regardless of hash state.
-    let mut keys: Vec<[i64; 4]> = cells.keys().copied().collect();
-    keys.sort_unstable();
-
-    // Each lexicographically positive offset pairs every cell with one
-    // neighbor exactly once; the zero offset covers within-cell pairs.
-    let mut offsets: Vec<[i64; 4]> = Vec::new();
-    for d0 in -1i64..=1 {
-        for d1 in -1i64..=1 {
-            for d2 in -1i64..=1 {
-                for d3 in -1i64..=1 {
-                    let off = [d0, d1, d2, d3];
-                    if off > [0, 0, 0, 0] {
-                        offsets.push(off);
-                    }
-                }
-            }
-        }
-    }
-
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    let mut emit = |i: usize, j: usize| {
-        let (a, b) = if i < j { (i, j) } else { (j, i) };
-        if dirty.is_none_or(|d| d[a] || d[b]) {
-            pairs.push((a, b));
-        }
-    };
-    for key in &keys {
-        let members = &cells[key];
-        for (x, &i) in members.iter().enumerate() {
-            for &j in &members[x + 1..] {
-                emit(i, j);
-            }
-        }
-        for off in &offsets {
-            let neighbor = [
-                key[0] + off[0],
-                key[1] + off[1],
-                key[2] + off[2],
-                key[3] + off[3],
-            ];
-            if let Some(others) = cells.get(&neighbor) {
-                for &i in members {
-                    for &j in others {
-                        emit(i, j);
-                    }
-                }
-            }
-        }
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
+    });
     Candidates {
-        pairs,
-        buckets: keys.len(),
-        total_pairs: total,
+        pairs: cell_pairs(&cells, &probes, &mask),
+        buckets: cells.buckets(),
+        total_pairs: total_pairs(n, dirty),
     }
 }
 
@@ -608,6 +806,188 @@ mod tests {
         assert_eq!(c.skipped(), 0);
         let masked = Candidates::exhaustive(4, Some(&[false, true, false, false]));
         assert_eq!(masked.pairs, vec![(0, 1), (1, 2), (1, 3)]);
+        assert_eq!(masked.total_pairs, 3);
+        // Every mask over a few accounts: exactly the pairs with a dirty
+        // endpoint, sorted, and a total that matches the pair count.
+        for n in 0..7usize {
+            for bits in 0..1u32 << n {
+                let mask: Vec<bool> = (0..n).map(|a| bits >> a & 1 == 1).collect();
+                let c = Candidates::exhaustive(n, Some(&mask));
+                let want: Vec<(usize, usize)> = (0..n)
+                    .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                    .filter(|&(i, j)| mask[i] || mask[j])
+                    .collect();
+                assert_eq!(c.pairs, want, "mask {mask:?}");
+                assert_eq!(c.total_pairs, total_pairs(n, Some(&mask)));
+                assert_eq!(c.skipped(), 0);
+            }
+        }
+        // One dirty account among many lists its n − 1 pairs.
+        let mut mask = vec![false; 5_000];
+        mask[1_234] = true;
+        let one = Candidates::exhaustive(5_000, Some(&mask));
+        assert_eq!(one.pairs.len(), 4_999);
+        assert_eq!(one.pairs[0], (0, 1_234));
+        assert_eq!(one.pairs[4_998], (1_234, 4_999));
+    }
+
+    /// Endpoint cells within one of each other on every axis.
+    fn adjacent(a: Cell, b: Cell) -> bool {
+        a.iter()
+            .zip(&b)
+            .all(|(x, y)| (i64::from(*x) - i64::from(*y)).abs() <= 1)
+    }
+
+    #[test]
+    fn cell_probes_and_sweeps_enumerate_the_same_pairs() {
+        // 400 accounts on a coarse grid so many cells hold several
+        // accounts and many are neighbours; a few dirty accounts take the
+        // probe route, most or all of them the sweep.
+        let mut rng = StdRng::seed_from_u64(11);
+        let cells: Vec<Option<Cell>> = (0..400)
+            .map(|_| {
+                (rng.gen_range(0f64..1.0) < 0.9)
+                    .then(|| std::array::from_fn(|_| rng.gen_range(-3i32..3)))
+            })
+            .collect();
+        for dirty_share in [0.0, 0.005, 0.02, 0.5, 1.0] {
+            let dirty: Vec<bool> = (0..cells.len())
+                .map(|_| rng.gen_range(0f64..1.0) < dirty_share)
+                .collect();
+            let mut index = KeyRuns::default();
+            let probes = index.refile(&dirty, |a, out| out.extend(cells[a]));
+            let got = cell_pairs(&index, &probes, &dirty);
+            let mut want = Vec::new();
+            for i in 0..cells.len() {
+                for j in i + 1..cells.len() {
+                    if let (Some(a), Some(b)) = (cells[i], cells[j]) {
+                        if adjacent(a, b) && (dirty[i] || dirty[j]) {
+                            want.push((i, j));
+                        }
+                    }
+                }
+            }
+            assert_eq!(got, want, "dirty share {dirty_share}");
+        }
+    }
+
+    #[test]
+    fn refiling_moves_an_account_between_cells() {
+        // Account 0 starts beside account 1, then moves beside account 2:
+        // the index must forget its old cell.
+        let mut at: Vec<Cell> = vec![[0, 0, 0, 0], [0, 0, 0, 1], [9, 9, 9, 9]];
+        let mut index = KeyRuns::default();
+        let all = [true; 3];
+        let probes = index.refile(&all, |a, out| out.push(at[a]));
+        assert_eq!(cell_pairs(&index, &probes, &all), vec![(0, 1)]);
+        at[0] = [9, 9, 9, 8];
+        let dirty = [true, false, false];
+        let probes = index.refile(&dirty, |a, out| out.push(at[a]));
+        assert_eq!(cell_pairs(&index, &probes, &dirty), vec![(0, 2)]);
+        assert_eq!(index.buckets(), 3);
+        // Nothing dirty: nothing moves and no pair comes back.
+        let clean = [false; 3];
+        let probes = index.refile(&clean, |_, _| unreachable!("clean accounts stay filed"));
+        assert!(probes.is_empty());
+        assert!(cell_pairs(&index, &probes, &clean).is_empty());
+    }
+
+    #[test]
+    fn cells_at_the_i32_limits_pair_without_overflow() {
+        // Three cells at the limits, then 100 isolated fillers so that one
+        // dirty account takes the probe route and all of them the sweep.
+        let mut cells = vec![
+            [i32::MAX, i32::MAX, i32::MAX, i32::MAX],
+            [i32::MAX, i32::MAX - 1, i32::MAX, i32::MAX],
+            [i32::MIN, i32::MIN, i32::MIN, i32::MIN],
+        ];
+        cells.extend((0..100).map(|k| [0, 0, 0, 3 * k]));
+        for dirty_account in [None, Some(0), Some(1), Some(2)] {
+            let dirty: Vec<bool> = (0..cells.len())
+                .map(|a| dirty_account.is_none_or(|d| d == a))
+                .collect();
+            let mut index = KeyRuns::default();
+            let probes = index.refile(&dirty, |a, out| out.push(cells[a]));
+            let want: Vec<(usize, usize)> = if dirty[0] || dirty[1] {
+                vec![(0, 1)]
+            } else {
+                vec![]
+            };
+            assert_eq!(cell_pairs(&index, &probes, &dirty), want);
+        }
+        // Values past the i32 range saturate into the edge cells.
+        assert_eq!(
+            endpoint_cell(1e300, -1e300, 0.5, 1.5, 1.0),
+            [i32::MAX, i32::MIN, 0, 1]
+        );
+    }
+
+    #[test]
+    fn prefix_probes_and_sweeps_enumerate_the_same_pairs() {
+        let m = 40usize;
+        let mut rng = StdRng::seed_from_u64(5);
+        let sets: Vec<Vec<usize>> = (0..500)
+            .map(|_| {
+                let len = rng.gen_range(0usize..7);
+                let mut s: Vec<usize> = (0..len).map(|_| rng.gen_range(0..m)).collect();
+                s.sort_unstable();
+                s.dedup();
+                s
+            })
+            .collect();
+        let mut freq = vec![0u32; m];
+        for s in &sets {
+            for &t in s {
+                freq[t] += 1;
+            }
+        }
+        // Any fixed order is sound; test the rarity order and a reversed
+        // one.
+        let rarity = rarity_rank(&freq);
+        let reversed: Vec<u32> = rarity.iter().map(|&r| (m as u32 - 1) - r).collect();
+        for rank in [rarity, reversed] {
+            for dirty_share in [0.0, 0.004, 0.05, 1.0] {
+                let dirty: Vec<bool> = (0..sets.len())
+                    .map(|_| rng.gen_range(0f64..1.0) < dirty_share)
+                    .collect();
+                let mut index = KeyRuns::default();
+                let probes = index.refile(&dirty, |a, out| {
+                    prefix_keys(&mut sets[a].clone(), &rank, out)
+                });
+                let got = prefix_pairs(&index, &probes, &dirty, |a| sets[a].len());
+                let mut keys = Vec::new();
+                let key_sets: Vec<Vec<PairKey>> = sets
+                    .iter()
+                    .map(|s| {
+                        keys.clear();
+                        prefix_keys(&mut s.clone(), &rank, &mut keys);
+                        keys.clone()
+                    })
+                    .collect();
+                let mut want = Vec::new();
+                for i in 0..sets.len() {
+                    for j in i + 1..sets.len() {
+                        let (a, b) = (sets[i].len(), sets[j].len());
+                        if (dirty[i] || dirty[j])
+                            && 3 * a.min(b) > 2 * a.max(b)
+                            && key_sets[i].iter().any(|k| key_sets[j].contains(k))
+                        {
+                            want.push((i, j));
+                        }
+                    }
+                }
+                assert_eq!(got, want, "dirty share {dirty_share}");
+                // Sound under this order: every pair above ρ = 0 with a
+                // dirty endpoint is a candidate.
+                for i in 0..sets.len() {
+                    for j in i + 1..sets.len() {
+                        if (dirty[i] || dirty[j]) && affinity(&sets[i], &sets[j], m as f64) > 0.0 {
+                            assert!(got.binary_search(&(i, j)).is_ok(), "({i}, {j}) blocked");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

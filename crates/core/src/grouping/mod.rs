@@ -173,7 +173,9 @@ impl<T: AccountGrouping + ?Sized> AccountGrouping for Box<T> {
 /// epoch folds new reports into some accounts, every edge between two
 /// *untouched* accounts is still exactly as valid as before, so
 /// `srtd_platform::EpochEngine` can keep those edges and re-examine only
-/// pairs touching a dirty account (see `decision_edges`' `dirty` mask),
+/// pairs touching a dirty account (through one [`Self::edge_index`] kept
+/// for the whole campaign, so finding them costs in proportion to the
+/// dirty accounts, not the campaign),
 /// merging the result through a persistent union-find instead of
 /// rebuilding components from scratch.
 ///
@@ -183,13 +185,69 @@ impl<T: AccountGrouping + ?Sized> AccountGrouping for Box<T> {
 /// [`AccountGrouping::as_edge_grouping`] must return `Some(self)` so the
 /// engine finds the edge view.
 pub trait EdgeGrouping: AccountGrouping {
-    /// The decision edges of this method on `data`.
+    /// A new, empty index of this method's decision edges. It owns a copy
+    /// of the method's constants, so it outlives `self`.
+    fn edge_index(&self) -> Box<dyn EdgeIndex + Send>;
+
+    /// The decision edges of this method on `data`: a fresh
+    /// [`Self::edge_index`], updated once.
     ///
     /// With `dirty: Some(mask)` (one flag per account) only edges touching
     /// at least one dirty account are returned; edges between two clean
     /// accounts are exactly the ones the caller may carry over from the
     /// previous epoch. `None` returns every decision edge.
-    fn decision_edges(&self, data: &SensingData, dirty: Option<&[bool]>) -> Vec<(usize, usize)>;
+    fn decision_edges(&self, data: &SensingData, dirty: Option<&[bool]>) -> Vec<(usize, usize)> {
+        let dirty = blocking::dirty_mask(data.num_accounts(), dirty);
+        self.edge_index().update(data, &dirty)
+    }
+}
+
+/// One campaign's decision edges, kept current across epochs by an
+/// [`EdgeGrouping`] method.
+///
+/// Contract for [`Self::update`]: `data` is the campaign the previous
+/// updates saw, grown by new accounts and new reports, and `dirty` (one
+/// flag per account of `data`) flags every account whose reports changed
+/// since the previous update (it may flag others too). The index re-keys
+/// every flagged account and every account it has not seen, and returns
+/// exactly the decision edges on `data` with at least one flagged
+/// endpoint — sorted, each once, as `(i, j)` with `i < j`. Edges between
+/// two unflagged accounts are not returned: they are the caller's to keep.
+/// A fresh index has seen no account, so its first update keys the whole
+/// campaign and returns the edges touching the flagged accounts.
+pub trait EdgeIndex: std::fmt::Debug {
+    /// Re-keys the dirty and unseen accounts and returns the decision
+    /// edges with a dirty endpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dirty.len() != data.num_accounts()`.
+    fn update(&mut self, data: &SensingData, dirty: &[bool]) -> Vec<(usize, usize)>;
+}
+
+/// The distinct accounts `pairs` reference, ascending, and `pairs`
+/// rewritten as positions in that list (order kept) — so per-account work
+/// such as trajectories or task sets is built only for those accounts.
+/// `n` bounds the account indices.
+pub(crate) fn referenced(n: usize, pairs: &[(usize, usize)]) -> (Vec<usize>, Vec<(usize, usize)>) {
+    if pairs.is_empty() {
+        return (Vec::new(), Vec::new());
+    }
+    let mut used = vec![false; n];
+    for &(i, j) in pairs {
+        used[i] = true;
+        used[j] = true;
+    }
+    let accounts: Vec<usize> = (0..n).filter(|&a| used[a]).collect();
+    let mut position = vec![0usize; n];
+    for (k, &a) in accounts.iter().enumerate() {
+        position[a] = k;
+    }
+    let local = pairs
+        .iter()
+        .map(|&(i, j)| (position[i], position[j]))
+        .collect();
+    (accounts, local)
 }
 
 /// The no-defense baseline: every account is its own group, reducing the
@@ -217,7 +275,17 @@ impl EdgeGrouping for SingletonGrouping {
     /// No edges, ever: the connected components of the empty edge set are
     /// exactly the singletons [`AccountGrouping::group`] returns, so the
     /// no-defense baseline rides the incremental epoch path for free.
-    fn decision_edges(&self, _data: &SensingData, _dirty: Option<&[bool]>) -> Vec<(usize, usize)> {
+    fn edge_index(&self) -> Box<dyn EdgeIndex + Send> {
+        Box::new(NoEdges)
+    }
+}
+
+/// [`SingletonGrouping`]'s index: empty, and every update returns nothing.
+#[derive(Debug)]
+struct NoEdges;
+
+impl EdgeIndex for NoEdges {
+    fn update(&mut self, _data: &SensingData, _dirty: &[bool]) -> Vec<(usize, usize)> {
         Vec::new()
     }
 }

@@ -1,10 +1,11 @@
 //! AG-TR: account grouping by trajectory (Eqs. 7–8).
 
-use crate::grouping::{blocking, AccountGrouping, Candidates, EdgeGrouping, Grouping};
+use crate::grouping::blocking::{self, endpoint_cell, Cell, KeyRuns};
+use crate::grouping::{referenced, AccountGrouping, Candidates, EdgeGrouping, EdgeIndex, Grouping};
 use srtd_graph::UnionFind;
 use srtd_runtime::parallel::{parallel_map, triangle_pairs};
 use srtd_timeseries::{BandPolicy, Dtw, PrunedPairwise};
-use srtd_truth::SensingData;
+use srtd_truth::{Report, SensingData};
 
 /// Ceiling for the dense [`AgTr::dissimilarity_matrix`] API: it exists
 /// for the Fig. 4 worked example and as the all-pairs reference in tests,
@@ -157,16 +158,38 @@ impl AgTr {
     /// Extracts the `(X_i, Y_i)` trajectory series of every account.
     pub fn trajectories(&self, data: &SensingData) -> Vec<(Vec<f64>, Vec<f64>)> {
         (0..data.num_accounts())
-            .map(|a| {
-                let traj = data.trajectory_of(a);
-                let x: Vec<f64> = traj.iter().map(|r| r.task as f64).collect();
-                let y: Vec<f64> = traj
-                    .iter()
-                    .map(|r| r.timestamp / self.timestamp_unit)
-                    .collect();
-                (x, y)
-            })
+            .map(|a| self.trajectory(data, a))
             .collect()
+    }
+
+    /// One account's `(X_i, Y_i)` series: its reports by time, as task
+    /// indices and as timestamps in [`AgTr::timestamp_unit`]s.
+    fn trajectory(&self, data: &SensingData, account: usize) -> (Vec<f64>, Vec<f64>) {
+        let traj = data.trajectory_of(account);
+        let x = traj.iter().map(|r| r.task as f64).collect();
+        let y = traj
+            .iter()
+            .map(|r| r.timestamp / self.timestamp_unit)
+            .collect();
+        (x, y)
+    }
+
+    /// The endpoint cell of one account's trajectory at width `w`, read off
+    /// its reports without building the series (the first and last report
+    /// are the ones [`SensingData::trajectory_of`]'s stable sort puts at
+    /// the ends); `None` for an account with no reports.
+    fn endpoint_cell(&self, data: &SensingData, account: usize, w: f64) -> Option<Cell> {
+        let by_time = |a: &&Report, b: &&Report| a.timestamp.total_cmp(&b.timestamp);
+        let first = data.account_reports(account).min_by(by_time)?;
+        let last = data.account_reports(account).max_by(by_time)?;
+        let y = |r: &Report| r.timestamp / self.timestamp_unit;
+        Some(endpoint_cell(
+            first.task as f64,
+            last.task as f64,
+            y(first),
+            y(last),
+            w,
+        ))
     }
 
     /// The exact pairwise dissimilarity matrix (Fig. 4(c)); diagonal is
@@ -210,61 +233,100 @@ impl AgTr {
     /// and `D_ij < φ`, in lexicographic order, never pairing inactive
     /// accounts. This is what [`AccountGrouping::group`] connects — the
     /// dense matrix is never materialized on this path, so it has no size
-    /// cap.
-    ///
-    /// With raw-cost DTW (the default) only same-or-adjacent endpoint-cell
-    /// pairs from [`blocking::tr_candidates`] — provably a superset of
-    /// every below-φ pair — enter the [`PrunedPairwise`] cascade with φ as
-    /// cutoff, which skips provably-above-φ pairs without a full DTW and
-    /// keeps every below-φ distance bit-identical. A non-raw DTW has no
-    /// raw-cost bounds, so all active pairs run full DTW.
+    /// cap. It is a fresh [`EdgeGrouping::edge_index`] updated once with
+    /// every account dirty.
     pub fn dissimilarity_edges(&self, data: &SensingData) -> Vec<(usize, usize, f64)> {
-        self.dissimilarity_edges_masked(data, None)
+        TrIndex::new(*self).edges(data, &vec![true; data.num_accounts()])
+    }
+}
+
+/// AG-TR's persistent edge index: every active account filed under its
+/// endpoint cell (4 × `i32` + `u32` account, 20 bytes per active
+/// account). An update re-files the dirty accounts, probes their
+/// neighbouring cells, and builds trajectories and LB envelopes only for
+/// the accounts a candidate pair references.
+#[derive(Debug)]
+struct TrIndex {
+    ag: AgTr,
+    cells: KeyRuns<Cell>,
+}
+
+impl TrIndex {
+    fn new(ag: AgTr) -> Self {
+        Self {
+            ag,
+            cells: KeyRuns::default(),
+        }
     }
 
-    /// [`AgTr::dissimilarity_edges`] restricted to pairs touching a dirty
-    /// account (the incremental re-grouping path); `None` means all pairs.
-    pub fn dissimilarity_edges_masked(
-        &self,
-        data: &SensingData,
-        dirty: Option<&[bool]>,
-    ) -> Vec<(usize, usize, f64)> {
+    /// The decision edges `(i, j, D_ij)` with a dirty endpoint.
+    ///
+    /// With raw-cost DTW (the default) only same-or-adjacent endpoint-cell
+    /// pairs — provably a superset of every below-φ pair, see
+    /// [`blocking::tr_candidates`] — enter the [`PrunedPairwise`] cascade
+    /// with φ as cutoff, which skips provably-above-φ pairs without a full
+    /// DTW and keeps every below-φ distance bit-identical. A non-raw DTW
+    /// has no raw-cost bounds, so each dirty account runs full DTW against
+    /// every active account.
+    fn edges(&mut self, data: &SensingData, dirty: &[bool]) -> Vec<(usize, usize, f64)> {
         let _span = srtd_runtime::obs::span("ag_tr.dtw_edges");
-        let trajectories = self.trajectories(data);
-        let n = trajectories.len();
-        let raw = self.dtw.is_raw();
-        let candidates = if raw {
-            blocking::tr_candidates(&trajectories, self.phi, dirty)
+        let n = data.num_accounts();
+        assert_eq!(dirty.len(), n, "dirty mask must cover every account");
+        let ag = self.ag;
+        let raw = ag.dtw.is_raw();
+        let (mut pairs, buckets) = if raw {
+            let w = ag.phi.sqrt();
+            let probes = self
+                .cells
+                .refile(dirty, |a, out| out.extend(ag.endpoint_cell(data, a, w)));
+            let pairs = blocking::cell_pairs(&self.cells, &probes, dirty);
+            (pairs, self.cells.buckets())
         } else {
-            Candidates::exhaustive(n, dirty)
+            let candidates = Candidates::exhaustive(n, Some(dirty));
+            (candidates.pairs, candidates.buckets)
         };
-        candidates.record("ag_tr");
-        // Inactive accounts must stay singletons: drop their pairs before
-        // any distance work (the blocked path never generates them, and
-        // the dense matrix holds ∞ for them).
-        let pairs: Vec<(usize, usize)> = candidates
-            .pairs
-            .into_iter()
-            .filter(|&(i, j)| !trajectories[i].0.is_empty() && !trajectories[j].0.is_empty())
-            .collect();
-        if raw {
-            let (edges, _stats) = PrunedPairwise::new(self.phi)
-                .with_band(self.effective_band())
-                .edges2_with_stats(&trajectories, &pairs);
-            edges
-                .into_iter()
-                .filter(|&(_, _, d)| d < self.phi)
-                .collect()
+        blocking::record_pair_counts(
+            "ag_tr",
+            blocking::total_pairs(n, Some(dirty)),
+            pairs.len() as u64,
+            buckets as u64,
+        );
+        // Inactive accounts stay singletons: the dense matrix holds ∞ for
+        // them (only the exhaustive fallback lists them).
+        let active = |a: usize| !data.account_report_indices(a).is_empty();
+        pairs.retain(|&(i, j)| active(i) && active(j));
+        let (accounts, local) = referenced(n, &pairs);
+        let trajectories: Vec<(Vec<f64>, Vec<f64>)> =
+            accounts.iter().map(|&a| ag.trajectory(data, a)).collect();
+        let decided: Vec<(usize, usize, f64)> = if raw {
+            PrunedPairwise::new(ag.phi)
+                .with_band(ag.effective_band())
+                .edges2_with_stats(&trajectories, &local)
+                .0
         } else {
-            let distances = parallel_map(&pairs, |&(i, j)| {
-                self.distance(&trajectories[i], &trajectories[j])
+            let distances = parallel_map(&local, |&(i, j)| {
+                ag.distance(&trajectories[i], &trajectories[j])
             });
-            pairs
+            local
                 .iter()
-                .zip(&distances)
-                .filter_map(|(&(i, j), &d)| (d < self.phi).then_some((i, j, d)))
+                .zip(distances)
+                .map(|(&(i, j), d)| (i, j, d))
                 .collect()
-        }
+        };
+        decided
+            .into_iter()
+            .filter(|&(_, _, d)| d < ag.phi)
+            .map(|(i, j, d)| (accounts[i], accounts[j], d))
+            .collect()
+    }
+}
+
+impl EdgeIndex for TrIndex {
+    fn update(&mut self, data: &SensingData, dirty: &[bool]) -> Vec<(usize, usize)> {
+        self.edges(data, dirty)
+            .into_iter()
+            .map(|(i, j, _)| (i, j))
+            .collect()
     }
 }
 
@@ -294,11 +356,8 @@ impl AccountGrouping for AgTr {
 }
 
 impl EdgeGrouping for AgTr {
-    fn decision_edges(&self, data: &SensingData, dirty: Option<&[bool]>) -> Vec<(usize, usize)> {
-        self.dissimilarity_edges_masked(data, dirty)
-            .into_iter()
-            .map(|(i, j, _)| (i, j))
-            .collect()
+    fn edge_index(&self) -> Box<dyn EdgeIndex + Send> {
+        Box::new(TrIndex::new(*self))
     }
 }
 
@@ -534,8 +593,7 @@ mod tests {
         // Only the last Sybil account is dirty: of the three Sybil edges,
         // exactly the two touching account 5 remain.
         let mask = [false, false, false, false, false, true];
-        let edges = AgTr::default().dissimilarity_edges_masked(&d, Some(&mask));
-        let pairs: Vec<(usize, usize)> = edges.iter().map(|&(i, j, _)| (i, j)).collect();
+        let pairs = AgTr::default().decision_edges(&d, Some(&mask));
         assert_eq!(pairs, vec![(3, 5), (4, 5)]);
     }
 

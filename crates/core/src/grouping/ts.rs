@@ -1,6 +1,7 @@
 //! AG-TS: account grouping by accomplished task set (Eq. 6).
 
-use crate::grouping::{blocking, AccountGrouping, Candidates, EdgeGrouping, Grouping};
+use crate::grouping::blocking::{self, prefix_keys, KeyRuns, PairKey};
+use crate::grouping::{referenced, AccountGrouping, Candidates, EdgeGrouping, EdgeIndex, Grouping};
 use srtd_graph::UnionFind;
 use srtd_truth::SensingData;
 
@@ -79,7 +80,9 @@ impl AgTs {
     /// The sparse decision-edge list: pairs `(i, j, A_ij)` with `i < j`
     /// and `A_ij > ρ`, in lexicographic order. This is what
     /// [`AccountGrouping::group`] connects — the dense
-    /// [`AgTs::affinity_matrix`] is never materialized on this path.
+    /// [`AgTs::affinity_matrix`] is never materialized on this path. It is
+    /// a fresh [`EdgeGrouping::edge_index`] updated once with every
+    /// account dirty.
     ///
     /// For `ρ ≥ 0`, candidate pairs come from the prefix filter in
     /// [`blocking::ts_candidates`] (provably a superset of every
@@ -87,33 +90,7 @@ impl AgTs {
     /// pairs with arbitrarily little overlap, which no overlap-based
     /// blocking can bound, so that case falls back to the exhaustive scan.
     pub fn affinity_edges(&self, data: &SensingData) -> Vec<(usize, usize, f64)> {
-        self.affinity_edges_masked(data, None)
-    }
-
-    /// [`AgTs::affinity_edges`] restricted to pairs touching a dirty
-    /// account (the incremental re-grouping path); `None` means all pairs.
-    pub fn affinity_edges_masked(
-        &self,
-        data: &SensingData,
-        dirty: Option<&[bool]>,
-    ) -> Vec<(usize, usize, f64)> {
-        let n = data.num_accounts();
-        let m = data.num_tasks().max(1) as f64;
-        let task_sets: Vec<Vec<usize>> = (0..n).map(|a| data.tasks_of(a)).collect();
-        let candidates = if self.rho >= 0.0 {
-            blocking::ts_candidates(&task_sets, data.num_tasks(), dirty)
-        } else {
-            Candidates::exhaustive(n, dirty)
-        };
-        candidates.record("ag_ts");
-        candidates
-            .pairs
-            .iter()
-            .filter_map(|&(i, j)| {
-                let a = affinity(&task_sets[i], &task_sets[j], m);
-                (a > self.rho).then_some((i, j, a))
-            })
-            .collect()
+        TsIndex::new(*self).edges(data, &vec![true; data.num_accounts()])
     }
 
     /// The pairwise task-overlap matrices of Fig. 3(a)/(b): `T_ij` (tasks
@@ -190,6 +167,92 @@ fn affinity(a: &[usize], b: &[usize], m: f64) -> f64 {
     (t - 2.0 * l) * (t + l) / m
 }
 
+/// AG-TS's persistent edge index: every account filed under the pair keys
+/// of its rarity prefix (two `u32` tasks + `u32` account, 12 bytes per
+/// key; a 6-task set holds 3 keys, 36 bytes), under a task order frozen
+/// when the index was last built. The k-prefix proof on
+/// [`blocking::ts_candidates`] holds for any fixed order, so a stale order
+/// costs only bucket size, never an edge; the index rebuilds with fresh
+/// frequencies once the folded reports have more than doubled since.
+#[derive(Debug)]
+struct TsIndex {
+    ag: AgTs,
+    /// Rank of each task in the frozen order; empty before the first
+    /// build.
+    rank: Vec<u32>,
+    /// Folded reports when the order was frozen.
+    frozen_at: usize,
+    keys: KeyRuns<PairKey>,
+}
+
+impl TsIndex {
+    fn new(ag: AgTs) -> Self {
+        Self {
+            ag,
+            rank: Vec::new(),
+            frozen_at: 0,
+            keys: KeyRuns::default(),
+        }
+    }
+
+    /// The decision edges `(i, j, A_ij)` with a dirty endpoint. With
+    /// `ρ < 0` each dirty account is scored against every account.
+    fn edges(&mut self, data: &SensingData, dirty: &[bool]) -> Vec<(usize, usize, f64)> {
+        let n = data.num_accounts();
+        assert_eq!(dirty.len(), n, "dirty mask must cover every account");
+        let (pairs, buckets) = if self.ag.rho >= 0.0 {
+            if self.rank.len() != data.num_tasks() || data.num_reports() > 2 * self.frozen_at {
+                let mut freq = vec![0u32; data.num_tasks()];
+                for r in data.reports() {
+                    freq[r.task] += 1;
+                }
+                self.rank = blocking::rarity_rank(&freq);
+                self.frozen_at = data.num_reports();
+                self.keys = KeyRuns::default();
+            }
+            let rank = &self.rank;
+            let mut tasks = Vec::new();
+            let probes = self.keys.refile(dirty, |a, out| {
+                tasks.clear();
+                tasks.extend(data.account_reports(a).map(|r| r.task));
+                prefix_keys(&mut tasks, rank, out);
+            });
+            let set_size = |a: usize| data.account_report_indices(a).len();
+            let pairs = blocking::prefix_pairs(&self.keys, &probes, dirty, set_size);
+            (pairs, self.keys.buckets())
+        } else {
+            let candidates = Candidates::exhaustive(n, Some(dirty));
+            (candidates.pairs, candidates.buckets)
+        };
+        blocking::record_pair_counts(
+            "ag_ts",
+            blocking::total_pairs(n, Some(dirty)),
+            pairs.len() as u64,
+            buckets as u64,
+        );
+        let (accounts, local) = referenced(n, &pairs);
+        let task_sets: Vec<Vec<usize>> = accounts.iter().map(|&a| data.tasks_of(a)).collect();
+        let m = data.num_tasks().max(1) as f64;
+        local
+            .iter()
+            .zip(&pairs)
+            .filter_map(|(&(x, y), &(i, j))| {
+                let a = affinity(&task_sets[x], &task_sets[y], m);
+                (a > self.ag.rho).then_some((i, j, a))
+            })
+            .collect()
+    }
+}
+
+impl EdgeIndex for TsIndex {
+    fn update(&mut self, data: &SensingData, dirty: &[bool]) -> Vec<(usize, usize)> {
+        self.edges(data, dirty)
+            .into_iter()
+            .map(|(i, j, _)| (i, j))
+            .collect()
+    }
+}
+
 impl AccountGrouping for AgTs {
     fn group(&self, data: &SensingData, _fingerprints: &[Vec<f64>]) -> Grouping {
         let n = data.num_accounts();
@@ -216,11 +279,8 @@ impl AccountGrouping for AgTs {
 }
 
 impl EdgeGrouping for AgTs {
-    fn decision_edges(&self, data: &SensingData, dirty: Option<&[bool]>) -> Vec<(usize, usize)> {
-        self.affinity_edges_masked(data, dirty)
-            .into_iter()
-            .map(|(i, j, _)| (i, j))
-            .collect()
+    fn edge_index(&self) -> Box<dyn EdgeIndex + Send> {
+        Box::new(TsIndex::new(*self))
     }
 }
 
@@ -357,9 +417,54 @@ pub(crate) mod tests {
         // Only the last Sybil account is dirty: of the three Sybil edges,
         // exactly the two touching account 5 remain.
         let mask = [false, false, false, false, false, true];
-        let edges = ag.affinity_edges_masked(&d, Some(&mask));
-        let pairs: Vec<(usize, usize)> = edges.iter().map(|&(i, j, _)| (i, j)).collect();
+        let pairs = ag.decision_edges(&d, Some(&mask));
         assert_eq!(pairs, vec![(3, 5), (4, 5)]);
+    }
+
+    #[test]
+    fn the_frozen_order_rebuilds_once_the_reports_more_than_double() {
+        // Accounts 0 and 1 report tasks 0–3: eight reports, all tasks
+        // equally frequent, so the order freezes as 0, 1, 2, 3.
+        let mut d = SensingData::new(8);
+        for a in 0..2 {
+            for t in 0..4 {
+                d.add_report(a, t, 1.0, t as f64);
+            }
+        }
+        let ag = AgTs::new(0.0);
+        let mut index = TsIndex::new(ag);
+        let pairs = |edges: Vec<(usize, usize, f64)>| -> Vec<(usize, usize)> {
+            edges.into_iter().map(|(i, j, _)| (i, j)).collect()
+        };
+        assert_eq!(pairs(index.edges(&d, &[true; 2])), vec![(0, 1)]);
+        assert_eq!(index.frozen_at, 8);
+        let frozen = index.rank.clone();
+        // Eleven reports are not more than twice eight: the order stays.
+        for t in 0..3 {
+            d.add_report(2, t, 1.0, 9.0);
+        }
+        let dirty = [false, false, true];
+        assert_eq!(
+            pairs(index.edges(&d, &dirty)),
+            ag.decision_edges(&d, Some(&dirty))
+        );
+        assert_eq!((index.frozen_at, &index.rank), (8, &frozen));
+        // Seventeen are: the order rebuilds with task 0 now the most
+        // common and task 3 the rarest of the four, which reverses every
+        // key account 0 was filed under. Account 0 is clean, so only a
+        // rebuild that re-files it too still finds its edge to account 1.
+        for (a, tasks) in [(3, &[0, 1][..]), (4, &[0]), (5, &[0, 1])] {
+            for &t in tasks {
+                d.add_report(a, t, 1.0, 9.0);
+            }
+        }
+        d.add_report(1, 5, 1.0, 9.0);
+        let dirty = [false, true, false, true, true, true];
+        let fresh = pairs(index.edges(&d, &dirty));
+        assert_eq!(index.frozen_at, 17);
+        assert_ne!(index.rank, frozen);
+        assert!(fresh.contains(&(0, 1)), "{fresh:?}");
+        assert_eq!(fresh, ag.decision_edges(&d, Some(&dirty)));
     }
 
     #[test]

@@ -55,5 +55,5 @@ pub use aggregate::GroupAggregation;
 pub use framework::{FrameworkConfig, FrameworkResult, SybilResistantTd, TruthUpdate};
 pub use grouping::{
     AccountGrouping, AgFp, AgTr, AgTs, AgVal, Candidates, CombineMode, CombinedGrouping,
-    EdgeGrouping, FpClustering, Grouping, PerfectGrouping, SingletonGrouping,
+    EdgeGrouping, EdgeIndex, FpClustering, Grouping, PerfectGrouping, SingletonGrouping,
 };

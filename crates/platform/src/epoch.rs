@@ -27,7 +27,7 @@
 use crate::audit::AuditReport;
 use crate::error::{EnrollError, IngestError};
 use crate::stochastic::{AuditPolicy, StochasticAuditor};
-use srtd_core::{AccountGrouping, Grouping, SybilResistantTd};
+use srtd_core::{AccountGrouping, EdgeIndex, Grouping, SybilResistantTd};
 use srtd_graph::UnionFind;
 use srtd_runtime::json::{Json, ToJson};
 use srtd_runtime::obs;
@@ -218,6 +218,9 @@ pub struct EpochEngine<G> {
     /// Decision edges cached from the last epoch (sorted, deduplicated);
     /// empty unless the grouping method has an edge view.
     group_edges: Vec<(usize, usize)>,
+    /// The edge view's index, kept across epochs; built at the first
+    /// epoch, `None` until then and for methods without an edge view.
+    group_index: Option<Box<dyn EdgeIndex + Send>>,
     /// The persistent component forest incremental re-grouping merges into.
     group_uf: UnionFind,
     /// The stochastic audit stage, if configured (see [`Self::set_audit`]).
@@ -253,6 +256,7 @@ impl<G: AccountGrouping> EpochEngine<G> {
             prev_weights: None,
             published: Arc::new(Mutex::new(Arc::new(EpochSnapshot::empty(num_tasks)))),
             group_edges: Vec::new(),
+            group_index: None,
             group_uf: UnionFind::new(0),
             auditor: None,
             audit_reference: Vec::new(),
@@ -526,11 +530,13 @@ impl<G: AccountGrouping> EpochEngine<G> {
     /// method's [`AccountGrouping::group`] runs over the whole campaign.
     /// With one, only pairs touching a *dirty* account (one that folded
     /// reports this epoch, or that the forest has never seen) are
-    /// re-examined, and the surviving edges merge into a persistent
-    /// [`UnionFind`]. Soundness rests on the [`srtd_core::EdgeGrouping`]
-    /// locality contract: an edge between two untouched accounts depends
-    /// only on their unchanged data, so it is carried over verbatim. Two
-    /// regimes:
+    /// re-examined, through one [`EdgeIndex`] the engine keeps for the
+    /// whole campaign (its update re-keys only the dirty accounts, in the
+    /// `epoch.index_update` span), and the surviving edges merge into a
+    /// persistent [`UnionFind`]. Soundness rests on the
+    /// [`srtd_core::EdgeGrouping`] locality contract: an edge between two
+    /// untouched accounts depends only on their unchanged data, so it is
+    /// carried over verbatim. Two regimes:
     ///
     /// * **merge** — no cached edge touched a dirty account: the forest
     ///   grows to the new account count and the fresh edges union in
@@ -549,7 +555,8 @@ impl<G: AccountGrouping> EpochEngine<G> {
     /// Each epoch is one telemetry window (`epoch-<n>`): the engine
     /// brackets the run with `obs::window_begin`/`window_end`, so the
     /// retained timeline holds one delta report per epoch with a trace
-    /// tree attributing the `epoch.fold` / `epoch.regroup` /
+    /// tree attributing the `epoch.fold` / `epoch.regroup` (with
+    /// `epoch.index_update` nested for methods with an edge view) /
     /// `epoch.discover` / `epoch.swap` stages under the `server.epoch`
     /// span.
     pub fn run_epoch(&mut self) -> Arc<EpochSnapshot> {
@@ -603,7 +610,11 @@ impl<G: AccountGrouping> EpochEngine<G> {
                             .group_edges
                             .iter()
                             .partition(|&&(i, j)| !dirty[i] && !dirty[j]);
-                        let fresh = edges.decision_edges(&self.data, Some(&dirty));
+                        let index = self.group_index.get_or_insert_with(|| edges.edge_index());
+                        let fresh = {
+                            let _update = obs::span("epoch.index_update");
+                            index.update(&self.data, &dirty)
+                        };
                         if dropped.is_empty() {
                             self.group_uf.grow(n);
                             for &(i, j) in &fresh {

@@ -21,11 +21,14 @@ cargo test -q --offline --workspace
 # release. EpochEngine::run_epoch's incremental
 # union-find regrouping must publish snapshots identical to a reference
 # engine that re-groups from scratch, across multi-epoch arrival
-# schedules.
+# schedules, and the engine-owned edge index must return, epoch by epoch,
+# exactly the dense matrix's accepted pairs that touch a dirty account
+# (out-of-order reports, AG-TS order rebuilds, empty epochs, fallbacks).
 cargo test -q --offline --test blocked_equivalence
 cargo test -q --offline --test ag_tr_equivalence
 cargo test -q --release --offline --test blocked_equivalence -- --ignored
 cargo test -q --offline --test incremental_group
+cargo test -q --offline --test edge_index
 
 # Pool vs scoped dispatch equivalence: the persistent worker pool and the
 # scoped spawn-per-call fallback (reached by holding the pool's dispatch
