@@ -7,7 +7,7 @@
 use srtd_runtime::json::{parse, Json};
 use std::process::exit;
 
-const SCHEMA: &str = "srtd-bench-pipeline-v8";
+const SCHEMA: &str = "srtd-bench-pipeline-v9";
 const TOP_LEVEL_KEYS: [&str; 15] = [
     "schema",
     "quick",
@@ -30,12 +30,16 @@ const CASE_KEYS: [&str; 6] = ["group", "name", "median_ns", "min_ns", "max_ns", 
 /// `regroup_scale`'s campaign sizes, in export order.
 const REGROUP_SIZES: [f64; 3] = [5_000.0, 20_000.0, 80_000.0];
 
-/// `regroup_scale`'s epoch stages, in export order.
-const REGROUP_STAGES: [&str; 5] = [
+/// `regroup_scale`'s epoch stages, in export order; the index update is
+/// nested in `epoch.regroup`, the per-task build and the TD loop in
+/// `epoch.discover`.
+const REGROUP_STAGES: [&str; 7] = [
     "epoch.fold",
     "epoch.regroup",
     "epoch.index_update",
     "epoch.discover",
+    "framework.per_task_build",
+    "framework.td_loop",
     "epoch.swap",
 ];
 
@@ -49,6 +53,12 @@ const REGROUP_RATIO_MAX: [(&str, f64); 2] = [("ag_tr", 16.0), ("ag_ts", 11.0)];
 /// Ceiling on the edge index's update in an epoch with nothing new, at
 /// 80k accounts; a rescan of the campaign takes 109–221 ms there.
 const EMPTY_INDEX_UPDATE_MAX_NS: f64 = 1e6;
+
+/// Ceiling on the whole `epoch.regroup` in an epoch with nothing new, at
+/// 80k accounts: the index update plus reading the unchanged partition
+/// out of the forest. Building one `Vec` per group every epoch read
+/// 3.6–8.4 ms there over 10 runs, reading labels 0.44–0.57 ms.
+const EMPTY_REGROUP_MAX_NS: f64 = 1e6;
 
 fn fail(msg: &str) -> ! {
     eprintln!("bench-check: {msg}");
@@ -397,6 +407,7 @@ fn main() {
         }
         let mut per_dirty = Vec::new();
         let mut empty_index_ns = 0.0;
+        let mut empty_regroup_ns = 0.0;
         for (size, want) in sizes.iter().zip(REGROUP_SIZES) {
             let what = format!("regroup_scale.{signal}[{want}]");
             let Json::Obj(size) = size else {
@@ -413,15 +424,22 @@ fn main() {
                     "{what}: accounts must be {want}, with a report each"
                 ));
             }
-            let split = |key: &str| -> [f64; 5] {
+            let split = |key: &str| -> [f64; 7] {
                 let Some(Json::Obj(stages)) = get(size, key) else {
                     fail(&format!("{what}.{key} must be an object"));
                 };
                 let ns = REGROUP_STAGES.map(|stage| num(stages, stage));
-                // The index update runs inside the regroup stage.
+                // The index update runs inside the regroup stage, the
+                // per-task build and the TD loop inside discovery.
                 if ns[2] > ns[1] {
                     fail(&format!(
                         "{what}.{key}: epoch.index_update exceeds epoch.regroup"
+                    ));
+                }
+                if ns[4] + ns[5] > ns[3] {
+                    fail(&format!(
+                        "{what}.{key}: framework.per_task_build + framework.td_loop \
+                         exceed epoch.discover"
                     ));
                 }
                 ns
@@ -433,6 +451,7 @@ fn main() {
             }
             per_dirty.push(touched[1] / dirty_accounts);
             empty_index_ns = empty[2];
+            empty_regroup_ns = empty[1];
         }
         let ratio = match get(sig, "regroup_per_dirty_80k_vs_5k") {
             Some(Json::Num(n)) if *n > 0.0 => *n,
@@ -458,6 +477,15 @@ fn main() {
                  the edge index at 80k accounts (ceiling {} ms)",
                 empty_index_ns / 1e6,
                 EMPTY_INDEX_UPDATE_MAX_NS / 1e6
+            ));
+        }
+        if empty_regroup_ns >= EMPTY_REGROUP_MAX_NS {
+            fail(&format!(
+                "regroup_scale.{signal}: an epoch with nothing new spent {:.3} ms in \
+                 epoch.regroup at 80k accounts (ceiling {} ms); an unchanged partition \
+                 should cost one pass over the forest",
+                empty_regroup_ns / 1e6,
+                EMPTY_REGROUP_MAX_NS / 1e6
             ));
         }
     }

@@ -365,40 +365,53 @@ const REGROUP_DIRTY: usize = 100;
 /// Campaign sizes of the `regroup_scale` section.
 const REGROUP_SIZES: [usize; 3] = [5_000, 20_000, 80_000];
 
-/// The epoch stages `regroup_scale` splits, in export order; the index
-/// update is nested in `epoch.regroup`, the others under `server.epoch`.
-const REGROUP_STAGES: [&str; 5] = [
-    "epoch.fold",
-    "epoch.regroup",
-    "epoch.index_update",
-    "epoch.discover",
-    "epoch.swap",
+/// The epoch stages `regroup_scale` splits, in export order, each with
+/// its path below `server.epoch` in the epoch's trace tree: the index
+/// update runs inside `epoch.regroup`, Algorithm 2's per-task arena build
+/// and iteration loop inside `epoch.discover`.
+const REGROUP_STAGES: [(&str, &[&str]); 7] = [
+    ("epoch.fold", &["epoch.fold"]),
+    ("epoch.regroup", &["epoch.regroup"]),
+    (
+        "epoch.index_update",
+        &["epoch.regroup", "epoch.index_update"],
+    ),
+    ("epoch.discover", &["epoch.discover"]),
+    (
+        "framework.per_task_build",
+        &[
+            "epoch.discover",
+            "framework.discover",
+            "framework.per_task_build",
+        ],
+    ),
+    (
+        "framework.td_loop",
+        &["epoch.discover", "framework.discover", "framework.td_loop"],
+    ),
+    ("epoch.swap", &["epoch.swap"]),
 ];
 
 /// Wall-clock nanoseconds of each of [`REGROUP_STAGES`] in one epoch's
 /// telemetry window.
-fn epoch_stage_ns(window: &obs::WindowRecord) -> [f64; 5] {
-    fn child<'a>(node: &'a obs::TraceNode, name: &str) -> Option<&'a obs::TraceNode> {
-        node.children.iter().find(|c| c.name == name)
-    }
+fn epoch_stage_ns(window: &obs::WindowRecord) -> [f64; 7] {
     let root = window
         .trace
         .iter()
         .find(|n| n.name == "server.epoch")
         .expect("an epoch window");
-    let regroup = child(root, "epoch.regroup").expect("a regroup stage");
-    REGROUP_STAGES.map(|stage| {
-        let node = if stage == "epoch.index_update" {
-            child(regroup, stage)
-        } else {
-            child(root, stage)
-        };
-        node.expect("every stage runs").total_ns as f64
+    REGROUP_STAGES.map(|(stage, path)| {
+        path.iter()
+            .try_fold(root, |node, name| {
+                node.children.iter().find(|c| c.name == *name)
+            })
+            .unwrap_or_else(|| panic!("every stage runs: {stage}"))
+            .total_ns as f64
     })
 }
 
 /// The per-stage medians of several epochs' [`epoch_stage_ns`].
-fn median_stages(epochs: &[[f64; 5]]) -> [f64; 5] {
+fn median_stages(epochs: &[[f64; 7]]) -> [f64; 7] {
     std::array::from_fn(|stage| {
         let mut times: Vec<f64> = epochs.iter().map(|e| e[stage]).collect();
         times.sort_by(f64::total_cmp);
@@ -416,7 +429,7 @@ fn regroup_rounds<G: AccountGrouping>(
     method: G,
     campaign: &ScaledCampaign,
     rounds: usize,
-) -> ([f64; 5], [f64; 5]) {
+) -> ([f64; 7], [f64; 7]) {
     let data = &campaign.data;
     let stride = data.num_accounts() / (rounds * REGROUP_DIRTY);
     let held: Vec<Report> = (0..rounds * REGROUP_DIRTY)
@@ -471,12 +484,12 @@ fn regroup_rounds<G: AccountGrouping>(
 }
 
 /// `regroup_scale`'s export of one stage split.
-fn stages_json(stages: &[f64; 5]) -> Json {
+fn stages_json(stages: &[f64; 7]) -> Json {
     Json::obj(
         REGROUP_STAGES
             .iter()
             .zip(stages)
-            .map(|(name, ns)| (*name, ns.to_json())),
+            .map(|((name, _), ns)| (*name, ns.to_json())),
     )
 }
 
@@ -1042,10 +1055,14 @@ fn main() {
             };
             println!(
                 "regroup_scale {signal}, {accounts} accounts: regroup {:.2} ms (index \
-                 update {:.2} ms) touching {REGROUP_DIRTY} accounts, index update {:.3} ms \
+                 update {:.2} ms), per-task build {:.2} ms, TD loop {:.2} ms touching \
+                 {REGROUP_DIRTY} accounts; regroup {:.3} ms (index update {:.3} ms) \
                  touching none",
                 touched[1] / 1e6,
                 touched[2] / 1e6,
+                touched[4] / 1e6,
+                touched[5] / 1e6,
+                empty[1] / 1e6,
                 empty[2] / 1e6
             );
             regroup_ns.push(touched[1]);
@@ -1116,7 +1133,7 @@ fn main() {
     ));
 
     let doc = Json::obj([
-        ("schema", Json::str("srtd-bench-pipeline-v8")),
+        ("schema", Json::str("srtd-bench-pipeline-v9")),
         ("quick", quick.to_json()),
         ("threads_available", threads_available.to_json()),
         (
@@ -1371,7 +1388,9 @@ fn main() {
                          obs window: an epoch folding one report into each of 100 \
                          accounts, and one folding nothing; epoch.index_update is \
                          nested in epoch.regroup, which adds the union-find and the \
-                         Grouping build",
+                         Grouping build; framework.per_task_build (Eq. 3/4 arena) and \
+                         framework.td_loop (the weight/truth iterations) are nested \
+                         in epoch.discover",
                     ),
                 )]),
             ),

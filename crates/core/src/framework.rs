@@ -22,26 +22,6 @@ const PARALLEL_MIN_TASKS: usize = 64;
 /// independent of how many workers execute the chunks.
 const LOSS_CHUNK_TASKS: usize = 64;
 
-/// The per-task group aggregates, flattened into one CSR-style arena:
-/// `entries[offsets[j]..offsets[j+1]]` holds task `j`'s
-/// `(group, aggregated value, Eq. 4 seed weight)` triples in ascending
-/// group order. One allocation for the whole campaign instead of one
-/// `Vec` per task.
-struct PerTaskArena {
-    offsets: Vec<usize>,
-    entries: Vec<(usize, f64, f64)>,
-}
-
-impl PerTaskArena {
-    fn entries(&self, task: usize) -> &[(usize, f64, f64)] {
-        &self.entries[self.offsets[task]..self.offsets[task + 1]]
-    }
-
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// One truth estimate from a task's group aggregates (Eq. 5 with the
 /// configured update rule).
 fn estimate_truth<F>(
@@ -233,57 +213,53 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
         let task_ids: Vec<usize> = (0..m).collect();
 
         // Lines 2–6: per task, aggregate each group's data (Eq. 3) and
-        // compute the size-based seed weight (Eq. 4). Each task gathers
-        // its (group, value) pairs from the CSR index, stable-sorts by
-        // group (preserving report order inside a group) and scans the
-        // runs — O(u log u) per task instead of one bucket `Vec` per
-        // group per task. The per-task vectors are flattened into one
-        // arena below.
-        let reports = data.reports();
+        // compute the size-based seed weight (Eq. 4). Each task reads its
+        // claim columns sequentially, keys every claim as
+        // `group << 32 | slot` (its position in the task's report order),
+        // sorts the keys and scans the group runs — O(u log u) per task
+        // instead of one bucket `Vec` per group per task. The keys are
+        // unique, so an unstable sort orders each group's claims by slot:
+        // report order, the order a stable sort by group keeps, so every
+        // Eq. 3 sum adds the same values in the same order. Groups number
+        // below 2^32 (accounts are `u32`), and so do a task's claims (one
+        // per account). Each task's `(group, aggregated value, Eq. 4 seed
+        // weight)` triples stay in the task's own vector, sized for one
+        // group per claim. They are not flattened into one arena: that
+        // is a sequential pass over every entry, outside the parallel map.
         let aggregation = self.config.aggregation;
         let build_task = |&j: &usize| -> Vec<(usize, f64, f64)> {
-            let indices = data.task_report_indices(j);
-            if indices.is_empty() {
+            let (accounts, values) = data.task_claims(j);
+            if accounts.is_empty() {
                 return Vec::new();
             }
-            let reporters = indices.len();
-            let mut pairs: Vec<(usize, f64)> = indices
+            let reporters = accounts.len();
+            let mut keys: Vec<u64> = accounts
                 .iter()
-                .map(|&i| {
-                    let r = &reports[i];
-                    (grouping.group_of(r.account), r.value)
-                })
+                .enumerate()
+                .map(|(slot, &a)| (grouping.group_of(a as usize) as u64) << 32 | slot as u64)
                 .collect();
-            pairs.sort_by_key(|&(g, _)| g);
-            let mut entries = Vec::new();
+            keys.sort_unstable();
+            let mut entries = Vec::with_capacity(keys.len());
             let mut vals: Vec<f64> = Vec::new();
             let mut i = 0;
-            while i < pairs.len() {
-                let group = pairs[i].0;
+            while i < keys.len() {
+                let group = keys[i] >> 32;
                 vals.clear();
-                while i < pairs.len() && pairs[i].0 == group {
-                    vals.push(pairs[i].1);
+                while i < keys.len() && keys[i] >> 32 == group {
+                    vals.push(values[(keys[i] & 0xffff_ffff) as usize]);
                     i += 1;
                 }
                 entries.push((
-                    group,
+                    group as usize,
                     aggregation.aggregate(&vals),
                     initial_group_weight(vals.len(), reporters),
                 ));
             }
             entries
         };
-        let per_task = {
+        let per_task: Vec<Vec<(usize, f64, f64)>> = {
             let _span = obs::span("framework.per_task_build");
-            let built = parallel_map_min(&task_ids, PARALLEL_MIN_TASKS, build_task);
-            let mut offsets = Vec::with_capacity(m + 1);
-            offsets.push(0);
-            let mut entries = Vec::with_capacity(built.iter().map(Vec::len).sum());
-            for task_entries in &built {
-                entries.extend_from_slice(task_entries);
-                offsets.push(entries.len());
-            }
-            PerTaskArena { offsets, entries }
+            parallel_map_min(&task_ids, PARALLEL_MIN_TASKS, build_task)
         };
 
         let update = self.config.truth_update;
@@ -301,14 +277,14 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
         // otherwise.
         let mut truths: Vec<Option<f64>> = match warm {
             Some(w) => parallel_map_min(&task_ids, PARALLEL_MIN_TASKS, |&j| {
-                estimate_truth(update, per_task.entries(j), |k, _| w[k])
+                estimate_truth(update, &per_task[j], |k, _| w[k])
             }),
             None => parallel_map_min(&task_ids, PARALLEL_MIN_TASKS, |&j| {
-                estimate_truth(update, per_task.entries(j), |_, seed| seed)
+                estimate_truth(update, &per_task[j], |_, seed| seed)
             }),
         };
 
-        if per_task.is_empty() || l == 0 {
+        if per_task.iter().all(Vec::is_empty) || l == 0 {
             return FrameworkResult {
                 truths,
                 grouping,
@@ -325,7 +301,7 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
 
         // Per-task normalization scale: std of the group aggregates.
         let scales: Vec<f64> = parallel_map_min(&task_ids, PARALLEL_MIN_TASKS, |&j| {
-            let entries = per_task.entries(j);
+            let entries = &per_task[j];
             if entries.len() < 2 {
                 return 1.0;
             }
@@ -362,7 +338,7 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
                 let mut losses = vec![0.0f64; l];
                 for &j in &task_ids {
                     let Some(truth) = truths[j] else { continue };
-                    for &(k, value, _) in per_task.entries(j) {
+                    for &(k, value, _) in &per_task[j] {
                         let e = (value - truth) / scales[j];
                         losses[k] += e * e;
                     }
@@ -375,7 +351,7 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
                     || vec![0.0f64; l],
                     |mut acc, &j| {
                         if let Some(truth) = truths[j] {
-                            for &(k, value, _) in per_task.entries(j) {
+                            for &(k, value, _) in &per_task[j] {
                                 let e = (value - truth) / scales[j];
                                 acc[k] += e * e;
                             }
@@ -400,7 +376,7 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
             // Truth update.
             let weights_ref = &weights;
             let next: Vec<Option<f64>> = parallel_map_min(&task_ids, PARALLEL_MIN_TASKS, |&j| {
-                estimate_truth(update, per_task.entries(j), |k, _| weights_ref[k])
+                estimate_truth(update, &per_task[j], |k, _| weights_ref[k])
             });
             let delta = max_abs_delta(&truths, &next);
             convergence_trace.push(delta);

@@ -103,7 +103,7 @@ impl CombinedGrouping {
                         }
                     }
                 }
-                Grouping::new(uf.into_groups())
+                Grouping::from_forest(&mut uf)
             }
             CombineMode::Meet => {
                 // Two accounts stay together iff their label tuple matches

@@ -14,13 +14,21 @@ pub use tr::AgTr;
 pub use ts::AgTs;
 pub use val::AgVal;
 
+use srtd_graph::UnionFind;
 use srtd_truth::SensingData;
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A partition of accounts `0..n` into groups.
 ///
 /// Invariants (the paper's `g_i ∩ g_j = ∅`, `∪ g_i = U`): every account
 /// appears in exactly one group, groups are non-empty, members are sorted,
 /// and groups are ordered by smallest member.
+///
+/// The partition is stored as one dense label per account; the member
+/// lists of [`Grouping::groups`] are derived from the labels on first
+/// call and cached, so building a grouping (every epoch, for the epoch
+/// engine) allocates no `Vec` per group.
 ///
 /// # Examples
 ///
@@ -32,11 +40,23 @@ use srtd_truth::SensingData;
 /// assert_eq!(g.groups()[0], vec![0, 2]);
 /// assert_eq!(g.group_of(3), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Grouping {
-    groups: Vec<Vec<usize>>,
+    /// Group of each account: `0..len`, numbered by smallest member.
     labels: Vec<usize>,
+    len: usize,
+    groups: OnceLock<Vec<Vec<usize>>>,
 }
+
+impl PartialEq for Grouping {
+    /// Labels alone decide equality: the count and the member lists are
+    /// functions of them.
+    fn eq(&self, other: &Self) -> bool {
+        self.labels == other.labels
+    }
+}
+
+impl Eq for Grouping {}
 
 impl Grouping {
     /// Builds a grouping from group member lists.
@@ -67,38 +87,60 @@ impl Grouping {
             }
         }
         // All n slots filled <=> partition (counts already match).
-        Self { groups, labels }
+        Self {
+            labels,
+            len: groups.len(),
+            groups: OnceLock::from(groups),
+        }
     }
 
     /// Builds a grouping from per-account labels (arbitrary values).
     pub fn from_labels(labels: &[usize]) -> Self {
-        let mut seen: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (a, &l) in labels.iter().enumerate() {
-            let next = groups.len();
-            let k = *seen.entry(l).or_insert(next);
-            if k == groups.len() {
-                groups.push(Vec::new());
-            }
-            groups[k].push(a);
+        // Numbering labels by first sight numbers groups by smallest member.
+        let mut seen: HashMap<usize, usize> = HashMap::new();
+        let labels = labels
+            .iter()
+            .map(|&l| {
+                let next = seen.len();
+                *seen.entry(l).or_insert(next)
+            })
+            .collect();
+        Self {
+            labels,
+            len: seen.len(),
+            groups: OnceLock::new(),
         }
-        Self::new(groups)
+    }
+
+    /// The partition a union-find forest holds, read through its
+    /// canonical labels ([`UnionFind::labels`], already numbered by
+    /// smallest member) in one pass over the accounts.
+    pub fn from_forest(forest: &mut UnionFind) -> Self {
+        Self {
+            labels: forest.labels(),
+            len: forest.set_count(),
+            groups: OnceLock::new(),
+        }
     }
 
     /// The all-singletons partition over `n` accounts (no grouping —
     /// reduces the framework to plain account-level truth discovery).
     pub fn singletons(n: usize) -> Self {
-        Self::new((0..n).map(|a| vec![a]).collect())
+        Self {
+            labels: (0..n).collect(),
+            len: n,
+            groups: OnceLock::new(),
+        }
     }
 
     /// Number of groups.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.len
     }
 
     /// Returns `true` when there are no accounts at all.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.len == 0
     }
 
     /// Number of accounts covered.
@@ -106,9 +148,16 @@ impl Grouping {
         self.labels.len()
     }
 
-    /// The group member lists, sorted as documented on the type.
+    /// The group member lists, sorted as documented on the type; derived
+    /// from the labels on first call.
     pub fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
+        self.groups.get_or_init(|| {
+            let mut groups = vec![Vec::new(); self.len];
+            for (account, &k) in self.labels.iter().enumerate() {
+                groups[k].push(account);
+            }
+            groups
+        })
     }
 
     /// The group index of an account.
@@ -329,6 +378,31 @@ mod tests {
         assert_eq!(g.len(), 3);
         assert_eq!(g.groups(), &[vec![0, 1], vec![2], vec![3]]);
         assert_eq!(g.group_of(1), 0);
+    }
+
+    #[test]
+    fn forest_labels_match_the_forests_member_lists() {
+        use srtd_runtime::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..200 {
+            let mut uf = UnionFind::new(rng.gen_range(0..40usize));
+            for _ in 0..rng.gen_range(0..60usize) {
+                if rng.gen_bool(0.1) {
+                    let grown = uf.len() + rng.gen_range(0..8usize);
+                    uf.grow(grown);
+                } else if !uf.is_empty() {
+                    let (a, b) = (rng.gen_range(0..uf.len()), rng.gen_range(0..uf.len()));
+                    uf.union(a, b);
+                }
+                let from_lists = Grouping::new(uf.groups());
+                let from_forest = Grouping::from_forest(&mut uf);
+                assert_eq!(from_forest.labels(), from_lists.labels(), "case {case}");
+                assert_eq!(from_forest.len(), from_lists.len(), "case {case}");
+                assert_eq!(from_forest.groups(), from_lists.groups(), "case {case}");
+                let relabeled = Grouping::from_labels(from_lists.labels());
+                assert_eq!(relabeled.groups(), from_lists.groups(), "case {case}");
+            }
+        }
     }
 
     #[test]

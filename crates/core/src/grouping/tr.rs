@@ -343,7 +343,7 @@ impl AccountGrouping for AgTr {
             uf.union(i, j);
         }
         srtd_runtime::obs::counter_add("ag_tr.edges", edges.len() as u64);
-        Grouping::new(uf.into_groups())
+        Grouping::from_forest(&mut uf)
     }
 
     fn name(&self) -> &'static str {

@@ -266,7 +266,7 @@ impl AccountGrouping for AgTs {
             uf.union(i, j);
         }
         srtd_runtime::obs::counter_add("ag_ts.edges", edges.len() as u64);
-        Grouping::new(uf.into_groups())
+        Grouping::from_forest(&mut uf)
     }
 
     fn name(&self) -> &'static str {

@@ -114,18 +114,35 @@ impl UnionFind {
         }
     }
 
+    /// Canonical set labels in one pass: `labels[x]` is the position of
+    /// `x`'s set when the sets are ordered by smallest member, the order
+    /// [`UnionFind::groups`] lists them in. Scanning `0..n` upwards, the
+    /// first element seen of each root is its set's smallest member, so
+    /// labels are handed out in that order; they run over
+    /// `0..set_count()`.
+    pub fn labels(&mut self) -> Vec<usize> {
+        let mut label_of_root = vec![usize::MAX; self.parent.len()];
+        let mut next = 0;
+        (0..self.parent.len())
+            .map(|x| {
+                let root = self.find(x);
+                if label_of_root[root] == usize::MAX {
+                    label_of_root[root] = next;
+                    next += 1;
+                }
+                label_of_root[root]
+            })
+            .collect()
+    }
+
     /// The sets as sorted member lists, ordered by smallest member — the
     /// same canonical form as [`UnionFind::into_groups`], without
     /// consuming the forest (it keeps accepting unions afterwards).
     pub fn groups(&mut self) -> Vec<Vec<usize>> {
-        let n = self.parent.len();
-        let mut by_root: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for x in 0..n {
-            let r = self.find(x);
-            by_root[r].push(x);
+        let mut groups = vec![Vec::new(); self.sets];
+        for (x, label) in self.labels().into_iter().enumerate() {
+            groups[label].push(x);
         }
-        let mut groups: Vec<Vec<usize>> = by_root.into_iter().filter(|g| !g.is_empty()).collect();
-        groups.sort_by_key(|g| g[0]);
         groups
     }
 
@@ -138,6 +155,7 @@ impl UnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srtd_runtime::rng::{Rng, SeedableRng, StdRng};
 
     #[test]
     fn fresh_sets_are_disjoint() {
@@ -194,6 +212,48 @@ mod tests {
         assert_eq!(uf.len(), 4);
         uf.union(2, 3);
         assert_eq!(uf.groups(), vec![vec![0, 1], vec![2, 3]]);
+    }
+
+    /// The member lists [`UnionFind::groups`] would build, taken
+    /// independently: bucket by root, drop the empty buckets, sort by
+    /// smallest member.
+    fn groups_by_root(uf: &mut UnionFind) -> Vec<Vec<usize>> {
+        let n = uf.len();
+        let mut by_root = vec![Vec::new(); n];
+        for x in 0..n {
+            let root = uf.find(x);
+            by_root[root].push(x);
+        }
+        let mut groups: Vec<Vec<usize>> = by_root.into_iter().filter(|g| !g.is_empty()).collect();
+        groups.sort_by_key(|g| g[0]);
+        groups
+    }
+
+    #[test]
+    fn labels_are_the_positions_of_the_sorted_groups() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for case in 0..200 {
+            let mut uf = UnionFind::new(rng.gen_range(0..40usize));
+            for _ in 0..rng.gen_range(0..60usize) {
+                if rng.gen_bool(0.1) {
+                    let grown = uf.len() + rng.gen_range(0..8usize);
+                    uf.grow(grown);
+                } else if !uf.is_empty() {
+                    let (a, b) = (rng.gen_range(0..uf.len()), rng.gen_range(0..uf.len()));
+                    uf.union(a, b);
+                }
+                let groups = groups_by_root(&mut uf);
+                let mut want = vec![usize::MAX; uf.len()];
+                for (k, group) in groups.iter().enumerate() {
+                    for &x in group {
+                        want[x] = k;
+                    }
+                }
+                assert_eq!(uf.labels(), want, "case {case}");
+                assert_eq!(uf.groups(), groups, "case {case}");
+                assert_eq!(uf.set_count(), groups.len(), "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -634,7 +634,7 @@ impl<G: AccountGrouping> EpochEngine<G> {
                         self.group_edges.sort_unstable();
                         self.group_edges.dedup();
                         obs::gauge_set("epoch.regroup.edges", self.group_edges.len() as f64);
-                        Grouping::new(self.group_uf.groups())
+                        Grouping::from_forest(&mut self.group_uf)
                     }
                 }
             };

@@ -83,15 +83,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    // `Display` for f64 is shortest-roundtrip and always
-                    // a valid JSON number (no exponent-only forms).
-                    write!(out, "{x}").expect("writing to a String cannot fail");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(x) => write_number(*x, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -116,6 +108,41 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+/// 2^53: every integer of smaller magnitude is exactly an `f64`.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
+/// Writes a number: `null` for a non-finite one, otherwise the digits of
+/// `f64`'s `Display`, which is shortest-roundtrip and always a valid JSON
+/// number (no exponent-only forms). An integral value below 2^53 in
+/// magnitude — a label, a count, an index — is written through integer
+/// formatting instead. `Display` prints such a value as its plain decimal
+/// digits, so the text is the same, without the shortest-digit search.
+/// `-0.0` keeps its sign by taking the `Display` path.
+fn write_number(x: f64, out: &mut String) {
+    if !x.is_finite() {
+        out.push_str("null");
+    } else if x.fract() == 0.0 && x.abs() < EXACT_INTEGERS && !(x == 0.0 && x.is_sign_negative()) {
+        if x < 0.0 {
+            out.push('-');
+        }
+        // Exact: the value is an integer below 2^53.
+        let mut n = x.abs() as u64;
+        let mut digits = [0u8; 16];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    } else {
+        write!(out, "{x}").expect("writing to a String cannot fail");
     }
 }
 
@@ -553,7 +580,7 @@ impl<T: ToJson + ?Sized> ToJson for &T {
 mod tests {
     use super::*;
     use crate::prop::{self, PropConfig};
-    use crate::rng::{Rng, StdRng};
+    use crate::rng::{Rng, SeedableRng, StdRng};
 
     #[test]
     fn scalars_render() {
@@ -564,6 +591,36 @@ mod tests {
         assert_eq!(1.0f64.to_json().render(), "1");
         assert_eq!(f64::NAN.to_json().render(), "null");
         assert_eq!(f64::INFINITY.to_json().render(), "null");
+    }
+
+    #[test]
+    fn numbers_render_as_display_prints_them() {
+        let mut rng = StdRng::seed_from_u64(53);
+        let exact = (1u64 << 53) as f64;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            exact - 1.0,
+            -(exact - 1.0),
+            exact,
+            -exact,
+            exact + 2.0,
+            -(exact + 2.0),
+            0.5,
+            -1.0,
+        ];
+        values.extend((15..=22).map(|e| 10f64.powi(e)));
+        values.extend((15..=22).map(|e| -(10f64.powi(e))));
+        for _ in 0..20_000 {
+            // Random bit patterns cover every exponent; integers shifted
+            // to random widths cover the integer path at every magnitude.
+            values.push(f64::from_bits(rng.next_u64()));
+            let integer = (rng.next_u64() >> rng.gen_range(0..64u32)) as f64;
+            values.push(if rng.gen_bool(0.5) { -integer } else { integer });
+        }
+        for x in values.into_iter().filter(|x| x.is_finite()) {
+            assert_eq!(Json::Num(x).render(), format!("{x}"), "{:#x}", x.to_bits());
+        }
     }
 
     #[test]

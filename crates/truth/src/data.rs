@@ -57,8 +57,12 @@ impl CsrIndex {
         Self { offsets, indices }
     }
 
+    fn range(&self, bucket: usize) -> std::ops::Range<usize> {
+        self.offsets[bucket]..self.offsets[bucket + 1]
+    }
+
     fn slice(&self, bucket: usize) -> &[usize] {
-        &self.indices[self.offsets[bucket]..self.offsets[bucket + 1]]
+        &self.indices[self.range(bucket)]
     }
 
     /// Extends the bucket space to `buckets`, appending empty trailing
@@ -70,57 +74,134 @@ impl CsrIndex {
         }
     }
 
-    /// Folds a batch of appended reports into the index in place.
+    /// Folds a batch of appended reports into the index in place, and
+    /// returns the [`RunShift`] it applied so that columns kept in the
+    /// index's order can follow.
     ///
     /// `keys` are the bucket keys of the new reports, whose flat indices
     /// are `base..base + keys.len()` (they were appended to the report
     /// list, so every new flat index is larger than every existing one —
     /// appending at the end of each bucket run preserves the grouped
     /// insertion order [`CsrIndex::build`] produces).
-    ///
-    /// Runs shift right by the number of insertions below them; buckets
-    /// are relocated from the highest down, so every `copy_within` lands
-    /// on vacated (or self-overlapping, which `copy_within` handles)
-    /// space. O(buckets + existing + batch), no reallocation beyond the
-    /// `indices` growth itself.
-    fn fold(&mut self, buckets: usize, keys: impl Iterator<Item = usize> + Clone, base: usize) {
+    fn fold(
+        &mut self,
+        buckets: usize,
+        keys: impl Iterator<Item = usize> + Clone,
+        base: usize,
+    ) -> RunShift {
         self.grow_buckets(buckets);
         debug_assert_eq!(self.offsets.len(), buckets + 1);
+        let shift = RunShift::plan(&mut self.offsets, keys);
+        shift.apply(&self.offsets, &mut self.indices, base..);
+        shift
+    }
+}
+
+/// One fold's relocation of a [`CsrIndex`]: bucket `b`'s existing run
+/// moves right by `shift[b]` (the insertions into buckets below it), and
+/// the batch's `i`-th entry lands at `slots[i]`, at the tail of its
+/// bucket's run. Applied to any column kept in the index's order, it
+/// keeps the column aligned with the index.
+struct RunShift {
+    shift: Vec<usize>,
+    slots: Vec<usize>,
+}
+
+impl RunShift {
+    /// Counts the batch's `keys` per bucket, moves `offsets` to their
+    /// folded values and records where each batch entry lands.
+    fn plan(offsets: &mut [usize], keys: impl Iterator<Item = usize> + Clone) -> Self {
+        let buckets = offsets.len() - 1;
         let mut added = vec![0usize; buckets];
-        let mut batch_len = 0usize;
         for key in keys.clone() {
             added[key] += 1;
-            batch_len += 1;
         }
-        if batch_len == 0 {
-            return;
-        }
-        let old_total = self.indices.len();
-        self.indices.resize(old_total + batch_len, 0);
-        // prefix[b] = insertions into buckets strictly below b = how far
-        // bucket b's run shifts right.
-        let mut prefix = vec![0usize; buckets + 1];
+        let mut shift = vec![0usize; buckets + 1];
         for b in 0..buckets {
-            prefix[b + 1] = prefix[b] + added[b];
+            shift[b + 1] = shift[b] + added[b];
         }
-        for b in (0..buckets).rev() {
-            let old_start = self.offsets[b];
-            let old_end = self.offsets[b + 1];
-            if prefix[b] > 0 && old_end > old_start {
-                self.indices
-                    .copy_within(old_start..old_end, old_start + prefix[b]);
-            }
-            self.offsets[b + 1] = old_end + prefix[b + 1];
+        for (offset, s) in offsets.iter_mut().zip(&shift) {
+            *offset += s;
         }
-        // Each bucket's new indices occupy the tail of its shifted run;
-        // walking the batch in order keeps them ascending.
-        let mut cursor: Vec<usize> = (0..buckets)
-            .map(|b| self.offsets[b + 1] - added[b])
+        // Each bucket's new entries occupy the tail of its shifted run;
+        // walking the batch in order keeps them in batch order.
+        let mut cursor: Vec<usize> = (0..buckets).map(|b| offsets[b + 1] - added[b]).collect();
+        let slots = keys
+            .map(|key| {
+                cursor[key] += 1;
+                cursor[key] - 1
+            })
             .collect();
-        for (i, key) in keys.enumerate() {
-            self.indices[cursor[key]] = base + i;
-            cursor[key] += 1;
+        Self { shift, slots }
+    }
+
+    /// Shifts `column`'s runs to the folded `offsets` and writes `new`,
+    /// one item per batch entry, into the batch's slots.
+    ///
+    /// Runs are relocated from the highest bucket down, so every
+    /// `copy_within` lands on vacated (or self-overlapping, which
+    /// `copy_within` handles) space. O(buckets + existing + batch), no
+    /// reallocation beyond the column's growth itself.
+    fn apply<T: Copy + Default>(
+        &self,
+        offsets: &[usize],
+        column: &mut Vec<T>,
+        new: impl Iterator<Item = T>,
+    ) {
+        let buckets = offsets.len() - 1;
+        column.resize(offsets[buckets], T::default());
+        for b in (0..buckets).rev() {
+            let old_start = offsets[b] - self.shift[b];
+            let old_end = offsets[b + 1] - self.shift[b + 1];
+            if self.shift[b] > 0 && old_end > old_start {
+                column.copy_within(old_start..old_end, old_start + self.shift[b]);
+            }
         }
+        for (&slot, item) in self.slots.iter().zip(new) {
+            column[slot] = item;
+        }
+    }
+}
+
+/// The task index with its claim columns: position `p` of the task CSR
+/// names report `csr.indices[p]`, whose account is `accounts[p]` and whose
+/// value is `values[p]` — each task's claims, in report order, as two
+/// sequential runs (12 B per report; `fold_batch` refuses an account that
+/// does not fit in `u32`). Folds shift the columns with the same
+/// [`RunShift`] as the index, so they never need a rebuild.
+#[derive(Debug, Clone, Default)]
+struct TaskIndex {
+    csr: CsrIndex,
+    accounts: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl TaskIndex {
+    fn build(num_tasks: usize, reports: &[Report]) -> Self {
+        let csr = CsrIndex::build(num_tasks, reports.iter().map(|r| r.task));
+        let accounts = csr
+            .indices
+            .iter()
+            .map(|&i| reports[i].account as u32)
+            .collect();
+        let values = csr.indices.iter().map(|&i| reports[i].value).collect();
+        Self {
+            csr,
+            accounts,
+            values,
+        }
+    }
+
+    /// Folds `batch`, whose reports sit at `base..` in the report list.
+    fn fold(&mut self, num_tasks: usize, batch: &[Report], base: usize) {
+        let shift = self.csr.fold(num_tasks, batch.iter().map(|r| r.task), base);
+        let accounts = batch.iter().map(|r| r.account as u32);
+        shift.apply(&self.csr.offsets, &mut self.accounts, accounts);
+        shift.apply(
+            &self.csr.offsets,
+            &mut self.values,
+            batch.iter().map(|r| r.value),
+        );
     }
 }
 
@@ -180,7 +261,7 @@ pub struct SensingData {
     /// Mutation counter: bumped by every content change so derived
     /// structures (epoch snapshots, caches) can tell stale from fresh.
     generation: u64,
-    by_task: OnceLock<CsrIndex>,
+    by_task: OnceLock<TaskIndex>,
     by_account: OnceLock<CsrIndex>,
     stats: OnceLock<TaskStats>,
 }
@@ -268,8 +349,8 @@ impl SensingData {
     /// # Panics
     ///
     /// Panics if `task >= num_tasks`, if the value or timestamp is not
-    /// finite, or if the account already reported this task (the paper's
-    /// one-report-per-task rule).
+    /// finite, if `account` does not fit in a `u32`, or if the account
+    /// already reported this task (the paper's one-report-per-task rule).
     pub fn add_report(&mut self, account: usize, task: usize, value: f64, timestamp: f64) {
         self.fold_batch(&[Report {
             account,
@@ -293,8 +374,9 @@ impl SensingData {
     /// # Panics
     ///
     /// Panics on the same conditions as [`SensingData::add_report`]
-    /// (out-of-range task, non-finite value/timestamp, duplicate
-    /// (account, task) pair — including duplicates within the batch).
+    /// (out-of-range task, non-finite value/timestamp, an account beyond
+    /// `u32`, duplicate (account, task) pair — including duplicates within
+    /// the batch).
     /// Callers that need graceful rejection validate first with
     /// [`SensingData::has_report`] and friends.
     pub fn fold_batch(&mut self, batch: &[Report]) {
@@ -312,6 +394,11 @@ impl SensingData {
             assert!(r.value.is_finite(), "report value must be finite");
             assert!(r.timestamp.is_finite(), "timestamp must be finite");
             assert!(
+                u32::try_from(r.account).is_ok(),
+                "account {} does not fit in u32",
+                r.account
+            );
+            assert!(
                 self.seen.insert((r.account, r.task)),
                 "account {} already reported task {}",
                 r.account,
@@ -320,8 +407,8 @@ impl SensingData {
             self.num_accounts = self.num_accounts.max(r.account + 1);
             self.reports.push(*r);
         }
-        if let Some(csr) = self.by_task.get_mut() {
-            csr.fold(self.num_tasks, batch.iter().map(|r| r.task), base);
+        if let Some(index) = self.by_task.get_mut() {
+            index.fold(self.num_tasks, batch, base);
         }
         if let Some(csr) = self.by_account.get_mut() {
             csr.fold(self.num_accounts, batch.iter().map(|r| r.account), base);
@@ -330,9 +417,9 @@ impl SensingData {
         self.generation += 1;
     }
 
-    fn task_csr(&self) -> &CsrIndex {
+    fn task_index(&self) -> &TaskIndex {
         self.by_task
-            .get_or_init(|| CsrIndex::build(self.num_tasks, self.reports.iter().map(|r| r.task)))
+            .get_or_init(|| TaskIndex::build(self.num_tasks, &self.reports))
     }
 
     fn account_csr(&self) -> &CsrIndex {
@@ -377,7 +464,24 @@ impl SensingData {
     /// Panics if `task >= num_tasks`.
     pub fn task_report_indices(&self, task: usize) -> &[usize] {
         assert!(task < self.num_tasks, "task {task} out of range");
-        self.task_csr().slice(task)
+        self.task_index().csr.slice(task)
+    }
+
+    /// The claims on `task` as two parallel columns, the reporting
+    /// accounts and their values, in the order of
+    /// [`SensingData::task_report_indices`]: entry `k` belongs to report
+    /// `task_report_indices(task)[k]`. Borrowed from the task index and
+    /// laid out contiguously, so a per-task pass reads them sequentially
+    /// instead of gathering from the report list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task >= num_tasks`.
+    pub fn task_claims(&self, task: usize) -> (&[u32], &[f64]) {
+        assert!(task < self.num_tasks, "task {task} out of range");
+        let index = self.task_index();
+        let run = index.csr.range(task);
+        (&index.accounts[run.clone()], &index.values[run])
     }
 
     /// Indices (into [`SensingData::reports`]) of the reports account
@@ -490,6 +594,17 @@ impl SensingData {
         for r in &mut centered.reports {
             let c = centers[r.task].expect("reported task has a center");
             r.value -= c;
+        }
+        // The claim columns hold values too: the same subtraction keeps
+        // them equal to the residual reports.
+        if let Some(index) = centered.by_task.get_mut() {
+            for (task, center) in centers.iter().enumerate() {
+                if let Some(c) = center {
+                    for value in &mut index.values[index.csr.range(task)] {
+                        *value -= c;
+                    }
+                }
+            }
         }
         centered.stats.take();
         (centered, centers)

@@ -30,6 +30,12 @@ cargo test -q --release --offline --test blocked_equivalence -- --ignored
 cargo test -q --offline --test incremental_group
 cargo test -q --offline --test edge_index
 
+# Golden bit pins: Algorithm 2's results (every aggregation x update,
+# cold and warm, at 1 and 4 threads) and an epoch replay's rendered
+# snapshots must hash to digests recorded once, so a change that moves
+# both sides of an equivalence pair at once still fails.
+cargo test -q --offline --test golden_bits
+
 # Pool vs scoped dispatch equivalence: the persistent worker pool and the
 # scoped spawn-per-call fallback (reached by holding the pool's dispatch
 # token, as a nested or concurrent region does) must produce outputs

@@ -65,7 +65,7 @@
 //! exits, so a timer-driven server still shuts down cleanly.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::{Arc, Condvar, Mutex};
@@ -633,17 +633,29 @@ fn respond(mut stream: &TcpStream, response: &Response) -> Result<(), String> {
         431 => "Request Header Fields Too Large",
         _ => "Error",
     };
-    let wire = format!(
-        "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+    let head = format!(
+        "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
         response.content_type,
         response.body.len(),
-        response.body
     );
-    stream
-        .write_all(wire.as_bytes())
-        .and_then(|()| stream.flush())
-        .map_err(|e| e.to_string())
+    // The head and the shared body go out together from their own
+    // buffers (one `writev` while the socket takes it all), so a stored
+    // snapshot body is never copied.
+    let mut slices = [
+        IoSlice::new(head.as_bytes()),
+        IoSlice::new(response.body.as_bytes()),
+    ];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err("connection closed mid-response".to_string()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.to_string()),
+        }
+    }
+    stream.flush().map_err(|e| e.to_string())
 }
 
 /// Every flag `srtd-server` takes; each takes a value.

@@ -1,0 +1,318 @@
+//! Golden bit pins: Algorithm 2's output and the epoch engine's rendered
+//! snapshots, reduced to 64-bit digests that were recorded once and must
+//! never move.
+//!
+//! Every other equivalence suite compares two paths of the current code
+//! against each other (1 vs N threads, incremental vs batch, warm fold vs
+//! cold build). These pins compare the current code against fixed
+//! numbers instead, so a change that moves both sides of such a pair at
+//! once — a different order inside the per-task group arena, a
+//! re-associated sum in Eq. 3, the loss reduction or Eq. 5, a different
+//! integer or float spelling in the JSON renderer — still fails here.
+//!
+//! The Algorithm 2 digests fold in, per run: every truth's bits, every
+//! group weight's bits, the convergence trace's bits, the iteration count,
+//! the two flags and the grouping's labels. Each case runs every
+//! [`GroupAggregation`] × [`TruthUpdate`], cold and then warm-seeded from
+//! the cold weights, at 1 and at 4 worker threads; both thread counts must
+//! hit the one pinned digest. On a mismatch the message prints the digest
+//! the code produced.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use sybil_td::core::{
+    AccountGrouping, AgTr, AgTs, FrameworkConfig, FrameworkResult, GroupAggregation, Grouping,
+    SybilResistantTd, TruthUpdate,
+};
+use sybil_td::platform::{EpochConfig, EpochEngine};
+use sybil_td::runtime::json::ToJson;
+use sybil_td::runtime::parallel::set_max_threads;
+use sybil_td::runtime::rng::{Rng, SeedableRng, SliceRandom, StdRng};
+use sybil_td::sensing::{ScaledCampaign, ScaledCampaignConfig};
+use sybil_td::truth::{Report, SensingData};
+
+/// FNV-1a over 64-bit words.
+#[derive(Clone, Copy)]
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: u64) {
+        for byte in x.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn result(&mut self, r: &FrameworkResult) {
+        self.word(r.truths.len() as u64);
+        for t in &r.truths {
+            self.word(t.map_or(u64::MAX, f64::to_bits));
+        }
+        self.word(r.group_weights.len() as u64);
+        for w in &r.group_weights {
+            self.word(w.to_bits());
+        }
+        self.word(r.convergence_trace.len() as u64);
+        for d in &r.convergence_trace {
+            self.word(d.to_bits());
+        }
+        self.word(r.iterations as u64);
+        self.word(u64::from(r.converged) << 1 | u64::from(r.warm_started));
+        for &label in r.grouping.labels() {
+            self.word(label as u64);
+        }
+    }
+}
+
+const AGGREGATIONS: [GroupAggregation; 3] = [
+    GroupAggregation::Mean,
+    GroupAggregation::Median,
+    GroupAggregation::AbsoluteDeviationWeighted,
+];
+
+const UPDATES: [TruthUpdate; 2] = [TruthUpdate::WeightedMean, TruthUpdate::WeightedMedian];
+
+/// Holds the worker count at `n` until dropped, then restores the
+/// default; the tests of this file take turns, so each run really uses
+/// the count it asked for.
+struct Threads(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Threads {
+    fn set(n: usize) -> Self {
+        static EXCLUSIVE: Mutex<()> = Mutex::new(());
+        let guard = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
+        set_max_threads(n);
+        Self(guard)
+    }
+}
+
+impl Drop for Threads {
+    fn drop(&mut self) {
+        set_max_threads(0);
+    }
+}
+
+/// The digest of every configuration's cold and warm run on one grouping.
+fn framework_digest(data: &SensingData, grouping: &Grouping) -> u64 {
+    let mut digest = Digest::new();
+    for aggregation in AGGREGATIONS {
+        for truth_update in UPDATES {
+            let framework = SybilResistantTd::with_config(
+                sybil_td::core::SingletonGrouping,
+                FrameworkConfig {
+                    aggregation,
+                    truth_update,
+                    ..FrameworkConfig::default()
+                },
+            );
+            let cold = framework.discover_with_grouping_seeded(data, grouping.clone(), None);
+            let warm = framework.discover_with_grouping_seeded(
+                data,
+                grouping.clone(),
+                Some(&cold.group_weights),
+            );
+            assert!(warm.warm_started, "the cold weights fit the grouping");
+            digest.result(&cold);
+            digest.result(&warm);
+        }
+    }
+    digest.0
+}
+
+/// Checks one case against its pin at 1 and at 4 worker threads.
+fn assert_framework_pin(case: &str, data: &SensingData, grouping: &Grouping, pin: u64) {
+    for threads in [1, 4] {
+        let _threads = Threads::set(threads);
+        let got = framework_digest(data, grouping);
+        assert_eq!(
+            got, pin,
+            "{case} at {threads} threads: digest {got:#018x}, pinned {pin:#018x}"
+        );
+    }
+}
+
+/// Table I of the paper with Table III's timestamps (accounts 0..6 are the
+/// paper's 1, 2, 3, 4', 4'', 4''').
+fn table_i() -> SensingData {
+    let mut d = SensingData::new(4);
+    let ts = |m: f64, s: f64| 10.0 * 3600.0 + m * 60.0 + s;
+    for (account, task, value, m, s) in [
+        (0, 0, -84.48, 0.0, 35.0),
+        (0, 1, -82.11, 2.0, 42.0),
+        (0, 2, -75.16, 10.0, 22.0),
+        (0, 3, -72.71, 13.0, 41.0),
+        (1, 1, -72.27, 4.0, 15.0),
+        (1, 2, -77.21, 6.0, 1.0),
+        (2, 0, -72.41, 1.0, 21.0),
+        (2, 1, -91.49, 4.0, 5.0),
+        (2, 3, -73.55, 8.0, 28.0),
+        (3, 0, -50.0, 1.0, 10.0),
+        (3, 2, -50.0, 15.0, 24.0),
+        (3, 3, -50.0, 20.0, 6.0),
+        (4, 0, -50.0, 1.0, 34.0),
+        (4, 2, -50.0, 16.0, 8.0),
+        (4, 3, -50.0, 21.0, 25.0),
+        (5, 0, -50.0, 2.0, 35.0),
+        (5, 2, -50.0, 17.0, 35.0),
+        (5, 3, -50.0, 22.0, 2.0),
+    ] {
+        d.add_report(account, task, value, ts(m, s));
+    }
+    d
+}
+
+/// A 2 000-account `ScaledCampaign` with 96 tasks, so Algorithm 2 takes
+/// its parallel path (64 tasks and up) with a partial last chunk.
+fn scaled_2k() -> ScaledCampaign {
+    ScaledCampaign::generate(&ScaledCampaignConfig {
+        num_tasks: 96,
+        ..ScaledCampaignConfig::new(2_000).with_seed(11)
+    })
+}
+
+/// 240 accounts in groups of 1 to 6 over 120 tasks, with every report
+/// inserted in one shuffled order: inside a group, members report a task
+/// in no particular account order, so Eq. 3's sums see the members in
+/// report order, not account order. Values carry full mantissas, so a
+/// re-associated sum changes bits.
+fn random_campaign() -> (SensingData, Grouping) {
+    let mut rng = StdRng::seed_from_u64(23);
+    let (accounts, tasks) = (240usize, 120usize);
+    let mut labels = Vec::with_capacity(accounts);
+    let mut group = 0usize;
+    while labels.len() < accounts {
+        let size = rng.gen_range(1usize..7).min(accounts - labels.len());
+        labels.extend(std::iter::repeat_n(group, size));
+        group += 1;
+    }
+    labels.shuffle(&mut rng);
+    let mut reports = Vec::new();
+    for (account, &label) in labels.iter().enumerate() {
+        for task in 0..tasks {
+            if rng.gen_range(0f64..1.0) < 0.3 {
+                reports.push(Report {
+                    account,
+                    task,
+                    value: -70.0 + rng.gen_range(-25f64..25.0) + label as f64 * 1e-3,
+                    timestamp: rng.gen_range(0f64..1e5),
+                });
+            }
+        }
+    }
+    reports.shuffle(&mut rng);
+    let mut data = SensingData::new(tasks);
+    data.fold_batch(&reports);
+    (data, Grouping::from_labels(&labels))
+}
+
+#[test]
+fn table_i_results_are_pinned() {
+    let data = table_i();
+    let oracle = Grouping::from_labels(&[0, 1, 2, 3, 3, 3]);
+    assert_framework_pin("Table I, oracle", &data, &oracle, 0x66ca_235c_eb11_f0b4);
+    assert_eq!(
+        AgTr::default().group(&data, &[]),
+        oracle,
+        "AG-TR finds the ring"
+    );
+    let singletons = Grouping::singletons(data.num_accounts());
+    assert_framework_pin(
+        "Table I, singletons",
+        &data,
+        &singletons,
+        0xa592_bf4b_e80e_dd53,
+    );
+}
+
+#[test]
+fn scaled_campaign_results_are_pinned() {
+    let campaign = scaled_2k();
+    let data = &campaign.data;
+    let tr = AgTr::default().group(data, &[]);
+    assert!(tr.len() < data.num_accounts(), "AG-TR merges the rings");
+    assert_framework_pin("ScaledCampaign 2k, AG-TR", data, &tr, 0x80d4_9b1d_bc94_c1ce);
+    let ts = AgTs::new(0.01).group(data, &[]);
+    assert!(ts.len() < data.num_accounts(), "AG-TS merges accounts");
+    assert_framework_pin("ScaledCampaign 2k, AG-TS", data, &ts, 0x396a_4349_a2ee_e79f);
+}
+
+#[test]
+fn random_campaign_results_are_pinned() {
+    let (data, grouping) = random_campaign();
+    // The property the campaign exists for: some multi-member group
+    // reports some task in descending account order.
+    let out_of_order = (0..data.num_tasks()).any(|t| {
+        let accounts: Vec<usize> = data.task_reports(t).map(|r| r.account).collect();
+        accounts.iter().enumerate().any(|(i, &a)| {
+            accounts[i + 1..]
+                .iter()
+                .any(|&b| b < a && grouping.group_of(a) == grouping.group_of(b))
+        })
+    });
+    assert!(out_of_order);
+    assert_framework_pin("random campaign", &data, &grouping, 0x0e27_6f34_d1c4_332e);
+}
+
+/// Replays a 600-account campaign into an engine in six timestamp-ordered
+/// batches plus one epoch with nothing new, and digests every rendered
+/// snapshot with its wall-clock `duration_ns` zeroed.
+fn replay_digest<G: AccountGrouping>(method: G) -> u64 {
+    let campaign = ScaledCampaign::generate(&ScaledCampaignConfig {
+        num_tasks: 80,
+        ..ScaledCampaignConfig::new(600).with_seed(5)
+    });
+    let mut reports = campaign.data.reports().to_vec();
+    reports.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
+    let mut engine = EpochEngine::new(
+        SybilResistantTd::new(method),
+        campaign.data.num_tasks(),
+        EpochConfig::default(),
+    );
+    let mut digest = Digest::new();
+    let mut render = |engine: &mut EpochEngine<G>| {
+        let mut snapshot = (*engine.run_epoch()).clone();
+        snapshot.duration_ns = 0;
+        digest.bytes(snapshot.to_json().render().as_bytes());
+    };
+    for batch in reports.chunks(reports.len().div_ceil(6)) {
+        for r in batch {
+            engine
+                .ingest(r.account, r.task, r.value, r.timestamp)
+                .expect("a campaign report");
+        }
+        render(&mut engine);
+    }
+    render(&mut engine);
+    digest.0
+}
+
+#[test]
+fn rendered_epoch_snapshots_are_pinned() {
+    for (name, pin) in [
+        ("AG-TR", 0x40d4_8c26_f3ce_d3ed),
+        ("AG-TS", 0x7fe5_332b_a1fd_f70c),
+    ] {
+        for threads in [1, 4] {
+            let _threads = Threads::set(threads);
+            let got = match name {
+                "AG-TR" => replay_digest(AgTr::default()),
+                _ => replay_digest(AgTs::new(0.01)),
+            };
+            assert_eq!(
+                got, pin,
+                "{name} replay at {threads} threads: digest {got:#018x}, pinned {pin:#018x}"
+            );
+        }
+    }
+}

@@ -69,6 +69,7 @@ fn assert_bitwise_equivalent(warm: &SensingData, cold: &SensingData) {
             "account {a} index run diverged"
         );
     }
+    assert_claims_equivalent(warm, cold);
 
     let means_w = warm.task_means();
     let means_c = cold.task_means();
@@ -98,6 +99,43 @@ fn assert_bitwise_equivalent(warm: &SensingData, cold: &SensingData) {
     for (rw, rc) in resid_w.reports().iter().zip(resid_c.reports()) {
         assert_eq!(rw.value.to_bits(), rc.value.to_bits());
         assert_eq!(rw.timestamp.to_bits(), rc.timestamp.to_bits());
+    }
+    assert_claims_equivalent(&resid_w, &resid_c);
+}
+
+/// The task claim columns: the same accounts and value bits on both
+/// sides, and on each side the account and value of the report the task
+/// index names at that position.
+fn assert_claims_equivalent(warm: &SensingData, cold: &SensingData) {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for t in 0..warm.num_tasks() {
+        let (accounts_w, values_w) = warm.task_claims(t);
+        let (accounts_c, values_c) = cold.task_claims(t);
+        assert_eq!(accounts_w, accounts_c, "task {t} claim accounts diverged");
+        assert_eq!(
+            bits(values_w),
+            bits(values_c),
+            "task {t} claim values diverged"
+        );
+        for data in [warm, cold] {
+            let (accounts, values) = data.task_claims(t);
+            let named: Vec<_> = data
+                .task_report_indices(t)
+                .iter()
+                .map(|&i| &data.reports()[i])
+                .collect();
+            let want_accounts: Vec<u32> = named.iter().map(|r| r.account as u32).collect();
+            let want_values: Vec<f64> = named.iter().map(|r| r.value).collect();
+            assert_eq!(
+                accounts, want_accounts,
+                "task {t} claims name other accounts"
+            );
+            assert_eq!(
+                bits(values),
+                bits(&want_values),
+                "task {t} claims hold other values"
+            );
+        }
     }
 }
 
