@@ -7,7 +7,7 @@
 use srtd_runtime::json::{parse, Json};
 use std::process::exit;
 
-const SCHEMA: &str = "srtd-bench-pipeline-v9";
+const SCHEMA: &str = "srtd-bench-pipeline-v10";
 const TOP_LEVEL_KEYS: [&str; 15] = [
     "schema",
     "quick",

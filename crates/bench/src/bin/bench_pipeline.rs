@@ -26,7 +26,6 @@
 
 use srtd_cluster::{KMeans, KMeansConfig};
 use srtd_core::aggregate::initial_group_weight;
-use srtd_core::grouping::blocking;
 use srtd_core::{
     AccountGrouping, AgTr, AgTs, GroupAggregation, Grouping, PerfectGrouping, SybilResistantTd,
 };
@@ -35,7 +34,7 @@ use srtd_platform::{EpochConfig, EpochEngine};
 use srtd_runtime::bench::{black_box, Bench, BenchConfig, BenchStats};
 use srtd_runtime::json::{Json, ToJson};
 use srtd_runtime::obs;
-use srtd_runtime::parallel::{parallel_map, set_max_threads};
+use srtd_runtime::parallel::{parallel_map, set_max_threads, triangle_pairs};
 use srtd_runtime::pool;
 use srtd_runtime::rng::{Rng, SeedableRng, StdRng};
 use srtd_sensing::{ScaledCampaign, ScaledCampaignConfig};
@@ -483,6 +482,43 @@ fn regroup_rounds<G: AccountGrouping>(
     (median_stages(&touched), median_stages(&empty))
 }
 
+/// What one `group()` call recorded about its blocking: the
+/// `grouping.<signal>.pairs.{total,candidate}` counters and the
+/// `grouping.<signal>.buckets` gauge.
+struct BlockingCounts {
+    total: u64,
+    candidate: u64,
+    buckets: u64,
+}
+
+/// Runs `group` once instrumented and reads `signal`'s blocking counts,
+/// so the bench reports the candidates the product's own `group()`
+/// scores.
+fn blocking_counts(signal: &str, group: impl FnOnce() -> Grouping) -> BlockingCounts {
+    obs::set_enabled(true);
+    obs::reset();
+    let _ = group();
+    let report = obs::snapshot();
+    obs::set_enabled(false);
+    let counter = |name: String| {
+        report
+            .counters
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    let buckets = format!("grouping.{signal}.buckets");
+    BlockingCounts {
+        total: counter(format!("grouping.{signal}.pairs.total")),
+        candidate: counter(format!("grouping.{signal}.pairs.candidate")),
+        buckets: report
+            .gauges
+            .iter()
+            .find(|(k, _)| *k == buckets)
+            .map_or(0, |&(_, v)| v as u64),
+    }
+}
+
 /// `regroup_scale`'s export of one stage split.
 fn stages_json(stages: &[f64; 7]) -> Json {
     Json::obj(
@@ -797,9 +833,13 @@ fn main() {
         grouping_identical,
         "AG-TR grouping must match the exact matrix's components"
     );
+    // The pruned engine AG-TR runs, over every pair rather than the
+    // blocked candidates: kept distances must be bit-identical to the
+    // exact matrix, and every pair it drops must be at or above φ.
     let trajectories = ag_tr.trajectories(&data);
+    let all_pairs = triangle_pairs(trajectories.len());
     let pruned_engine = PrunedPairwise::new(ag_tr.phi());
-    let (pruned_matrix, prune_stats) = pruned_engine.matrix2_with_stats(&trajectories);
+    let (pruned_edges, prune_stats) = pruned_engine.edges2_with_stats(&trajectories, &all_pairs);
     assert!(
         prune_stats.full_evals < prune_stats.pairs,
         "pruning must skip full DTW evaluations on the large campaign \
@@ -807,21 +847,20 @@ fn main() {
         prune_stats.full_evals,
         prune_stats.pairs,
     );
-    for (i, row) in pruned_matrix.iter().enumerate() {
-        for (j, v) in row.iter().enumerate() {
-            if v.is_finite() {
-                assert_eq!(
-                    v.to_bits(),
-                    full_matrix[i][j].to_bits(),
-                    "kept entry ({i},{j}) must be bit-identical"
-                );
-            } else if i != j {
-                assert!(
-                    full_matrix[i][j] >= ag_tr.phi(),
-                    "pruned a below-φ pair ({i},{j})"
-                );
-            }
-        }
+    let mut kept = HashSet::new();
+    for &(i, j, d) in &pruned_edges {
+        assert_eq!(
+            d.to_bits(),
+            full_matrix[i][j].to_bits(),
+            "kept pair ({i},{j}) must be bit-identical"
+        );
+        kept.insert((i, j));
+    }
+    for &(i, j) in &all_pairs {
+        assert!(
+            kept.contains(&(i, j)) || full_matrix[i][j] >= ag_tr.phi(),
+            "pruned a below-φ pair ({i},{j})"
+        );
     }
 
     // The full matrix costs ~hundreds of ms per call, so the pruning
@@ -846,8 +885,8 @@ fn main() {
     let matrix_full = prune_group.run("agtr_matrix/full", || {
         ag_tr.dissimilarity_matrix(black_box(&data))
     });
-    let matrix_pruned = prune_group.run("agtr_matrix/pruned", || {
-        pruned_engine.matrix2(black_box(&ag_tr.trajectories(&data)))
+    let edges_pruned = prune_group.run("agtr_edges/pruned", || {
+        pruned_engine.edges2_with_stats(black_box(&ag_tr.trajectories(&data)), &all_pairs)
     });
     cases.push(stats_json(
         "dtw_prune",
@@ -857,17 +896,17 @@ fn main() {
     ));
     cases.push(stats_json(
         "dtw_prune",
-        "agtr_matrix/pruned",
-        matrix_pruned,
+        "agtr_edges/pruned",
+        edges_pruned,
         prune_params,
     ));
 
     // Per-signal candidate counts on the same campaign: how many of the
-    // n(n−1)/2 pairs each blocked signal actually visits (the honesty
-    // columns of the dtw_prune export).
-    let task_sets: Vec<Vec<usize>> = (0..data.num_accounts()).map(|a| data.tasks_of(a)).collect();
-    let ts_block = blocking::ts_candidates(&task_sets, data.num_tasks(), None);
-    let tr_block = blocking::tr_candidates(&trajectories, ag_tr.phi(), None);
+    // n(n−1)/2 pairs each blocked signal's `group()` actually scores (the
+    // honesty columns of the dtw_prune export). AG-TS candidates do not
+    // depend on ρ ≥ 0.
+    let ts_block = blocking_counts("ag_ts", || AgTs::default().group(&data, &[]));
+    let tr_block = blocking_counts("ag_tr", || ag_tr.group(&data, &[]));
 
     // ---- Grouping at scale: a 100k-account campaign, all three signals ----
     // The sub-quadratic claim measured, not asserted: blocked candidate
@@ -880,21 +919,18 @@ fn main() {
     let campaign = ScaledCampaign::generate(&scale_cfg);
     let scale_generate_ms = t_gen.elapsed().as_secs_f64() * 1e3;
     let sn = campaign.num_accounts();
-    let scale_task_sets: Vec<Vec<usize>> = (0..sn).map(|a| campaign.data.tasks_of(a)).collect();
-    let ts_scale = blocking::ts_candidates(&scale_task_sets, campaign.data.num_tasks(), None);
     // Eq. 6 scales as T²/m for identical task sets, so the worked-example
     // ρ = 1 would reject even perfect replicas at m = 2000 (6²/2000 ≈
-    // 0.018): the threshold must scale with the campaign.
+    // 0.018): the threshold must scale with the campaign. The blocking
+    // counts come from one instrumented `group()` per signal; the timed
+    // calls run uninstrumented.
     let ag_ts_scale = AgTs::new(0.01);
+    let ts_scale = blocking_counts("ag_ts", || ag_ts_scale.group(&campaign.data, &[]));
     let t_ts = Instant::now();
     let g_ts_scale = ag_ts_scale.group(&campaign.data, &[]);
     let scale_ts_ms = t_ts.elapsed().as_secs_f64() * 1e3;
     let ag_tr_scale = AgTr::default();
-    let tr_scale = blocking::tr_candidates(
-        &ag_tr_scale.trajectories(&campaign.data),
-        ag_tr_scale.phi(),
-        None,
-    );
+    let tr_scale = blocking_counts("ag_tr", || ag_tr_scale.group(&campaign.data, &[]));
     let t_tr = Instant::now();
     let g_tr_scale = ag_tr_scale.group(&campaign.data, &[]);
     let scale_tr_ms = t_tr.elapsed().as_secs_f64() * 1e3;
@@ -918,8 +954,8 @@ fn main() {
         g_ts_scale.len(),
         g_tr_scale.len(),
     );
-    let scale_pairs_total = ts_scale.total_pairs + tr_scale.total_pairs;
-    let scale_pairs_visited = (ts_scale.pairs.len() + tr_scale.pairs.len()) as u64;
+    let scale_pairs_total = ts_scale.total + tr_scale.total;
+    let scale_pairs_visited = ts_scale.candidate + tr_scale.candidate;
     let scale_skip_rate = 1.0 - scale_pairs_visited as f64 / scale_pairs_total as f64;
     assert!(
         scale_skip_rate >= 0.99,
@@ -1023,7 +1059,7 @@ fn main() {
     let _ = framework.discover_with_grouping(&data, grouping.clone());
     let _ = stream_features_batch(&streams, &feat_cfg);
     let _ = Dtw::new().distance(&a, &b);
-    let _ = pruned_engine.matrix2(&ag_tr.trajectories(&data));
+    let _ = pruned_engine.edges2_with_stats(&ag_tr.trajectories(&data), &all_pairs);
     let report = obs::snapshot();
     obs::set_enabled(false);
     let counters: Vec<(String, u64)> = report.counters;
@@ -1133,7 +1169,7 @@ fn main() {
     ));
 
     let doc = Json::obj([
-        ("schema", Json::str("srtd-bench-pipeline-v9")),
+        ("schema", Json::str("srtd-bench-pipeline-v10")),
         ("quick", quick.to_json()),
         ("threads_available", threads_available.to_json()),
         (
@@ -1302,16 +1338,16 @@ fn main() {
                 ("full_evals", prune_stats.full_evals.to_json()),
                 ("prune_rate", prune_stats.prune_rate().to_json()),
                 ("full_median_ns", matrix_full.median_ns.to_json()),
-                ("pruned_median_ns", matrix_pruned.median_ns.to_json()),
+                ("pruned_median_ns", edges_pruned.median_ns.to_json()),
                 (
                     "speedup_vs_full",
-                    (matrix_full.median_ns / matrix_pruned.median_ns).to_json(),
+                    (matrix_full.median_ns / edges_pruned.median_ns).to_json(),
                 ),
                 ("grouping_identical", grouping_identical.to_json()),
-                ("ag_ts_pairs_total", ts_block.total_pairs.to_json()),
-                ("ag_ts_pairs_candidate", ts_block.pairs.len().to_json()),
-                ("ag_tr_pairs_total", tr_block.total_pairs.to_json()),
-                ("ag_tr_pairs_candidate", tr_block.pairs.len().to_json()),
+                ("ag_ts_pairs_total", ts_block.total.to_json()),
+                ("ag_ts_pairs_candidate", ts_block.candidate.to_json()),
+                ("ag_tr_pairs_total", tr_block.total.to_json()),
+                ("ag_tr_pairs_candidate", tr_block.candidate.to_json()),
             ]),
         ),
         (
@@ -1329,8 +1365,8 @@ fn main() {
                     "ag_ts",
                     Json::obj([
                         ("rho", ag_ts_scale.rho().to_json()),
-                        ("pairs_total", ts_scale.total_pairs.to_json()),
-                        ("pairs_candidate", ts_scale.pairs.len().to_json()),
+                        ("pairs_total", ts_scale.total.to_json()),
+                        ("pairs_candidate", ts_scale.candidate.to_json()),
                         ("buckets", ts_scale.buckets.to_json()),
                         ("groups", g_ts_scale.len().to_json()),
                         ("wall_ms", scale_ts_ms.to_json()),
@@ -1340,8 +1376,8 @@ fn main() {
                     "ag_tr",
                     Json::obj([
                         ("phi", ag_tr_scale.phi().to_json()),
-                        ("pairs_total", tr_scale.total_pairs.to_json()),
-                        ("pairs_candidate", tr_scale.pairs.len().to_json()),
+                        ("pairs_total", tr_scale.total.to_json()),
+                        ("pairs_candidate", tr_scale.candidate.to_json()),
                         ("buckets", tr_scale.buckets.to_json()),
                         ("groups", g_tr_scale.len().to_json()),
                         ("wall_ms", scale_tr_ms.to_json()),

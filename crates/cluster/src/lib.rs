@@ -7,7 +7,7 @@
 //! to visualize fingerprints in the first two principal components.
 //!
 //! * [`KMeans`] — Lloyd's algorithm with k-means++ seeding,
-//! * [`elbow`] — SSE-curve elbow estimation of `k`,
+//! * [`elbow()`] — SSE-curve elbow estimation of `k`,
 //! * [`Pca`] — principal component analysis via a Jacobi eigensolver.
 //!
 //! # Examples

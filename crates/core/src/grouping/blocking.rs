@@ -1,110 +1,61 @@
 //! Blocking / candidate generation for the pairwise grouping signals.
 //!
-//! Every grouping method in this crate ends in the same shape: some
-//! pairwise score is thresholded and the surviving pairs become edges of a
-//! components problem. Visiting all `n(n−1)/2` pairs is what makes the
-//! signals quadratic in accounts; this module buckets accounts by cheap
+//! AG-TS and AG-TR end in the same shape: a pairwise score is
+//! thresholded and the surviving pairs become edges of a components
+//! problem. Visiting all `n(n−1)/2` pairs is what makes the signals
+//! quadratic in accounts; this module buckets accounts by cheap
 //! invariants so only *same-or-adjacent-bucket* pairs ever reach a score
 //! computation, while provably generating a **superset** of the pairs the
-//! threshold would keep — blocking can only skip pairs the exhaustive path
+//! threshold would keep — blocking can only skip pairs an all-pairs scan
 //! would also reject, so grouping decisions stay bit-identical.
 //!
 //! Bucket keys per signal:
 //!
-//! * **AG-TS** ([`ts_candidates`]) — a two-level prefix filter over
+//! * **AG-TS** ([`prefix_keys`]) — a two-level prefix filter over
 //!   globally-rare tasks. Eq. 6's affinity `A = (T − 2L)(T + L)/m` can
 //!   only exceed a non-negative `ρ` when `T > 2L`, which forces the
 //!   Jaccard overlap of the two task sets above 2/3; in particular any
 //!   qualifying pair shares strictly more than `2a/3` tasks, where `a` is
-//!   either set's size (see the proof on [`ts_candidates`]). The k-prefix
-//!   theorem then guarantees **two** shared tasks inside each set's
-//!   `⌈a/3⌉+1`-element rarity prefix, so accounts are indexed under
-//!   unordered *pairs* of prefix tasks (the blocking second key) instead
-//!   of single tasks — a bucket only forms when two accounts agree on two
-//!   rare tasks at once, which happens orders of magnitude less often
-//!   than agreeing on one. A length-ratio filter (`3·min(a,b) >
-//!   2·max(a,b)`, forced by `T ≤ min` and `T > 2·max/3`) prunes the
-//!   emitted pairs further. Both levels are deterministic prefix
-//!   filtering from the set-similarity-join literature (no MinHash false
-//!   negatives).
-//! * **AG-TR** ([`tr_candidates`]) — quantized trajectory endpoints, a
+//!   either set's size. The k-prefix theorem then guarantees **two**
+//!   shared tasks inside each set's `⌈a/3⌉+1`-element rarity prefix, so
+//!   accounts are indexed under unordered *pairs* of prefix tasks (the
+//!   blocking second key) instead of single tasks — a bucket only forms
+//!   when two accounts agree on two rare tasks at once, which happens
+//!   orders of magnitude less often than agreeing on one. A length-ratio
+//!   filter (`3·min(a,b) > 2·max(a,b)`, forced by `T ≤ min` and
+//!   `T > 2·max/3`) prunes the emitted pairs further ([`prefix_pairs`]).
+//!   Both levels are deterministic prefix filtering from the
+//!   set-similarity-join literature (no MinHash false negatives).
+//! * **AG-TR** ([`endpoint_cell`]) — quantized trajectory endpoints, a
 //!   coarsening of LB_Kim. The first-first and last-last alignments lie on
 //!   every DTW warping path, so each squared endpoint difference is itself
 //!   a lower bound on the pair's raw DTW cost; `D < φ` forces every
 //!   endpoint coordinate within `√φ`. Accounts hash to the 4-D cell of
 //!   their `(X_first, X_last, Y_first, Y_last)` endpoints at cell width
-//!   `√φ`, and candidates are same-cell plus adjacent-cell pairs (a ≥ 2
-//!   cell gap on any axis already proves `D ≥ φ`). Inactive accounts have
-//!   no endpoints and stay out of every bucket — exactly the singleton
-//!   treatment the exhaustive path enforces by masking their rows to `∞`.
+//!   `√φ`, and candidates are same-cell plus adjacent-cell pairs
+//!   ([`cell_pairs`]; a ≥ 2 cell gap on any axis already proves `D ≥ φ`).
+//!   Inactive accounts have no endpoints and stay out of every bucket, so
+//!   they stay singletons.
 //! * **AG-FP** — the fingerprint signal is centroid-based, not pairwise;
 //!   its blocking lives in `srtd-cluster` as a norm-sketch bound on the
 //!   k-means assignment step. The counters recorded here keep the three
 //!   signals comparable under one `grouping.pairs.*` scheme.
 //!
-//! Both blocked signals file accounts in one structure, `KeyRuns`:
+//! Both blocked signals file accounts in one structure, [`KeyRuns`]:
 //! `(key, account)` entries kept sorted, so a bucket is one contiguous run
-//! and re-keying a few accounts is one merge pass. The same generator
-//! serves the one-shot functions here and the persistent indexes AG-TS
-//! and AG-TR hand the epoch engine (`EdgeGrouping::edge_index`): a
-//! one-shot call is a fresh index keyed once. With few dirty accounts the
-//! generator probes only their own buckets; with many it sweeps every
-//! bucket once. Both enumerate the same pairs.
+//! and re-keying a few accounts is one merge pass. It backs the persistent
+//! indexes AG-TS and AG-TR hand the epoch engine
+//! (`EdgeGrouping::edge_index`); `group()` is a fresh index keyed once.
+//! With few dirty accounts the generator probes only their own buckets;
+//! with many it sweeps every bucket once. Both enumerate the same pairs.
 
 use srtd_runtime::obs;
 use std::borrow::Cow;
 
-/// The outcome of one blocking pass: the candidate pairs that must be
-/// scored, plus the bookkeeping the obs layer and benches report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Candidates {
-    /// Candidate pairs `(i, j)` with `i < j`, sorted lexicographically,
-    /// deduplicated. A superset of the pairs the signal's threshold keeps.
-    pub pairs: Vec<(usize, usize)>,
-    /// Non-empty buckets the accounts hashed into.
-    pub buckets: usize,
-    /// Pairs the exhaustive path would visit: `n(n−1)/2` without a dirty
-    /// mask, and only pairs touching a dirty account with one.
-    pub total_pairs: u64,
-}
-
-impl Candidates {
-    /// Pairs blocking skipped (never scored).
-    pub fn skipped(&self) -> u64 {
-        self.total_pairs.saturating_sub(self.pairs.len() as u64)
-    }
-
-    /// An exhaustive (no-blocking) candidate set over `n` accounts,
-    /// optionally restricted to pairs touching a dirty account. Used by
-    /// the fallback paths so the `grouping.pairs.*` counters stay a
-    /// partition (`candidate == total`, nothing skipped). With a mask the
-    /// walk costs `O(n + dirty·n)`: a clean account's row lists only the
-    /// dirty accounts after it.
-    pub fn exhaustive(n: usize, dirty: Option<&[bool]>) -> Self {
-        let mask = dirty_mask(n, dirty);
-        let dirty_accounts: Vec<usize> = (0..n).filter(|&a| mask[a]).collect();
-        let mut pairs = Vec::new();
-        for i in 0..n {
-            if mask[i] {
-                pairs.extend((i + 1..n).map(|j| (i, j)));
-            } else {
-                let later = dirty_accounts.partition_point(|&j| j < i);
-                pairs.extend(dirty_accounts[later..].iter().map(|&j| (i, j)));
-            }
-        }
-        let total_pairs = pairs.len() as u64;
-        Self {
-            pairs,
-            buckets: usize::from(n > 0),
-            total_pairs,
-        }
-    }
-}
-
-/// Shared recording of the blocking counters: `total` pairs the exhaustive
-/// path would visit, of which `candidate` were actually scored; the
+/// Shared recording of the blocking counters: `total` pairs an all-pairs
+/// scan would visit, of which `candidate` were actually scored; the
 /// remainder were skipped by blocking. Also sets the bucket gauges.
-pub fn record_pair_counts(signal: &str, total: u64, candidate: u64, buckets: u64) {
+pub(crate) fn record_pair_counts(signal: &str, total: u64, candidate: u64, buckets: u64) {
     let skipped = total.saturating_sub(candidate);
     obs::counter_add("grouping.pairs.total", total);
     obs::counter_add("grouping.pairs.candidate", candidate);
@@ -261,6 +212,39 @@ pub(crate) fn rarity_rank(freq: &[u32]) -> Vec<u32> {
 /// task first, so the same two tasks form the same key in every account;
 /// `(t, t)` for a one-task set; nothing for an empty one. Sorts `tasks`
 /// by rank in place.
+///
+/// Two accounts whose Eq. 6 affinity exceeds any `ρ ≥ 0` share a key
+/// (AG-TS therefore requires `ρ ≥ 0`):
+///
+/// **Overlap bound.** Write `a = |S_i|`, `b = |S_j|`,
+/// `T = |S_i ∩ S_j|`, `L = a + b − 2T`. `A > ρ ≥ 0` needs `T − 2L > 0`
+/// (the factor `(T + L)/m` is non-negative), i.e. `5T > 2(a + b)`.
+/// Combined with `T ≤ min(a, b)` this gives `T > 2a/3` *and*
+/// `T > 2b/3`: if `b ≥ a` then `T > 2(a+b)/5 ≥ 4a/5 > 2a/3`; if `b < a`
+/// then `b ≥ T > 2(a+b)/5` forces `b > 2a/3` and so
+/// `T > 2(a + 2a/3)/5 = 2a/3`. So qualifying pairs have integer overlap
+/// `T ≥ ⌊2a/3⌋ + 1` (and symmetrically for `b`).
+///
+/// **Pair-key soundness (k-prefix theorem, k = 2).** Fix any global
+/// total order on tasks and sort each set by it; let `c_1 < c_2 < …`
+/// be the common tasks of a qualifying pair in that order. In `S_i`,
+/// the tasks ranked after `c_2` include the `T − 2` common tasks
+/// `c_3, …, c_T`, so `c_2` sits at position `≤ a − (T − 2) = a − T + 2`
+/// — with `T ≥ ⌊2a/3⌋ + 1` that is `≤ ⌈a/3⌉ + 1`. Hence `c_1` and `c_2`
+/// *both* lie in the `min(⌈a/3⌉ + 1, a)`-element prefix of `S_i`, and
+/// symmetrically in `S_j`'s prefix: the two accounts share the unordered
+/// key `{c_1, c_2}`. Indexing each account under all `C(p, 2)` task
+/// pairs of its `p`-element rarity prefix therefore co-buckets every
+/// qualifying pair with `a, b ≥ 2` (note `a ≥ 2 ⟹ T ≥ 2`, so `c_2`
+/// exists). A qualifying pair with `a = 1` forces `T = 1` and then
+/// `b < 3T/2` ⟹ `b = 1` — identical singletons — which bucket under the
+/// degenerate key `(t, t)`. Ordering tasks by ascending global frequency
+/// ([`rarity_rank`]) keeps the pair buckets tiny: two accounts must now
+/// agree on two rare tasks at once, which on campaign-scale workloads
+/// cuts candidates by orders of magnitude compared to the single-task
+/// prefix filter. The proof holds for *any* fixed order, which is what
+/// lets AG-TS's persistent index keep an order frozen while the
+/// frequencies drift.
 pub(crate) fn prefix_keys(tasks: &mut [usize], rank: &[u32], out: &mut Vec<PairKey>) {
     let task = |t: usize| u32::try_from(t).expect("task index fits in u32");
     tasks.sort_unstable_by_key(|&t| rank[t]);
@@ -281,6 +265,10 @@ pub(crate) fn prefix_keys(tasks: &mut [usize], rank: &[u32], out: &mut Vec<PairK
 /// The AG-TS candidates with a dirty endpoint: accounts sharing a pair key
 /// whose set sizes (`size(account)`) pass the length-ratio filter.
 /// `probes` are the dirty accounts' entries (see [`KeyRuns::refile`]).
+///
+/// **Length-ratio filter.** `T ≤ min(a, b)` and `T > 2·max(a, b)/3`
+/// (see [`prefix_keys`]) force `3·min(a, b) > 2·max(a, b)`; bucket
+/// members failing this can never qualify and are not emitted.
 pub(crate) fn prefix_pairs(
     keys: &KeyRuns<PairKey>,
     probes: &[(PairKey, u32)],
@@ -321,78 +309,6 @@ pub(crate) fn prefix_pairs(
     pairs
 }
 
-/// AG-TS candidate generation by two-level prefix filtering over task
-/// rarity: accounts bucket under **pairs** of rare tasks (the second
-/// blocking key), and bucket members must additionally pass a
-/// length-ratio filter before a pair is emitted.
-///
-/// `task_sets[i]` is account `i`'s sorted accomplished-task list;
-/// `num_tasks` is the campaign's `m`. Sound for thresholds `ρ ≥ 0` (the
-/// caller must fall back to the exhaustive path for negative `ρ`):
-///
-/// **Overlap bound.** Write `a = |S_i|`, `b = |S_j|`,
-/// `T = |S_i ∩ S_j|`, `L = a + b − 2T`. `A > ρ ≥ 0` needs `T − 2L > 0`
-/// (the factor `(T + L)/m` is non-negative), i.e. `5T > 2(a + b)`.
-/// Combined with `T ≤ min(a, b)` this gives `T > 2a/3` *and*
-/// `T > 2b/3`: if `b ≥ a` then `T > 2(a+b)/5 ≥ 4a/5 > 2a/3`; if `b < a`
-/// then `b ≥ T > 2(a+b)/5` forces `b > 2a/3` and so
-/// `T > 2(a + 2a/3)/5 = 2a/3`. So qualifying pairs have integer overlap
-/// `T ≥ ⌊2a/3⌋ + 1` (and symmetrically for `b`).
-///
-/// **Pair-key soundness (k-prefix theorem, k = 2).** Fix any global
-/// total order on tasks and sort each set by it; let `c_1 < c_2 < …`
-/// be the common tasks of a qualifying pair in that order. In `S_i`,
-/// the tasks ranked after `c_2` include the `T − 2` common tasks
-/// `c_3, …, c_T`, so `c_2` sits at position `≤ a − (T − 2) = a − T + 2`
-/// — with `T ≥ ⌊2a/3⌋ + 1` that is `≤ ⌈a/3⌉ + 1`. Hence `c_1` and `c_2`
-/// *both* lie in the `min(⌈a/3⌉ + 1, a)`-element prefix of `S_i`, and
-/// symmetrically in `S_j`'s prefix: the two accounts share the unordered
-/// key `{c_1, c_2}`. Indexing each account under all `C(p, 2)` task
-/// pairs of its `p`-element rarity prefix therefore co-buckets every
-/// qualifying pair with `a, b ≥ 2` (note `a ≥ 2 ⟹ T ≥ 2`, so `c_2`
-/// exists). A qualifying pair with `a = 1` forces `T = 1` and then
-/// `b < 3T/2` ⟹ `b = 1` — identical singletons — which bucket under the
-/// degenerate key `(t, t)`. Ordering tasks by ascending global frequency
-/// keeps the pair buckets tiny: two accounts must now agree on two rare
-/// tasks at once, which on campaign-scale workloads cuts candidates by
-/// orders of magnitude compared to the single-task prefix filter. The
-/// proof holds for *any* fixed order, which is what lets AG-TS's
-/// persistent index keep an order frozen while the frequencies drift.
-///
-/// **Length-ratio filter.** `T ≤ min(a, b)` and `T > 2·max(a, b)/3`
-/// force `3·min(a, b) > 2·max(a, b)`; bucket members failing this can
-/// never qualify and are not emitted.
-///
-/// With a `dirty` mask, only pairs touching a dirty account are emitted
-/// (the incremental re-grouping path); `total_pairs` shrinks accordingly.
-pub fn ts_candidates(
-    task_sets: &[Vec<usize>],
-    num_tasks: usize,
-    dirty: Option<&[bool]>,
-) -> Candidates {
-    let n = task_sets.len();
-    let mask = dirty_mask(n, dirty);
-    let mut freq = vec![0u32; num_tasks];
-    for set in task_sets {
-        for &t in set {
-            freq[t] += 1;
-        }
-    }
-    let rank = rarity_rank(&freq);
-    let mut keys = KeyRuns::default();
-    let mut tasks = Vec::new();
-    let probes = keys.refile(&mask, |a, out| {
-        tasks.clear();
-        tasks.extend_from_slice(&task_sets[a]);
-        prefix_keys(&mut tasks, &rank, out);
-    });
-    Candidates {
-        pairs: prefix_pairs(&keys, &probes, &mask, |a| task_sets[a].len()),
-        buckets: keys.buckets(),
-        total_pairs: total_pairs(n, dirty),
-    }
-}
-
 /// An AG-TR endpoint cell: `(X_first, X_last, Y_first, Y_last)` quantized
 /// at width `√φ`.
 pub(crate) type Cell = [i32; 4];
@@ -401,6 +317,23 @@ pub(crate) type Cell = [i32; 4];
 /// `(xl, yl)`, at cell width `w`. Quantization saturates at the `i32`
 /// range; clamping is monotone and never widens a gap, so two values less
 /// than `w` apart still land at most one cell apart.
+///
+/// At `w = √φ`, two trajectories whose Eq. 8 raw DTW cost is below `φ`
+/// land in the same or adjacent cells on every axis. Every warping path
+/// aligns `X_i[0]` with `X_j[0]` and the two last points with each other,
+/// and all cell costs are non-negative squared differences, so each of
+/// the four squared endpoint differences individually lower-bounds
+/// `D = DTW(X_i, X_j) + DTW(Y_i, Y_j)` (this also holds for banded DTW,
+/// whose paths still include both corner cells). `D < φ` therefore forces
+/// every endpoint difference below `√φ` — and two values at least two
+/// cells apart at width `√φ` differ by more than `√φ`. Same-cell and
+/// adjacent-cell pairs ([`cell_pairs`]) are thus a superset of every
+/// below-φ pair.
+///
+/// Length is used only through its empty/non-empty coarsening: DTW warps
+/// freely across unequal lengths, so a finer length key would not be
+/// sound. Inactive accounts have no endpoints, take no cell and never
+/// pair.
 pub(crate) fn endpoint_cell(x0: f64, xl: f64, y0: f64, yl: f64, w: f64) -> Cell {
     let q = |v: f64| (v / w).floor() as i32;
     [q(x0), q(xl), q(y0), q(yl)]
@@ -506,62 +439,60 @@ pub(crate) fn cell_pairs(
     pairs
 }
 
-/// AG-TR candidate generation by quantized trajectory endpoints.
-///
-/// `trajectories[i]` is account `i`'s `(X_i, Y_i)` series pair (as
-/// produced by `AgTr::trajectories`); `phi` is the Eq. 8 threshold in raw
-/// DTW-cost space. Soundness: every warping path aligns `X_i[0]` with
-/// `X_j[0]` and the two last points with each other, and all cell costs
-/// are non-negative squared differences, so each of the four squared
-/// endpoint differences individually lower-bounds
-/// `D = DTW(X_i, X_j) + DTW(Y_i, Y_j)` (this also holds for banded DTW,
-/// whose paths still include both corner cells). `D < φ` therefore forces
-/// every endpoint difference below `√φ` — and two values at least two
-/// cells apart at width `√φ` differ by more than `√φ`. Same-cell and
-/// adjacent-cell pairs are thus a superset of every below-φ pair.
-///
-/// Length is used only through its empty/non-empty coarsening: DTW warps
-/// freely across unequal lengths, so a finer length key would not be
-/// sound. Inactive accounts stay out of all buckets and never pair.
-///
-/// # Panics
-///
-/// Panics if `phi` is not finite and positive.
-pub fn tr_candidates(
-    trajectories: &[(Vec<f64>, Vec<f64>)],
-    phi: f64,
-    dirty: Option<&[bool]>,
-) -> Candidates {
-    assert!(
-        phi.is_finite() && phi > 0.0,
-        "endpoint blocking needs a positive finite threshold"
-    );
-    let n = trajectories.len();
-    let mask = dirty_mask(n, dirty);
-    let w = phi.sqrt();
-    let mut cells = KeyRuns::default();
-    let probes = cells.refile(&mask, |a, out| {
-        let (x, y) = &trajectories[a];
-        if let (Some(&x0), Some(&xl), Some(&y0), Some(&yl)) =
-            (x.first(), x.last(), y.first(), y.last())
-        {
-            out.push(endpoint_cell(x0, xl, y0, yl, w));
-        }
-    });
-    Candidates {
-        pairs: cell_pairs(&cells, &probes, &mask),
-        buckets: cells.buckets(),
-        total_pairs: total_pairs(n, dirty),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use srtd_runtime::rng::{Rng, SeedableRng, StdRng};
 
-    fn contains(c: &Candidates, i: usize, j: usize) -> bool {
-        c.pairs.binary_search(&(i.min(j), i.max(j))).is_ok()
+    /// The AG-TS candidates with a dirty endpoint over task sets `sets`,
+    /// keyed under the campaign's rarity order, and the buckets they fill.
+    fn ts_pairs(
+        sets: &[Vec<usize>],
+        num_tasks: usize,
+        dirty: &[bool],
+    ) -> (Vec<(usize, usize)>, usize) {
+        let mut freq = vec![0u32; num_tasks];
+        for set in sets {
+            for &t in set {
+                freq[t] += 1;
+            }
+        }
+        let rank = rarity_rank(&freq);
+        let mut keys = KeyRuns::default();
+        let probes = keys.refile(dirty, |a, out| {
+            prefix_keys(&mut sets[a].clone(), &rank, out)
+        });
+        (
+            prefix_pairs(&keys, &probes, dirty, |a| sets[a].len()),
+            keys.buckets(),
+        )
+    }
+
+    /// The AG-TR candidates with a dirty endpoint over `(X, Y)`
+    /// trajectories at threshold `phi`, and the cells they fill.
+    fn tr_pairs(
+        trajectories: &[(Vec<f64>, Vec<f64>)],
+        phi: f64,
+        dirty: &[bool],
+    ) -> (Vec<(usize, usize)>, usize) {
+        let mut cells = KeyRuns::default();
+        let probes = cells.refile(dirty, |a, out| {
+            let (x, y) = &trajectories[a];
+            if let (Some(&x0), Some(&xl), Some(&y0), Some(&yl)) =
+                (x.first(), x.last(), y.first(), y.last())
+            {
+                out.push(endpoint_cell(x0, xl, y0, yl, phi.sqrt()));
+            }
+        });
+        (cell_pairs(&cells, &probes, dirty), cells.buckets())
+    }
+
+    fn all(n: usize) -> Vec<bool> {
+        vec![true; n]
+    }
+
+    fn contains(pairs: &[(usize, usize)], i: usize, j: usize) -> bool {
+        pairs.binary_search(&(i.min(j), i.max(j))).is_ok()
     }
 
     /// Eq. 6 for two sorted task sets (test oracle).
@@ -572,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn ts_candidates_cover_every_above_threshold_pair() {
+    fn prefix_keys_cover_every_above_threshold_pair() {
         srtd_runtime::prop::check(
             |rng| {
                 let m = rng.gen_range(3usize..12);
@@ -586,19 +517,18 @@ mod tests {
                 (sets, m, rho)
             },
             |(sets, m, rho)| {
-                let c = ts_candidates(sets, *m, None);
+                let (pairs, _) = ts_pairs(sets, *m, &all(sets.len()));
                 for i in 0..sets.len() {
                     for j in i + 1..sets.len() {
                         let a = affinity(&sets[i], &sets[j], *m as f64);
                         if a > *rho {
                             srtd_runtime::prop_assert!(
-                                contains(&c, i, j),
+                                contains(&pairs, i, j),
                                 "pair ({i},{j}) with affinity {a} > ρ={rho} was blocked"
                             );
                         }
                     }
                 }
-                srtd_runtime::prop_assert!(c.pairs.len() as u64 + c.skipped() == c.total_pairs);
                 Ok(())
             },
         );
@@ -609,25 +539,21 @@ mod tests {
         // Two accounts with disjoint sets over many tasks: affinity is
         // negative, and their rare-task prefixes cannot collide.
         let sets = vec![vec![0, 1, 2], vec![7, 8, 9]];
-        let c = ts_candidates(&sets, 10, None);
-        assert!(c.pairs.is_empty());
-        assert_eq!(c.total_pairs, 1);
-        assert_eq!(c.skipped(), 1);
+        assert!(ts_pairs(&sets, 10, &all(2)).0.is_empty());
     }
 
     #[test]
     fn ts_identical_sets_are_candidates() {
         let sets = vec![vec![1, 4, 6], vec![1, 4, 6], vec![1, 4, 6]];
-        let c = ts_candidates(&sets, 8, None);
-        assert_eq!(c.pairs, vec![(0, 1), (0, 2), (1, 2)]);
+        assert_eq!(ts_pairs(&sets, 8, &all(3)).0, vec![(0, 1), (0, 2), (1, 2)]);
     }
 
     #[test]
     fn ts_empty_sets_never_pair() {
         let sets = vec![vec![], vec![0, 1], vec![]];
-        let c = ts_candidates(&sets, 4, None);
-        assert!(!contains(&c, 0, 2));
-        assert!(!contains(&c, 0, 1));
+        let (pairs, _) = ts_pairs(&sets, 4, &all(3));
+        assert!(!contains(&pairs, 0, 2));
+        assert!(!contains(&pairs, 0, 1));
     }
 
     #[test]
@@ -635,8 +561,7 @@ mod tests {
         // a = 1 qualifying pairs force b = 1 with the same task; the
         // degenerate (t, t) key must catch exactly those.
         let sets = vec![vec![3], vec![3], vec![5], vec![]];
-        let c = ts_candidates(&sets, 8, None);
-        assert_eq!(c.pairs, vec![(0, 1)]);
+        assert_eq!(ts_pairs(&sets, 8, &all(4)).0, vec![(0, 1)]);
     }
 
     /// The motivating workload for the pair key: every account has the
@@ -662,12 +587,12 @@ mod tests {
                 s
             })
             .collect();
-        let c = ts_candidates(&sets, m, None);
+        let (pairs, _) = ts_pairs(&sets, m, &all(sets.len()));
         // Superset check against the Eq. 6 oracle at ρ = 0.
         for i in 0..sets.len() {
             for j in i + 1..sets.len() {
                 if affinity(&sets[i], &sets[j], m as f64) > 0.0 {
-                    assert!(contains(&c, i, j), "qualifying pair ({i},{j}) blocked");
+                    assert!(contains(&pairs, i, j), "qualifying pair ({i},{j}) blocked");
                 }
             }
         }
@@ -699,10 +624,29 @@ mod tests {
         old_pairs.sort_unstable();
         old_pairs.dedup();
         assert!(
-            c.pairs.len() * 10 <= old_pairs.len(),
+            pairs.len() * 10 <= old_pairs.len(),
             "pair key produced {} candidates vs {} single-key — expected ≥10× fewer",
-            c.pairs.len(),
+            pairs.len(),
             old_pairs.len()
+        );
+    }
+
+    /// The same pair key on a 3 000-account fixed-size `ScaledCampaign`
+    /// (six tasks per account, so length filters prune nothing) must
+    /// leave at least nine tenths of the `n(n−1)/2` pairs unscored.
+    #[test]
+    fn ts_pair_key_scores_under_a_tenth_of_a_3000_account_campaign() {
+        use srtd_sensing::{ScaledCampaign, ScaledCampaignConfig};
+        let campaign = ScaledCampaign::generate(&ScaledCampaignConfig::new(3_000).with_seed(9));
+        let data = &campaign.data;
+        let n = data.num_accounts();
+        let sets: Vec<Vec<usize>> = (0..n).map(|a| data.tasks_of(a)).collect();
+        let (pairs, _) = ts_pairs(&sets, data.num_tasks(), &all(n));
+        let total = total_pairs(n, None);
+        assert!(
+            pairs.len() as u64 * 10 <= total,
+            "{} candidates out of {total} pairs — expected ≥10× reduction",
+            pairs.len()
         );
     }
 
@@ -710,17 +654,15 @@ mod tests {
     fn ts_dirty_mask_restricts_to_touching_pairs() {
         let sets = vec![vec![0, 1], vec![0, 1], vec![0, 1]];
         let mut mask = vec![false, false, true];
-        let c = ts_candidates(&sets, 4, Some(&mask));
-        assert_eq!(c.pairs, vec![(0, 2), (1, 2)]);
-        assert_eq!(c.total_pairs, 2);
+        assert_eq!(ts_pairs(&sets, 4, &mask).0, vec![(0, 2), (1, 2)]);
+        assert_eq!(total_pairs(3, Some(&mask)), 2);
         mask = vec![false; 3];
-        let none = ts_candidates(&sets, 4, Some(&mask));
-        assert!(none.pairs.is_empty());
-        assert_eq!(none.total_pairs, 0);
+        assert!(ts_pairs(&sets, 4, &mask).0.is_empty());
+        assert_eq!(total_pairs(3, Some(&mask)), 0);
     }
 
     #[test]
-    fn tr_candidates_cover_every_below_phi_pair() {
+    fn endpoint_cells_cover_every_below_phi_pair() {
         use srtd_timeseries::Dtw;
         srtd_runtime::prop::check(
             |rng| {
@@ -739,7 +681,7 @@ mod tests {
                 (items, phi)
             },
             |(items, phi)| {
-                let c = tr_candidates(items, *phi, None);
+                let (pairs, _) = tr_pairs(items, *phi, &all(items.len()));
                 let dtw = Dtw::new().raw();
                 for i in 0..items.len() {
                     for j in i + 1..items.len() {
@@ -750,7 +692,7 @@ mod tests {
                             + dtw.distance(&items[i].1, &items[j].1);
                         if d < *phi {
                             srtd_runtime::prop_assert!(
-                                contains(&c, i, j),
+                                contains(&pairs, i, j),
                                 "pair ({i},{j}) with D={d} < φ={phi} was blocked"
                             );
                         }
@@ -770,11 +712,9 @@ mod tests {
             (vec![1.1], vec![0.0]),
             (vec![5.0], vec![0.0]),
         ];
-        let c = tr_candidates(&trajs, 1.0, None);
-        assert!(contains(&c, 0, 1));
-        assert!(!contains(&c, 0, 2));
-        assert!(!contains(&c, 1, 2));
-        assert_eq!(c.buckets, 3);
+        let (pairs, buckets) = tr_pairs(&trajs, 1.0, &all(3));
+        assert_eq!(pairs, vec![(0, 1)]);
+        assert_eq!(buckets, 3);
     }
 
     #[test]
@@ -784,51 +724,32 @@ mod tests {
             (vec![1.0], vec![1.0]),
             (Vec::new(), Vec::new()),
         ];
-        let c = tr_candidates(&trajs, 1.0, None);
-        assert!(c.pairs.is_empty());
-        assert_eq!(c.buckets, 1);
+        let (pairs, buckets) = tr_pairs(&trajs, 1.0, &all(3));
+        assert!(pairs.is_empty());
+        assert_eq!(buckets, 1);
     }
 
     #[test]
     fn tr_dirty_mask_restricts_pairs() {
         let trajs: Vec<_> = (0..4).map(|_| (vec![1.0, 2.0], vec![0.5, 0.9])).collect();
         let mask = vec![true, false, false, false];
-        let c = tr_candidates(&trajs, 1.0, Some(&mask));
-        assert_eq!(c.pairs, vec![(0, 1), (0, 2), (0, 3)]);
-        assert_eq!(c.total_pairs, 3);
+        assert_eq!(tr_pairs(&trajs, 1.0, &mask).0, vec![(0, 1), (0, 2), (0, 3)]);
+        assert_eq!(total_pairs(4, Some(&mask)), 3);
     }
 
     #[test]
-    fn exhaustive_candidates_visit_everything() {
-        let c = Candidates::exhaustive(4, None);
-        assert_eq!(c.pairs.len(), 6);
-        assert_eq!(c.total_pairs, 6);
-        assert_eq!(c.skipped(), 0);
-        let masked = Candidates::exhaustive(4, Some(&[false, true, false, false]));
-        assert_eq!(masked.pairs, vec![(0, 1), (1, 2), (1, 3)]);
-        assert_eq!(masked.total_pairs, 3);
-        // Every mask over a few accounts: exactly the pairs with a dirty
-        // endpoint, sorted, and a total that matches the pair count.
+    fn total_pairs_counts_the_pairs_with_a_dirty_endpoint() {
+        assert_eq!(total_pairs(4, None), 6);
         for n in 0..7usize {
             for bits in 0..1u32 << n {
                 let mask: Vec<bool> = (0..n).map(|a| bits >> a & 1 == 1).collect();
-                let c = Candidates::exhaustive(n, Some(&mask));
-                let want: Vec<(usize, usize)> = (0..n)
+                let want = (0..n)
                     .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
                     .filter(|&(i, j)| mask[i] || mask[j])
-                    .collect();
-                assert_eq!(c.pairs, want, "mask {mask:?}");
-                assert_eq!(c.total_pairs, total_pairs(n, Some(&mask)));
-                assert_eq!(c.skipped(), 0);
+                    .count() as u64;
+                assert_eq!(total_pairs(n, Some(&mask)), want, "mask {mask:?}");
             }
         }
-        // One dirty account among many lists its n − 1 pairs.
-        let mut mask = vec![false; 5_000];
-        mask[1_234] = true;
-        let one = Candidates::exhaustive(5_000, Some(&mask));
-        assert_eq!(one.pairs.len(), 4_999);
-        assert_eq!(one.pairs[0], (0, 1_234));
-        assert_eq!(one.pairs[4_998], (1_234, 4_999));
     }
 
     /// Endpoint cells within one of each other on every axis.
@@ -1002,15 +923,9 @@ mod tests {
                 )
             })
             .collect();
-        let a = tr_candidates(&trajs, 2.0, None);
-        let b = tr_candidates(&trajs, 2.0, None);
+        let a = tr_pairs(&trajs, 2.0, &all(30));
+        let b = tr_pairs(&trajs, 2.0, &all(30));
         assert_eq!(a, b);
-        assert!(a.pairs.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive finite threshold")]
-    fn tr_rejects_non_finite_phi() {
-        tr_candidates(&[], f64::INFINITY, None);
+        assert!(a.0.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
     }
 }

@@ -1,13 +1,12 @@
 //! Account grouping: partitioning accounts by suspected physical owner.
 
-pub mod blocking;
+mod blocking;
 mod combined;
 mod fp;
 mod tr;
 mod ts;
 mod val;
 
-pub use blocking::Candidates;
 pub use combined::{CombineMode, CombinedGrouping};
 pub use fp::{AgFp, FpClustering};
 pub use tr::AgTr;

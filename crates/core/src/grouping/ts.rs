@@ -1,7 +1,7 @@
 //! AG-TS: account grouping by accomplished task set (Eq. 6).
 
 use crate::grouping::blocking::{self, prefix_keys, KeyRuns, PairKey};
-use crate::grouping::{referenced, AccountGrouping, Candidates, EdgeGrouping, EdgeIndex, Grouping};
+use crate::grouping::{referenced, AccountGrouping, EdgeGrouping, EdgeIndex, Grouping};
 use srtd_graph::UnionFind;
 use srtd_truth::SensingData;
 
@@ -64,11 +64,21 @@ impl Default for AgTs {
 impl AgTs {
     /// Creates AG-TS with affinity threshold `rho`.
     ///
+    /// The threshold must be non-negative: only then does `A_ij > ρ` force
+    /// the two task sets to overlap in more than two thirds of either,
+    /// which is what lets AG-TS score only the accounts sharing a rare
+    /// task pair instead of every pair. A negative `ρ` would accept pairs
+    /// with arbitrarily little overlap — two accounts with no reports at
+    /// all score `A = 0 > ρ` and would merge.
+    ///
     /// # Panics
     ///
-    /// Panics if `rho` is not finite.
+    /// Panics if `rho` is negative or not finite.
     pub fn new(rho: f64) -> Self {
-        assert!(rho.is_finite(), "threshold must be finite");
+        assert!(
+            rho.is_finite() && rho >= 0.0,
+            "threshold must be finite and non-negative"
+        );
         Self { rho }
     }
 
@@ -82,13 +92,9 @@ impl AgTs {
     /// [`AccountGrouping::group`] connects — the dense
     /// [`AgTs::affinity_matrix`] is never materialized on this path. It is
     /// a fresh [`EdgeGrouping::edge_index`] updated once with every
-    /// account dirty.
-    ///
-    /// For `ρ ≥ 0`, candidate pairs come from the prefix filter in
-    /// [`blocking::ts_candidates`] (provably a superset of every
-    /// above-threshold pair, see its proof). A negative `ρ` can admit
-    /// pairs with arbitrarily little overlap, which no overlap-based
-    /// blocking can bound, so that case falls back to the exhaustive scan.
+    /// account dirty: only accounts sharing a pair of rare prefix tasks
+    /// are scored, provably a superset of every above-threshold pair (see
+    /// the proof on `blocking::prefix_keys`).
     pub fn affinity_edges(&self, data: &SensingData) -> Vec<(usize, usize, f64)> {
         TsIndex::new(*self).edges(data, &vec![true; data.num_accounts()])
     }
@@ -171,7 +177,7 @@ fn affinity(a: &[usize], b: &[usize], m: f64) -> f64 {
 /// of its rarity prefix (two `u32` tasks + `u32` account, 12 bytes per
 /// key; a 6-task set holds 3 keys, 36 bytes), under a task order frozen
 /// when the index was last built. The k-prefix proof on
-/// [`blocking::ts_candidates`] holds for any fixed order, so a stale order
+/// [`blocking::prefix_keys`] holds for any fixed order, so a stale order
 /// costs only bucket size, never an edge; the index rebuilds with fresh
 /// frequencies once the folded reports have more than doubled since.
 #[derive(Debug)]
@@ -195,40 +201,33 @@ impl TsIndex {
         }
     }
 
-    /// The decision edges `(i, j, A_ij)` with a dirty endpoint. With
-    /// `ρ < 0` each dirty account is scored against every account.
+    /// The decision edges `(i, j, A_ij)` with a dirty endpoint.
     fn edges(&mut self, data: &SensingData, dirty: &[bool]) -> Vec<(usize, usize, f64)> {
         let n = data.num_accounts();
         assert_eq!(dirty.len(), n, "dirty mask must cover every account");
-        let (pairs, buckets) = if self.ag.rho >= 0.0 {
-            if self.rank.len() != data.num_tasks() || data.num_reports() > 2 * self.frozen_at {
-                let mut freq = vec![0u32; data.num_tasks()];
-                for r in data.reports() {
-                    freq[r.task] += 1;
-                }
-                self.rank = blocking::rarity_rank(&freq);
-                self.frozen_at = data.num_reports();
-                self.keys = KeyRuns::default();
+        if self.rank.len() != data.num_tasks() || data.num_reports() > 2 * self.frozen_at {
+            let mut freq = vec![0u32; data.num_tasks()];
+            for r in data.reports() {
+                freq[r.task] += 1;
             }
-            let rank = &self.rank;
-            let mut tasks = Vec::new();
-            let probes = self.keys.refile(dirty, |a, out| {
-                tasks.clear();
-                tasks.extend(data.account_reports(a).map(|r| r.task));
-                prefix_keys(&mut tasks, rank, out);
-            });
-            let set_size = |a: usize| data.account_report_indices(a).len();
-            let pairs = blocking::prefix_pairs(&self.keys, &probes, dirty, set_size);
-            (pairs, self.keys.buckets())
-        } else {
-            let candidates = Candidates::exhaustive(n, Some(dirty));
-            (candidates.pairs, candidates.buckets)
-        };
+            self.rank = blocking::rarity_rank(&freq);
+            self.frozen_at = data.num_reports();
+            self.keys = KeyRuns::default();
+        }
+        let rank = &self.rank;
+        let mut tasks = Vec::new();
+        let probes = self.keys.refile(dirty, |a, out| {
+            tasks.clear();
+            tasks.extend(data.account_reports(a).map(|r| r.task));
+            prefix_keys(&mut tasks, rank, out);
+        });
+        let set_size = |a: usize| data.account_report_indices(a).len();
+        let pairs = blocking::prefix_pairs(&self.keys, &probes, dirty, set_size);
         blocking::record_pair_counts(
             "ag_ts",
             blocking::total_pairs(n, Some(dirty)),
             pairs.len() as u64,
-            buckets as u64,
+            self.keys.buckets() as u64,
         );
         let (accounts, local) = referenced(n, &pairs);
         let task_sets: Vec<Vec<usize>> = accounts.iter().map(|&a| data.tasks_of(a)).collect();
@@ -386,7 +385,7 @@ pub(crate) mod tests {
     #[test]
     fn blocked_edges_match_the_dense_matrix() {
         let d = table_iii_data();
-        for rho in [1.0, 0.9, 0.0, -2.0] {
+        for rho in [1.0, 0.9, 0.0] {
             let ag = AgTs::new(rho);
             let matrix = ag.affinity_matrix(&d);
             let mut expected = Vec::new();
@@ -478,6 +477,12 @@ pub(crate) mod tests {
         assert_eq!(g.num_accounts(), 3);
         let solo = g.group_of(1);
         assert_eq!(g.groups()[solo], vec![1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_threshold_rejected() {
+        AgTs::new(-0.5);
     }
 }
 

@@ -21,7 +21,7 @@
 //! meaningful.
 
 use crate::grouping::{AccountGrouping, Grouping};
-use srtd_graph::Graph;
+use srtd_graph::UnionFind;
 use srtd_truth::SensingData;
 
 /// Account grouping by value coordination.
@@ -131,22 +131,21 @@ impl AgVal {
 }
 
 impl AccountGrouping for AgVal {
-    #[allow(clippy::needless_range_loop)] // symmetric matrix fill
     fn group(&self, data: &SensingData, _fingerprints: &[Vec<f64>]) -> Grouping {
         let n = data.num_accounts();
         if n == 0 {
             return Grouping::from_labels(&[]);
         }
         let matrix = self.coordination_matrix(data);
-        let mut graph = Graph::new(n);
-        for i in 0..n {
-            for j in i + 1..n {
-                if matrix[i][j] < self.psi {
-                    graph.add_edge(i, j, matrix[i][j]);
+        let mut uf = UnionFind::new(n);
+        for (i, row) in matrix.iter().enumerate() {
+            for (j, &d) in row.iter().enumerate().skip(i + 1) {
+                if d < self.psi {
+                    uf.union(i, j);
                 }
             }
         }
-        Grouping::new(graph.connected_components().into_groups())
+        Grouping::from_forest(&mut uf)
     }
 
     fn name(&self) -> &'static str {
@@ -256,6 +255,61 @@ mod tests {
     fn empty_data_yields_empty_grouping() {
         let g = AgVal::default().group(&SensingData::new(2), &[]);
         assert!(g.is_empty());
+    }
+
+    /// Over random campaigns with coordinated cliques, `group()` equals
+    /// the connected components of the coordination matrix's below-ψ
+    /// pairs, as a depth-first search over those pairs finds them.
+    #[test]
+    fn groups_are_the_dfs_components_of_the_below_psi_pairs() {
+        use srtd_runtime::rng::Rng;
+        let mut merged = 0;
+        srtd_runtime::prop::check(
+            |rng| {
+                let num_tasks = rng.gen_range(2usize..8);
+                let mut data = SensingData::new(num_tasks);
+                for account in 0..rng.gen_range(1usize..16) {
+                    // A few shared base values so that some accounts
+                    // coordinate and others do not.
+                    let base = -50.0 - 10.0 * rng.gen_range(0usize..3) as f64;
+                    for task in 0..num_tasks {
+                        if rng.gen_bool(0.7) {
+                            let value = base + rng.gen_range(-0.6f64..0.6);
+                            data.add_report(account, task, value, task as f64);
+                        }
+                    }
+                }
+                let psi = rng.gen_range(0.1f64..2.0);
+                (data, psi)
+            },
+            |(data, psi)| {
+                let ag = AgVal::new(*psi, 2);
+                let matrix = ag.coordination_matrix(data);
+                let n = matrix.len();
+                let mut labels = vec![usize::MAX; n];
+                let mut count = 0;
+                for start in 0..n {
+                    if labels[start] != usize::MAX {
+                        continue;
+                    }
+                    labels[start] = count;
+                    let mut stack = vec![start];
+                    while let Some(u) = stack.pop() {
+                        for v in 0..n {
+                            if v != u && matrix[u][v] < *psi && labels[v] == usize::MAX {
+                                labels[v] = count;
+                                stack.push(v);
+                            }
+                        }
+                    }
+                    count += 1;
+                }
+                merged += usize::from(count < n);
+                srtd_runtime::prop_assert_eq!(ag.group(data, &[]), Grouping::from_labels(&labels));
+                Ok(())
+            },
+        );
+        assert!(merged > 0, "no campaign had a coordinated pair");
     }
 
     #[test]

@@ -54,6 +54,6 @@ pub mod grouping;
 pub use aggregate::GroupAggregation;
 pub use framework::{FrameworkConfig, FrameworkResult, SybilResistantTd, TruthUpdate};
 pub use grouping::{
-    AccountGrouping, AgFp, AgTr, AgTs, AgVal, Candidates, CombineMode, CombinedGrouping,
-    EdgeGrouping, EdgeIndex, FpClustering, Grouping, PerfectGrouping, SingletonGrouping,
+    AccountGrouping, AgFp, AgTr, AgTs, AgVal, CombineMode, CombinedGrouping, EdgeGrouping,
+    EdgeIndex, FpClustering, Grouping, PerfectGrouping, SingletonGrouping,
 };

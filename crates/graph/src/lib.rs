@@ -1,37 +1,29 @@
-//! Undirected weighted graphs and connectivity algorithms.
+//! Connected components by union-find.
 //!
 //! The account-grouping methods of the Sybil-resistant truth discovery
-//! framework (AG-TS and AG-TR) build an undirected graph whose nodes are
-//! accounts and whose edges connect accounts with sufficiently similar
-//! behaviour, then take each connected component as one *group* of accounts
-//! suspected to belong to the same physical user. This crate provides the
-//! graph representation and the connectivity primitives those methods use:
-//!
-//! * [`Graph`] — an adjacency-list undirected graph with `f64` edge weights,
-//! * [`Graph::connected_components`] — iterative depth-first search, as in
-//!   step 3 of both grouping methods in the paper,
-//! * [`UnionFind`] — a disjoint-set forest used as an independent oracle in
-//!   tests and by callers that build components incrementally.
+//! framework (AG-TS, AG-TR and AG-VAL) link accounts whose behaviour is
+//! similar enough and take each connected component as one *group* of
+//! accounts suspected to belong to the same physical user (step 3 of both
+//! grouping methods in the paper). [`UnionFind`] is that step: every
+//! method unions its decision edges into one forest and reads the
+//! partition off its canonical labels, and the epoch engine keeps one
+//! forest alive across epochs, growing it as accounts arrive.
 //!
 //! # Examples
 //!
 //! ```
-//! use srtd_graph::Graph;
+//! use srtd_graph::UnionFind;
 //!
-//! let mut g = Graph::new(5);
-//! g.add_edge(0, 1, 2.5);
-//! g.add_edge(1, 2, 0.5);
-//! let comps = g.connected_components();
-//! assert_eq!(comps.len(), 3); // {0,1,2}, {3}, {4}
+//! let mut uf = UnionFind::new(5);
+//! uf.union(0, 1);
+//! uf.union(1, 2);
+//! assert_eq!(uf.set_count(), 3); // {0,1,2}, {3}, {4}
+//! assert_eq!(uf.labels(), vec![0, 0, 0, 1, 2]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod components;
-mod graph;
 mod union_find;
 
-pub use components::ComponentLabeling;
-pub use graph::{Edge, Graph, Neighbor};
 pub use union_find::UnionFind;

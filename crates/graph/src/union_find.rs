@@ -2,9 +2,10 @@
 
 /// A disjoint-set forest over elements `0..n`.
 ///
-/// Used by callers that form groups incrementally (e.g. merging grouping
-/// results from several methods) and as an independent oracle for the DFS
-/// component labeling in tests.
+/// The one connected-components algorithm of the workspace: the grouping
+/// methods union their decision edges into a fresh forest, the epoch
+/// engine keeps one alive across epochs (growing it as accounts arrive),
+/// and combined grouping merges several methods' partitions through it.
 ///
 /// # Examples
 ///
@@ -254,6 +255,53 @@ mod tests {
                 assert_eq!(uf.set_count(), groups.len(), "case {case}");
             }
         }
+    }
+
+    /// Two elements share a set exactly when one reaches the other over
+    /// the unioned edges, as a breadth-first search over the same edges
+    /// finds it.
+    #[test]
+    fn sets_are_the_reachability_classes_of_the_edges() {
+        srtd_runtime::prop::check(
+            |rng| {
+                let n = rng.gen_range(1usize..40);
+                let edges = srtd_runtime::prop::vec_with(rng, 0..120, |r| {
+                    (r.gen_range(0..n), r.gen_range(0..n))
+                });
+                (n, edges)
+            },
+            |(n, edges)| {
+                let n = *n;
+                let mut uf = UnionFind::new(n);
+                let mut adjacent = vec![Vec::new(); n];
+                for &(u, v) in edges {
+                    uf.union(u, v);
+                    adjacent[u].push(v);
+                    adjacent[v].push(u);
+                }
+                let mut classes = 0;
+                for start in 0..n {
+                    let mut reached = vec![false; n];
+                    reached[start] = true;
+                    let mut queue = std::collections::VecDeque::from([start]);
+                    while let Some(u) = queue.pop_front() {
+                        for &v in &adjacent[u] {
+                            if !reached[v] {
+                                reached[v] = true;
+                                queue.push_back(v);
+                            }
+                        }
+                    }
+                    // A class is counted at its smallest member.
+                    classes += usize::from(reached[..start].iter().all(|&r| !r));
+                    for (v, &r) in reached.iter().enumerate() {
+                        srtd_runtime::prop_assert_eq!(uf.connected(start, v), r);
+                    }
+                }
+                srtd_runtime::prop_assert_eq!(uf.set_count(), classes);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`prop`] — a minimal deterministic property-test harness (seeded
 //!   generator loop with failure-case reporting) plus the
 //!   [`prop_assert!`]/[`prop_assert_eq!`] macros the test suites use,
-//! * [`bench`] — a tiny wall-clock benchmark harness (warmup + median of
+//! * [`bench`](mod@bench) — a tiny wall-clock benchmark harness (warmup + median of
 //!   N samples) backing the `crates/bench` binaries,
 //! * [`json`] — a hand-rolled JSON encoder ([`json::ToJson`]) and strict
 //!   parser ([`json::parse`]) for the simulation artifacts that

@@ -7,7 +7,7 @@
 //! [`Report`]** against the registry state at the previous window end
 //! (counter and histogram-bucket deltas, the events emitted since, the
 //! current gauge values) and pushing the result into a bounded in-memory
-//! ring buffer served by [`super::history`].
+//! ring buffer served by [`super::history()`].
 //!
 //! Because every delta is taken against the *previous* window boundary —
 //! not against `window_begin` — consecutive windows tile the timeline
@@ -15,7 +15,7 @@
 //! recovers the cumulative totals as of the last boundary. The golden
 //! test suite pins exactly that identity.
 //!
-//! The trace tree upgrades [`super::span`] guards into a hierarchy: a
+//! The trace tree upgrades [`super::span()`] guards into a hierarchy: a
 //! thread-local parent stack gives each span its ancestry, and completed
 //! spans on the window-opening thread are folded into a name-keyed tree.
 //! Node structure and per-node counts depend only on which stages ran

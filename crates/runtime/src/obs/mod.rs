@@ -12,7 +12,7 @@
 //!
 //! * **metrics** — named [counters](counter_add), [gauges](gauge_set)
 //!   and fixed-bucket [histograms](observe),
-//! * **spans** — RAII wall-clock timers ([`span`]) aggregated per name
+//! * **spans** — RAII wall-clock timers ([`span()`]) aggregated per name
 //!   (count / total / min / max ns); guards nest freely and may be
 //!   dropped from `parallel_map` worker threads,
 //! * **events** — one-shot structured records ([`event`]) such as a
@@ -211,7 +211,7 @@ fn history_capacity() -> usize {
     }
 }
 
-/// Sets how many completed windows [`history`] retains (clamped to ≥ 1),
+/// Sets how many completed windows [`history()`] retains (clamped to ≥ 1),
 /// overriding the `SRTD_OBS_HISTORY` environment variable. Passing 0
 /// resets to the environment/default resolution. Shrinking takes effect
 /// at the next [`window_end`].

@@ -17,7 +17,7 @@ thread_local! {
 }
 
 /// A running span; records its elapsed wall-clock time under its name
-/// when dropped. Created by [`super::span`].
+/// when dropped. Created by [`super::span()`].
 ///
 /// Guards nest naturally (each records independently) and may be dropped
 /// from any thread — worker threads inside `parallel_map` report into the

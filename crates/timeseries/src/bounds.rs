@@ -1,8 +1,8 @@
 //! Cheap lower bounds on the raw DTW cost, for pruning pairwise
 //! comparisons.
 //!
-//! AG-TR computes all `O(n²)` pairwise DTW distances and keeps only pairs
-//! below a threshold `φ`. Both bounds here under-estimate the raw
+//! AG-TR keeps only the candidate pairs whose Eq. 8 DTW dissimilarity
+//! falls below a threshold `φ`. Both bounds here under-estimate the raw
 //! cumulative DTW cost in `O(m)` time, so a pair whose *bound* already
 //! exceeds `φ` can be skipped without running the `O(m·n)` dynamic
 //! program.
@@ -24,12 +24,13 @@ use std::collections::VecDeque;
 /// # Examples
 ///
 /// ```
-/// use srtd_timeseries::{lb_keogh, lb_keogh_env, Envelope};
+/// use srtd_timeseries::{lb_keogh_env, Dtw, Envelope};
 ///
 /// let q = [0.0, 1.0, 2.0, 1.0];
 /// let r = [1.0, 1.0, 1.0, 1.0];
 /// let env = Envelope::new(&r, 1);
-/// assert_eq!(lb_keogh_env(&q, &env), lb_keogh(&q, &r, 1));
+/// let bound = lb_keogh_env(&q, &env);
+/// assert!(bound <= Dtw::new().raw().with_band(1).distance(&q, &r) + 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
@@ -159,59 +160,16 @@ pub fn lb_kim(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// LB_Keogh: the squared distance from `query` to the Sakoe–Chiba
-/// envelope of `reference`, a lower bound on *banded* raw DTW with window
-/// `w` (and therefore also on unbanded DTW only when `w` spans the whole
-/// series).
-///
-/// Series must have equal lengths (the classic LB_Keogh setting); use
-/// [`lb_kim`] for unequal lengths.
-///
-/// # Panics
-///
-/// Panics if the series lengths differ.
-///
-/// # Examples
-///
-/// ```
-/// use srtd_timeseries::{lb_keogh, Dtw};
-///
-/// let a = [0.0, 1.0, 2.0, 1.0];
-/// let b = [1.0, 1.0, 1.0, 1.0];
-/// let bound = lb_keogh(&a, &b, 1);
-/// let exact = Dtw::new().raw().with_band(1).distance(&a, &b);
-/// assert!(bound <= exact + 1e-12);
-/// ```
-pub fn lb_keogh(query: &[f64], reference: &[f64], w: usize) -> f64 {
-    assert_eq!(
-        query.len(),
-        reference.len(),
-        "LB_Keogh requires equal-length series"
-    );
-    lb_keogh_env(query, &Envelope::new(reference, w))
-}
-
-/// Computes the pairwise raw unbanded-DTW dissimilarity matrix with lower
-/// bound pruning: pairs whose LB_Kim/LB_Keogh bound already exceeds
-/// `cutoff`, or whose dynamic program provably overshoots it, are
-/// reported as `f64::INFINITY`; every pair at or below the cutoff carries
-/// its exact distance.
-///
-/// This is a convenience wrapper over the full
-/// [`PrunedPairwise`](crate::PrunedPairwise) engine (which AG-TR uses
-/// directly with banding and Eq. 8 two-channel sums); the returned matrix
-/// is symmetric with a zero diagonal.
-pub fn pruned_raw_dtw_matrix(series: &[Vec<f64>], cutoff: f64) -> Vec<Vec<f64>> {
-    crate::PrunedPairwise::new(cutoff)
-        .with_band(crate::BandPolicy::None)
-        .matrix(series)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use srtd_runtime::rng::Rng;
     use srtd_runtime::{prop, prop_assert, prop_assert_eq};
+
+    /// LB_Keogh of `query` against `reference`'s envelope at window `w`.
+    fn keogh(query: &[f64], reference: &[f64], w: usize) -> f64 {
+        lb_keogh_env(query, &Envelope::new(reference, w))
+    }
 
     #[test]
     fn kim_bound_zero_for_identical() {
@@ -230,31 +188,17 @@ mod tests {
     fn keogh_zero_when_inside_envelope() {
         let q = [1.0, 1.0, 1.0];
         let r = [0.0, 2.0, 0.0];
-        assert_eq!(lb_keogh(&q, &r, 1), 0.0);
+        assert_eq!(keogh(&q, &r, 1), 0.0);
     }
 
     #[test]
     fn keogh_wide_window_still_bounds() {
         let q = [10.0, 10.0];
         let r = [0.0, 0.0];
-        let bound = lb_keogh(&q, &r, 5);
+        let bound = keogh(&q, &r, 5);
         let exact = Dtw::new().raw().distance(&q, &r);
         assert!(bound <= exact + 1e-12);
         assert!(bound > 0.0);
-    }
-
-    #[test]
-    fn pruned_matrix_marks_far_pairs_infinite() {
-        let series = vec![
-            vec![0.0, 0.0, 0.0],
-            vec![0.1, 0.0, 0.1],
-            vec![100.0, 100.0, 100.0],
-        ];
-        let m = pruned_raw_dtw_matrix(&series, 1.0);
-        assert!(m[0][1].is_finite());
-        assert_eq!(m[0][2], f64::INFINITY);
-        assert_eq!(m[1][2], f64::INFINITY);
-        assert_eq!(m[0][0], 0.0);
     }
 
     /// LB_Kim never exceeds the raw DTW cost.
@@ -292,7 +236,7 @@ mod tests {
                 let a: Vec<f64> = data.iter().map(|d| d.0).collect();
                 let b: Vec<f64> = data.iter().map(|d| d.1).collect();
                 let exact = Dtw::new().raw().with_band(w).distance(&a, &b);
-                prop_assert!(lb_keogh(&a, &b, w) <= exact + 1e-9);
+                prop_assert!(keogh(&a, &b, w) <= exact + 1e-9);
                 Ok(())
             },
         );
@@ -303,13 +247,13 @@ mod tests {
     ///
     /// ```text
     /// lb_kim ≤ full raw DTW ≤ banded raw DTW(w)    and
-    /// lb_keogh(w) ≤ banded raw DTW(w)
+    /// LB_Keogh(w) ≤ banded raw DTW(w)
     /// ```
     ///
     /// Note the directions: a band *restricts* warping, so the banded
     /// minimum can only be ≥ the unconstrained one, and LB_Keogh bounds
     /// the *banded* cost (it only bounds full DTW when the window spans
-    /// the series). Neither of `lb_kim`/`lb_keogh` dominates the other —
+    /// the series). Neither of LB_Kim/LB_Keogh dominates the other —
     /// the cascade orders them by evaluation cost (`O(1)` vs `O(n)`), not
     /// by tightness.
     #[test]
@@ -330,14 +274,14 @@ mod tests {
                 let full = Dtw::new().raw().distance(&a, &b);
                 let banded = Dtw::new().raw().with_band(w).distance(&a, &b);
                 let kim = lb_kim(&a, &b);
-                let keogh = lb_keogh(&a, &b, w);
+                let keogh_w = keogh(&a, &b, w);
                 let tol = 1e-9 * banded.max(1.0);
                 if full.is_finite() {
                     prop_assert!(kim <= full + tol, "kim {kim} > full {full}");
                     prop_assert!(full <= banded + tol, "full {full} > banded {banded}");
-                    prop_assert!(keogh <= banded + tol, "keogh {keogh} > banded {banded}");
+                    prop_assert!(keogh_w <= banded + tol, "keogh {keogh_w} > banded {banded}");
                     // The wide-window envelope bounds even unbanded DTW.
-                    let keogh_wide = lb_keogh(&a, &b, a.len().max(1) - 1);
+                    let keogh_wide = keogh(&a, &b, a.len().max(1) - 1);
                     prop_assert!(keogh_wide <= full + tol);
                 } else {
                     // Both empty: every quantity degenerates consistently.
@@ -387,36 +331,5 @@ mod tests {
     fn lb_keogh_env_rejects_ragged_queries() {
         let env = Envelope::new(&[1.0, 2.0], 1);
         lb_keogh_env(&[1.0, 2.0, 3.0], &env);
-    }
-
-    /// Pruning never changes finite entries below the cutoff.
-    #[test]
-    fn pruning_is_sound() {
-        prop::check(
-            |rng| {
-                (
-                    prop::vec_with(rng, 2..6, |r| {
-                        prop::vec_with(r, 2..8, |r2| r2.gen_range(-20f64..20.0))
-                    }),
-                    rng.gen_range(0.0f64..500.0),
-                )
-            },
-            |(series, cutoff)| {
-                let pruned = pruned_raw_dtw_matrix(series, *cutoff);
-                let dtw = Dtw::new().raw();
-                for i in 0..series.len() {
-                    for j in 0..series.len() {
-                        if i == j {
-                            continue;
-                        }
-                        let exact = dtw.distance(&series[i], &series[j]);
-                        if exact <= *cutoff {
-                            prop_assert_eq!(pruned[i][j], exact);
-                        }
-                    }
-                }
-                Ok(())
-            },
-        );
     }
 }

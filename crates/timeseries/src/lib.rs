@@ -10,9 +10,11 @@
 //! ```
 //!
 //! where `ω_k` are squared point distances along the path, via the standard
-//! cumulative-distance dynamic program. A Sakoe–Chiba band variant bounds
-//! the warping window for long series, and utilities for z-normalization
-//! and series construction round out the crate.
+//! cumulative-distance dynamic program, plus the raw cumulative cost that
+//! Fig. 4 tabulates and AG-TR groups on. A Sakoe–Chiba band bounds the
+//! warping window for long series ([`adaptive_band`] picks it), and
+//! [`PrunedPairwise`] decides Eq. 8 over candidate pairs through an
+//! LB_Kim → LB_Keogh → early-abandoning DP cascade.
 //!
 //! # Examples
 //!
@@ -35,9 +37,7 @@
 mod bounds;
 mod dtw;
 mod pruned;
-mod series;
 
-pub use bounds::{lb_keogh, lb_keogh_env, lb_kim, pruned_raw_dtw_matrix, Envelope};
+pub use bounds::{lb_keogh_env, lb_kim, Envelope};
 pub use dtw::{dtw, Dtw};
-pub use pruned::{BandPolicy, PruneStats, PrunedPairwise};
-pub use series::{z_normalize, TimeSeriesPair};
+pub use pruned::{adaptive_band, PruneStats, PrunedPairwise};

@@ -5,20 +5,20 @@
 //! AG-TR keeps a pair of accounts only when their Eq. 8 dissimilarity
 //! falls below the threshold `φ`, and the connected-components step that
 //! follows consumes **only that decision** plus the exact distance of
-//! kept pairs. A pruned pairwise driver can therefore report any
-//! provably-above-φ pair as `f64::INFINITY` without ever computing its
-//! distance, as long as
+//! kept pairs. A pruned pairwise engine can therefore drop any
+//! provably-above-φ pair without ever computing its distance, as long as
 //!
-//! * no pair with true distance `< φ` is ever pruned (every kept pair
-//!   carries a value bit-identical to the unpruned path), and
+//! * no pair with true distance `≤ φ` is ever pruned (every kept pair
+//!   carries a value bit-identical to full DTW), and
 //! * every pruned pair truly has distance `> φ`.
 //!
 //! Both hold by construction: the cascade only skips a pair when a lower
 //! bound on its distance exceeds the cutoff, and the fall-through DP
 //! ([`Dtw::distance_upper_bounded`]) only abandons when the cumulative
 //! cost provably overshoots the remaining budget. The engine is therefore
-//! **decision-equivalent** to the full matrix, which the workspace pins
-//! with property tests here and an AG-TR equivalence suite at the root.
+//! **decision-equivalent** to full DTW over the same pairs, which the
+//! workspace pins with a property test here and an AG-TR equivalence
+//! suite at the root.
 //!
 //! Stages are ordered by evaluation cost, not bound tightness (neither
 //! LB dominates the other): `O(1)` LB_Kim, `O(n)` LB_Keogh against
@@ -27,7 +27,7 @@
 use crate::bounds::{lb_keogh_env, lb_kim, Envelope};
 use crate::Dtw;
 use srtd_runtime::obs;
-use srtd_runtime::parallel::{parallel_map_min, triangle_pairs};
+use srtd_runtime::parallel::parallel_map_min;
 
 /// Below this many pairs the engine stays sequential — pruned pairs cost
 /// nanoseconds, so a thread scope would dominate. The gate depends only
@@ -38,67 +38,60 @@ const MIN_PARALLEL_PAIRS: usize = 256;
 /// Sequential-fallback gate for the per-series envelope precomputation.
 const MIN_PARALLEL_SERIES: usize = 64;
 
-/// How the Sakoe–Chiba half-width is chosen for a pair of series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BandPolicy {
-    /// Unconstrained warping (exact classic DTW).
-    None,
-    /// A fixed half-width for every pair (widened to `|m − n|` by the DP
-    /// when infeasible).
-    Fixed(usize),
-    /// Band grows with the longer series: below `min_len` points the pair
-    /// is unbanded (paper-scale series keep their exact semantics), from
-    /// there on the half-width is `max(min_band, len / divisor)`.
-    Adaptive {
-        /// Series shorter than this warp unconstrained.
-        min_len: usize,
-        /// Floor for the adaptive half-width.
-        min_band: usize,
-        /// Half-width is `len / divisor` (≥ `min_band`).
-        divisor: usize,
-    },
+/// Series shorter than this warp unconstrained under [`adaptive_band`].
+const UNBANDED_BELOW: usize = 64;
+
+/// Floor of [`adaptive_band`]'s half-width.
+const MIN_BAND: usize = 16;
+
+/// [`adaptive_band`]'s half-width is the longer length over this.
+const BAND_DIVISOR: usize = 8;
+
+/// The Sakoe–Chiba half-width for a pair of series with lengths `la` and
+/// `lb` (`None` = unconstrained). Below 64 points a pair is unbanded, so
+/// paper-scale trajectories keep exact classic-DTW semantics; from there
+/// on the half-width is `max(16, len / 8)` of the longer series — roughly
+/// the 10%-of-length guidance from the DTW-banding literature, with a
+/// generous floor so warp flexibility never collapses on mid-size series.
+///
+/// # Examples
+///
+/// ```
+/// use srtd_timeseries::adaptive_band;
+///
+/// assert_eq!(adaptive_band(10, 20), None);
+/// assert_eq!(adaptive_band(64, 64), Some(16));
+/// assert_eq!(adaptive_band(100, 400), Some(50));
+/// ```
+pub fn adaptive_band(la: usize, lb: usize) -> Option<usize> {
+    let len = la.max(lb);
+    (len >= UNBANDED_BELOW).then(|| MIN_BAND.max(len / BAND_DIVISOR))
 }
 
-impl BandPolicy {
-    /// The default adaptive rule: unbanded below 64 points, then
-    /// `max(16, len/8)` — roughly the 10%-of-length guidance from the
-    /// DTW-banding literature, with a generous floor so warp flexibility
-    /// never collapses on mid-size series.
-    pub fn adaptive() -> Self {
-        Self::Adaptive {
-            min_len: 64,
-            min_band: 16,
-            divisor: 8,
-        }
-    }
-
-    /// The half-width for a pair with lengths `la`, `lb` (`None` =
-    /// unconstrained).
-    pub fn band_for(&self, la: usize, lb: usize) -> Option<usize> {
-        match *self {
-            Self::None => None,
-            Self::Fixed(w) => Some(w),
-            Self::Adaptive {
-                min_len,
-                min_band,
-                divisor,
-            } => {
-                let len = la.max(lb);
-                if len < min_len {
-                    None
-                } else {
-                    Some(min_band.max(len / divisor.max(1)))
-                }
-            }
-        }
+/// The raw DTW the exact fall-through runs for a pair with lengths `la`,
+/// `lb`: [`adaptive_band`]'s band, if any.
+fn dtw_for(la: usize, lb: usize) -> Dtw {
+    let dtw = Dtw::new().raw();
+    match adaptive_band(la, lb) {
+        Some(w) => dtw.with_band(w),
+        None => dtw,
     }
 }
 
-/// Where each pair of one pruned matrix computation ended up. The four
+/// Envelope of one series at its own (equal-length-pair) band. For an
+/// unbanded pair the window must span the whole series, otherwise
+/// LB_Keogh would not bound unconstrained DTW.
+fn envelope_for(series: &[f64]) -> Envelope {
+    let w =
+        adaptive_band(series.len(), series.len()).unwrap_or_else(|| series.len().saturating_sub(1));
+    Envelope::new(series, w)
+}
+
+/// Where each pair of one pruned pairwise run ended up. The four
 /// categories partition the pair set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
-    /// Unordered pairs considered, `n·(n−1)/2`.
+    /// Pairs considered (the length of the candidate list).
     pub pairs: u64,
     /// Pairs discarded by the `O(1)` first/last-point bound.
     pub lb_kim_pruned: u64,
@@ -131,38 +124,42 @@ enum PairOutcome {
     Exact(f64),
 }
 
-/// Pruned pairwise raw-DTW matrix driver.
+/// Pruned pairwise raw-DTW engine over two-channel items.
 ///
-/// Distances are **raw cumulative costs** (the cutoff lives in the same
-/// space); multi-channel variants sum the per-channel distances before
-/// comparing against the cutoff, which is exactly AG-TR's Eq. 8 shape.
-/// The returned matrices are symmetric with a zero diagonal; pruned
-/// entries read `f64::INFINITY`.
+/// Each item is one AG-TR trajectory `(X, Y)`; a pair's distance is the
+/// **sum** of the per-channel raw cumulative costs — Eq. 8's
+/// `DTW(X_i, X_j) + DTW(Y_i, Y_j)` — under [`adaptive_band`], and the
+/// cutoff lives in the same space.
 ///
 /// # Examples
 ///
 /// ```
 /// use srtd_timeseries::{Dtw, PrunedPairwise};
 ///
-/// let series = vec![vec![0.0, 0.1], vec![0.0, 0.2], vec![90.0, 91.0]];
-/// let m = PrunedPairwise::new(1.0).matrix(&series);
+/// let items = vec![
+///     (vec![0.0, 0.1], vec![5.0, 5.0]),
+///     (vec![0.0, 0.2], vec![5.0, 5.0]),
+///     (vec![90.0, 91.0], vec![5.0, 5.0]),
+/// ];
+/// let pairs = [(0, 1), (0, 2), (1, 2)];
+/// let (edges, stats) = PrunedPairwise::new(1.0).edges2_with_stats(&items, &pairs);
 /// // The close pair keeps its exact distance...
-/// assert_eq!(m[0][1], Dtw::new().raw().distance(&series[0], &series[1]));
+/// let raw = Dtw::new().raw();
+/// let exact = raw.distance(&items[0].0, &items[1].0) + raw.distance(&items[0].1, &items[1].1);
+/// assert_eq!(edges, vec![(0, 1, exact)]);
 /// // ...the far pairs are pruned without a full DTW evaluation.
-/// assert_eq!(m[0][2], f64::INFINITY);
+/// assert_eq!(stats.full_evals, 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrunedPairwise {
     cutoff: f64,
-    band: BandPolicy,
 }
 
 impl PrunedPairwise {
     /// An engine keeping pairs with summed raw distance `≤ cutoff` exact.
     ///
     /// An infinite cutoff disables pruning entirely (every pair runs the
-    /// full dynamic program); the default band policy is
-    /// [`BandPolicy::adaptive`].
+    /// full dynamic program).
     ///
     /// # Panics
     ///
@@ -172,16 +169,7 @@ impl PrunedPairwise {
             !cutoff.is_nan() && cutoff >= 0.0,
             "cutoff must be non-negative"
         );
-        Self {
-            cutoff,
-            band: BandPolicy::adaptive(),
-        }
-    }
-
-    /// Replaces the band policy.
-    pub fn with_band(mut self, band: BandPolicy) -> Self {
-        self.band = band;
-        self
+        Self { cutoff }
     }
 
     /// The pruning cutoff in raw-cost space.
@@ -189,46 +177,23 @@ impl PrunedPairwise {
         self.cutoff
     }
 
-    /// The band policy.
-    pub fn band(&self) -> BandPolicy {
-        self.band
-    }
-
-    /// The DTW configuration the exact fall-through uses for a pair.
-    fn dtw_for(&self, la: usize, lb: usize) -> Dtw {
-        let dtw = Dtw::new().raw();
-        match self.band.band_for(la, lb) {
-            Some(w) => dtw.with_band(w),
-            None => dtw,
-        }
-    }
-
-    /// Envelope of one series at its own (equal-length-pair) band. For an
-    /// unbanded pair the window must span the whole series, otherwise
-    /// LB_Keogh would not bound unconstrained DTW.
-    fn envelope_for(&self, series: &[f64]) -> Envelope {
-        let w = self
-            .band
-            .band_for(series.len(), series.len())
-            .unwrap_or_else(|| series.len().saturating_sub(1));
-        Envelope::new(series, w)
-    }
-
-    /// Runs the cascade for one pair of multi-channel items (`a[c]`
-    /// against `b[c]`, distances summed across channels).
+    /// Runs the cascade for one pair of items, Eq. 8's two channels each
+    /// with its precomputed envelope.
     fn decide(
         &self,
-        a: &[&[f64]],
-        b: &[&[f64]],
-        env_a: &[&Envelope],
-        env_b: &[&Envelope],
+        a: &(Vec<f64>, Vec<f64>),
+        b: &(Vec<f64>, Vec<f64>),
+        env_a: &(Envelope, Envelope),
+        env_b: &(Envelope, Envelope),
     ) -> PairOutcome {
-        let channels = a.len();
+        let a = [a.0.as_slice(), a.1.as_slice()];
+        let b = [b.0.as_slice(), b.1.as_slice()];
+        let env_a = [&env_a.0, &env_a.1];
+        let env_b = [&env_b.0, &env_b.1];
         // Stage 1 — LB_Kim, O(1) per channel.
         let mut kim = [0.0f64; 2];
-        debug_assert!(channels <= kim.len());
         let mut kim_sum = 0.0;
-        for c in 0..channels {
+        for c in 0..2 {
             kim[c] = lb_kim(a[c], b[c]);
             kim_sum += kim[c];
         }
@@ -239,10 +204,9 @@ impl PrunedPairwise {
         // Stage 2 — LB_Keogh against the precomputed envelopes, O(n) per
         // channel. Only sound for equal lengths; ragged pairs fall back
         // to LB_Kim alone (no panic — see the AG-TR regression tests).
-        let equal_lengths = (0..channels).all(|c| a[c].len() == b[c].len());
-        if equal_lengths {
+        if (0..2).all(|c| a[c].len() == b[c].len()) {
             let mut bound_sum = 0.0;
-            for c in 0..channels {
+            for c in 0..2 {
                 let keogh = f64::max(lb_keogh_env(a[c], env_b[c]), lb_keogh_env(b[c], env_a[c]));
                 // Each of kim/keogh lower-bounds the channel distance, so
                 // the larger one does too.
@@ -259,16 +223,14 @@ impl PrunedPairwise {
         // come; a kept pair (true sum ≤ cutoff) always fits every budget,
         // so its channels all run to completion bit-identically.
         let mut exact_sum = 0.0;
-        for c in 0..channels {
-            let rest: f64 = kim[c + 1..channels].iter().sum();
+        for c in 0..2 {
+            let rest: f64 = kim[c + 1..].iter().sum();
             let ub = if self.cutoff.is_finite() {
                 self.cutoff - exact_sum - rest
             } else {
                 f64::INFINITY
             };
-            let d = self
-                .dtw_for(a[c].len(), b[c].len())
-                .distance_upper_bounded(a[c], b[c], ub);
+            let d = dtw_for(a[c].len(), b[c].len()).distance_upper_bounded(a[c], b[c], ub);
             if d == f64::INFINITY && ub.is_finite() {
                 return PairOutcome::Abandoned;
             }
@@ -277,120 +239,16 @@ impl PrunedPairwise {
         PairOutcome::Exact(exact_sum)
     }
 
-    /// Assembles the symmetric matrix, tallies [`PruneStats`], and
-    /// records the `timeseries.dtw.*` pruning counters (tallied on the
-    /// caller thread from the ordered outcome list, so the export is
-    /// deterministic for every worker count).
-    fn assemble(
-        n: usize,
-        pairs: &[(usize, usize)],
-        outcomes: &[PairOutcome],
-    ) -> (Vec<Vec<f64>>, PruneStats) {
-        let mut matrix = vec![vec![0.0; n]; n];
-        let mut stats = PruneStats {
-            pairs: pairs.len() as u64,
-            ..PruneStats::default()
-        };
-        for (&(i, j), outcome) in pairs.iter().zip(outcomes) {
-            let d = match outcome {
-                PairOutcome::PrunedKim => {
-                    stats.lb_kim_pruned += 1;
-                    f64::INFINITY
-                }
-                PairOutcome::PrunedKeogh => {
-                    stats.lb_keogh_pruned += 1;
-                    f64::INFINITY
-                }
-                PairOutcome::Abandoned => {
-                    stats.early_abandoned += 1;
-                    f64::INFINITY
-                }
-                PairOutcome::Exact(d) => {
-                    stats.full_evals += 1;
-                    *d
-                }
-            };
-            matrix[i][j] = d;
-            matrix[j][i] = d;
-        }
-        Self::record_counters(&stats);
-        (matrix, stats)
-    }
-
-    /// Records the `timeseries.dtw.*` pruning counters for one pairwise
-    /// computation (always on the caller thread, after the ordered
-    /// outcome tally, so the export is deterministic for every worker
-    /// count).
-    fn record_counters(stats: &PruneStats) {
-        obs::counter_add("timeseries.dtw.lb_kim_pruned", stats.lb_kim_pruned);
-        obs::counter_add("timeseries.dtw.lb_keogh_pruned", stats.lb_keogh_pruned);
-        obs::counter_add("timeseries.dtw.pair_early_abandoned", stats.early_abandoned);
-        obs::counter_add("timeseries.dtw.full_evals", stats.full_evals);
-    }
-
-    /// Pruned pairwise matrix over single-channel series, with the
-    /// per-stage [`PruneStats`].
-    pub fn matrix_with_stats(&self, series: &[Vec<f64>]) -> (Vec<Vec<f64>>, PruneStats) {
-        let _span = obs::span("timeseries.pruned_pairwise");
-        let envelopes = parallel_map_min(series, MIN_PARALLEL_SERIES, |s| self.envelope_for(s));
-        let pairs = triangle_pairs(series.len());
-        let outcomes = parallel_map_min(&pairs, MIN_PARALLEL_PAIRS, |&(i, j)| {
-            self.decide(
-                &[&series[i]],
-                &[&series[j]],
-                &[&envelopes[i]],
-                &[&envelopes[j]],
-            )
-        });
-        Self::assemble(series.len(), &pairs, &outcomes)
-    }
-
-    /// [`PrunedPairwise::matrix_with_stats`] without the stats.
-    pub fn matrix(&self, series: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.matrix_with_stats(series).0
-    }
-
-    /// Pruned pairwise matrix over two-channel items, each entry the
-    /// **sum** of the per-channel raw distances — AG-TR's Eq. 8
-    /// `DTW(X_i, X_j) + DTW(Y_i, Y_j)` — with the per-stage
-    /// [`PruneStats`].
-    pub fn matrix2_with_stats(
-        &self,
-        items: &[(Vec<f64>, Vec<f64>)],
-    ) -> (Vec<Vec<f64>>, PruneStats) {
-        let _span = obs::span("timeseries.pruned_pairwise");
-        let envelopes = parallel_map_min(items, MIN_PARALLEL_SERIES, |(x, y)| {
-            (self.envelope_for(x), self.envelope_for(y))
-        });
-        let pairs = triangle_pairs(items.len());
-        let outcomes = parallel_map_min(&pairs, MIN_PARALLEL_PAIRS, |&(i, j)| {
-            self.decide(
-                &[&items[i].0, &items[i].1],
-                &[&items[j].0, &items[j].1],
-                &[&envelopes[i].0, &envelopes[i].1],
-                &[&envelopes[j].0, &envelopes[j].1],
-            )
-        });
-        Self::assemble(items.len(), &pairs, &outcomes)
-    }
-
-    /// [`PrunedPairwise::matrix2_with_stats`] without the stats.
-    pub fn matrix2(&self, items: &[(Vec<f64>, Vec<f64>)]) -> Vec<Vec<f64>> {
-        self.matrix2_with_stats(items).0
-    }
-
-    /// Sparse variant of [`PrunedPairwise::matrix2_with_stats`]: runs the
-    /// cascade over an explicit candidate-pair list instead of the full
-    /// upper triangle, and returns the surviving `(i, j, distance)`
-    /// triples (pairs whose exact summed distance came in at or below the
-    /// cutoff) instead of a dense n×n matrix — nothing quadratic in
-    /// `items.len()` is ever allocated, which is what lets AG-TR group
-    /// 100k+ accounts.
+    /// Runs the cascade over the candidate `pairs` of `items` and returns
+    /// the surviving `(i, j, distance)` triples — pairs whose exact summed
+    /// distance came in at or below the cutoff, in `pairs` order — with
+    /// the per-stage [`PruneStats`]. Nothing quadratic in `items.len()` is
+    /// allocated, and envelopes are built only for items some pair
+    /// references, which is what lets AG-TR group 100k+ accounts.
     ///
-    /// For any pair present in `pairs` the outcome is bit-identical to
-    /// the corresponding dense-matrix entry: same envelopes (computed
-    /// only for items some candidate references), same cascade, same
-    /// budgets. [`PruneStats::pairs`] counts `pairs.len()`.
+    /// The outcomes are tallied on the caller thread in `pairs` order, and
+    /// the `timeseries.dtw.*` pruning counters recorded from that tally,
+    /// so the export is deterministic for every worker count.
     ///
     /// # Panics
     ///
@@ -409,22 +267,14 @@ impl PrunedPairwise {
         let indices: Vec<usize> = (0..items.len()).collect();
         let envelopes = parallel_map_min(&indices, MIN_PARALLEL_SERIES, |&i| {
             if needed[i] {
-                (
-                    self.envelope_for(&items[i].0),
-                    self.envelope_for(&items[i].1),
-                )
+                (envelope_for(&items[i].0), envelope_for(&items[i].1))
             } else {
                 // Never consulted — blocked-out items pay nothing.
                 (Envelope::new(&[], 0), Envelope::new(&[], 0))
             }
         });
         let outcomes = parallel_map_min(pairs, MIN_PARALLEL_PAIRS, |&(i, j)| {
-            self.decide(
-                &[&items[i].0, &items[i].1],
-                &[&items[j].0, &items[j].1],
-                &[&envelopes[i].0, &envelopes[i].1],
-                &[&envelopes[j].0, &envelopes[j].1],
-            )
+            self.decide(&items[i], &items[j], &envelopes[i], &envelopes[j])
         });
         let mut edges = Vec::new();
         let mut stats = PruneStats {
@@ -442,7 +292,10 @@ impl PrunedPairwise {
                 }
             }
         }
-        Self::record_counters(&stats);
+        obs::counter_add("timeseries.dtw.lb_kim_pruned", stats.lb_kim_pruned);
+        obs::counter_add("timeseries.dtw.lb_keogh_pruned", stats.lb_keogh_pruned);
+        obs::counter_add("timeseries.dtw.pair_early_abandoned", stats.early_abandoned);
+        obs::counter_add("timeseries.dtw.full_evals", stats.full_evals);
         (edges, stats)
     }
 }
@@ -450,81 +303,94 @@ impl PrunedPairwise {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srtd_runtime::parallel::set_max_threads;
+    use srtd_runtime::parallel::{set_max_threads, triangle_pairs};
     use srtd_runtime::rng::Rng;
     use srtd_runtime::{prop, prop_assert, prop_assert_eq};
 
-    fn full_matrix2(items: &[(Vec<f64>, Vec<f64>)], band: BandPolicy) -> Vec<Vec<f64>> {
-        let n = items.len();
-        let mut m = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in i + 1..n {
-                let dx = {
-                    let dtw = match band.band_for(items[i].0.len(), items[j].0.len()) {
-                        Some(w) => Dtw::new().raw().with_band(w),
-                        None => Dtw::new().raw(),
-                    };
-                    dtw.distance(&items[i].0, &items[j].0) + dtw.distance(&items[i].1, &items[j].1)
-                };
-                m[i][j] = dx;
-                m[j][i] = dx;
-            }
-        }
-        m
+    /// Eq. 8 by full DTW under the adaptive band: the reference the
+    /// cascade must reproduce.
+    fn full_distance(a: &(Vec<f64>, Vec<f64>), b: &(Vec<f64>, Vec<f64>)) -> f64 {
+        let dtw = dtw_for(a.0.len(), b.0.len());
+        dtw.distance(&a.0, &b.0) + dtw.distance(&a.1, &b.1)
+    }
+
+    /// Every pair of `items`, through the engine.
+    fn all_pairs(
+        engine: PrunedPairwise,
+        items: &[(Vec<f64>, Vec<f64>)],
+    ) -> (Vec<(usize, usize, f64)>, PruneStats) {
+        engine.edges2_with_stats(items, &triangle_pairs(items.len()))
     }
 
     /// The decision-equivalence contract, as a property over random
-    /// campaigns (ragged lengths included), cutoffs and band policies:
-    /// kept pairs are bit-identical to the full path, pruned pairs truly
-    /// sit above the cutoff.
+    /// campaigns, cutoffs and ragged lengths: a pair at or below the
+    /// cutoff is an edge carrying full DTW's value bit for bit, any edge
+    /// carries full DTW's value, and every pair left out is above the
+    /// cutoff. Some items run 64–120 points, near copies of one long
+    /// walk, so the adaptive band applies and some banded pairs are kept;
+    /// the rest are under 10 points and unbanded.
     #[test]
-    fn pruned_matrix2_is_decision_equivalent_to_full() {
+    fn pruned_edges_are_decision_equivalent_to_full_dtw() {
+        let mut banded_kept = 0usize;
         prop::check(
             |rng| {
+                let walk: Vec<f64> = (0..120)
+                    .scan(0.0, |x, _| {
+                        *x += rng.gen_range(-1f64..1.0);
+                        Some(*x)
+                    })
+                    .collect();
                 let items = prop::vec_with(rng, 2..8, |r| {
-                    let len = r.gen_range(0usize..10);
-                    (
-                        (0..len)
-                            .map(|_| r.gen_range(-5f64..5.0))
-                            .collect::<Vec<f64>>(),
-                        (0..len)
-                            .map(|_| r.gen_range(-5f64..5.0))
-                            .collect::<Vec<f64>>(),
-                    )
+                    if r.gen_bool(0.4) {
+                        let len = r.gen_range(64usize..121);
+                        let near = |r: &mut srtd_runtime::rng::StdRng, offset: f64| {
+                            walk[..len]
+                                .iter()
+                                .map(|v| v + offset + r.gen_range(-0.05f64..0.05))
+                                .collect::<Vec<f64>>()
+                        };
+                        (near(r, 0.0), near(r, 3.0))
+                    } else {
+                        let len = r.gen_range(0usize..10);
+                        (
+                            (0..len)
+                                .map(|_| r.gen_range(-5f64..5.0))
+                                .collect::<Vec<f64>>(),
+                            (0..len)
+                                .map(|_| r.gen_range(-5f64..5.0))
+                                .collect::<Vec<f64>>(),
+                        )
+                    }
                 });
                 let cutoff = rng.gen_range(0f64..200.0);
-                let band = match rng.gen_range(0usize..3) {
-                    0 => BandPolicy::None,
-                    1 => BandPolicy::Fixed(rng.gen_range(0usize..4)),
-                    _ => BandPolicy::adaptive(),
-                };
-                (items, cutoff, band)
+                (items, cutoff)
             },
-            |(items, cutoff, band)| {
-                let engine = PrunedPairwise::new(*cutoff).with_band(*band);
-                let (pruned, stats) = engine.matrix2_with_stats(items);
-                let full = full_matrix2(items, *band);
-                let mut accounted = 0;
-                for i in 0..items.len() {
-                    for j in i + 1..items.len() {
-                        accounted += 1;
-                        if full[i][j] <= *cutoff {
+            |(items, cutoff)| {
+                let (edges, stats) = all_pairs(PrunedPairwise::new(*cutoff), items);
+                let mut edges = edges.into_iter().peekable();
+                for (i, j) in triangle_pairs(items.len()) {
+                    let full = full_distance(&items[i], &items[j]);
+                    match edges.next_if(|&(a, b, _)| (a, b) == (i, j)) {
+                        Some((_, _, d)) => {
                             prop_assert!(
-                                pruned[i][j].to_bits() == full[i][j].to_bits(),
-                                "kept pair ({i},{j}) drifted: {} vs {}",
-                                pruned[i][j],
-                                full[i][j]
+                                d.to_bits() == full.to_bits(),
+                                "edge ({i},{j}) drifted: {d} vs {full}"
                             );
-                        } else if pruned[i][j].is_infinite() {
-                            // Pruned: the full value really is above cutoff
-                            // (checked by the branch condition already).
-                        } else {
-                            // Completed above-cutoff pairs keep exactness.
-                            prop_assert!(pruned[i][j].to_bits() == full[i][j].to_bits());
+                            if d <= *cutoff
+                                && adaptive_band(items[i].0.len(), items[j].0.len()).is_some()
+                            {
+                                banded_kept += 1;
+                            }
                         }
+                        None => prop_assert!(
+                            full > *cutoff,
+                            "pruned ({i},{j}) at {full} ≤ cutoff {cutoff}"
+                        ),
                     }
                 }
-                prop_assert_eq!(stats.pairs, accounted as u64);
+                prop_assert!(edges.next().is_none(), "edges out of pair order");
+                let n = items.len() as u64;
+                prop_assert_eq!(stats.pairs, n * (n - 1) / 2);
                 prop_assert_eq!(
                     stats.pairs,
                     stats.lb_kim_pruned
@@ -535,6 +401,7 @@ mod tests {
                 Ok(())
             },
         );
+        assert!(banded_kept > 0, "no kept pair ran under the adaptive band");
     }
 
     #[test]
@@ -545,14 +412,13 @@ mod tests {
                 (vec![base, base + 1.0], vec![base, base + 2.0])
             })
             .collect();
-        let engine = PrunedPairwise::new(f64::INFINITY);
-        let (m, stats) = engine.matrix2_with_stats(&items);
+        let (edges, stats) = all_pairs(PrunedPairwise::new(f64::INFINITY), &items);
         assert_eq!(stats.lb_kim_pruned, 0);
         assert_eq!(stats.lb_keogh_pruned, 0);
         assert_eq!(stats.early_abandoned, 0);
         assert_eq!(stats.full_evals, stats.pairs);
         assert_eq!(stats.prune_rate(), 0.0);
-        assert!(m[0][1].is_finite());
+        assert_eq!(edges.len() as u64, stats.pairs);
     }
 
     #[test]
@@ -563,12 +429,11 @@ mod tests {
                 (vec![base, base + 1.0, base], vec![base, base, base])
             })
             .collect();
-        let (m, stats) = PrunedPairwise::new(1.0).matrix2_with_stats(&items);
+        let (edges, stats) = all_pairs(PrunedPairwise::new(1.0), &items);
         assert!(stats.lb_kim_pruned > 0, "{stats:?}");
         assert!(stats.full_evals < stats.pairs);
         assert!(stats.prune_rate() > 0.0);
-        assert_eq!(m[0][5], f64::INFINITY);
-        assert_eq!(m[0][0], 0.0);
+        assert!(edges.iter().all(|&(i, j, _)| (i, j) != (0, 5)));
     }
 
     #[test]
@@ -580,19 +445,19 @@ mod tests {
             (vec![500.0], vec![500.0]),
             (Vec::new(), Vec::new()),
         ];
-        let (m, stats) = PrunedPairwise::new(10.0).matrix2_with_stats(&items);
+        let (edges, stats) = all_pairs(PrunedPairwise::new(10.0), &items);
         assert_eq!(stats.lb_keogh_pruned, 0, "ragged pairs must skip keogh");
-        // The far singleton is kim-pruned, the near ragged pair kept.
-        assert!(m[0][1].is_finite());
-        assert_eq!(m[0][2], f64::INFINITY);
-        // Empty-vs-nonempty pairs follow the DTW convention (infinitely
-        // far); empty-vs-empty would be distance 0 — callers that want
-        // inactive items apart must mask that themselves (AG-TR does).
-        assert_eq!(m[0][3], f64::INFINITY);
+        // The near ragged pair is kept; the far singleton is kim-pruned,
+        // and empty-vs-nonempty pairs follow the DTW convention
+        // (infinitely far). Empty-vs-empty would be distance 0 — callers
+        // that want inactive items apart must leave them out of the pairs
+        // themselves (AG-TR does).
+        let pairs: Vec<(usize, usize)> = edges.iter().map(|&(i, j, _)| (i, j)).collect();
+        assert_eq!(pairs, vec![(0, 1)]);
     }
 
     #[test]
-    fn thread_count_does_not_change_matrix_or_stats() {
+    fn thread_count_does_not_change_edges_or_stats() {
         let items: Vec<(Vec<f64>, Vec<f64>)> = (0..40)
             .map(|i| {
                 let base = (i % 7) as f64 * 3.0;
@@ -604,50 +469,16 @@ mod tests {
             .collect();
         let engine = PrunedPairwise::new(2.0);
         set_max_threads(1);
-        let (m1, s1) = engine.matrix2_with_stats(&items);
+        let (e1, s1) = all_pairs(engine, &items);
         set_max_threads(4);
-        let (m4, s4) = engine.matrix2_with_stats(&items);
+        let (e4, s4) = all_pairs(engine, &items);
         set_max_threads(0);
         assert_eq!(s1, s4);
-        for (r1, r4) in m1.iter().zip(&m4) {
-            for (a, b) in r1.iter().zip(r4) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn edges2_over_the_full_triangle_matches_matrix2() {
-        use srtd_runtime::rng::SeedableRng;
-        let mut rng = srtd_runtime::rng::StdRng::seed_from_u64(42);
-        let items: Vec<(Vec<f64>, Vec<f64>)> = (0..20)
-            .map(|_| {
-                let len = rng.gen_range(0usize..9);
-                (
-                    (0..len).map(|_| rng.gen_range(-4f64..4.0)).collect(),
-                    (0..len).map(|_| rng.gen_range(-4f64..4.0)).collect(),
-                )
-            })
-            .collect();
-        let engine = PrunedPairwise::new(3.0);
-        let (matrix, mstats) = engine.matrix2_with_stats(&items);
-        let pairs = triangle_pairs(items.len());
-        let (edges, estats) = engine.edges2_with_stats(&items, &pairs);
-        assert_eq!(mstats, estats);
-        // Every finite off-diagonal entry appears as an edge, bitwise.
-        let mut expected = Vec::new();
-        for (i, row) in matrix.iter().enumerate() {
-            for (j, d) in row.iter().enumerate() {
-                if j > i && d.is_finite() {
-                    expected.push((i, j, *d));
-                }
-            }
-        }
-        assert_eq!(edges.len(), expected.len());
-        for (got, want) in edges.iter().zip(&expected) {
-            assert_eq!((got.0, got.1), (want.0, want.1));
-            assert_eq!(got.2.to_bits(), want.2.to_bits());
-        }
+        assert!(!e1.is_empty());
+        let bits = |edges: &[(usize, usize, f64)]| -> Vec<(usize, usize, u64)> {
+            edges.iter().map(|&(i, j, d)| (i, j, d.to_bits())).collect()
+        };
+        assert_eq!(bits(&e1), bits(&e4));
     }
 
     #[test]
@@ -668,13 +499,12 @@ mod tests {
     }
 
     #[test]
-    fn band_policy_rules() {
-        assert_eq!(BandPolicy::None.band_for(10, 500), None);
-        assert_eq!(BandPolicy::Fixed(3).band_for(10, 500), Some(3));
-        let adaptive = BandPolicy::adaptive();
-        assert_eq!(adaptive.band_for(10, 20), None, "short series unbanded");
-        assert_eq!(adaptive.band_for(64, 64), Some(16), "floor applies");
-        assert_eq!(adaptive.band_for(100, 400), Some(50), "len/8 of the longer");
+    fn adaptive_band_rules() {
+        assert_eq!(adaptive_band(10, 20), None, "short series unbanded");
+        assert_eq!(adaptive_band(63, 5), None);
+        assert_eq!(adaptive_band(5, 64), Some(16), "the longer series decides");
+        assert_eq!(adaptive_band(64, 64), Some(16), "floor applies");
+        assert_eq!(adaptive_band(100, 400), Some(50), "len/8 of the longer");
     }
 
     #[test]

@@ -9,11 +9,15 @@ cargo fmt --all --check
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
-# Grouping against the paper's definition: AG-TS/AG-TR groupings, audit
-# reports and decision edges (values bit for bit) must equal the
-# connected components of the exact dense affinity/dissimilarity
-# matrices — all pairs, unblocked and unpruned — and the blocking
-# candidates must contain every pair those matrices accept, at 1 and 4
+# Docs: every intra-doc link must resolve, private items included, so a
+# link to a deleted or renamed item fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --document-private-items
+
+# Grouping against the paper's definition: AG-TS/AG-TR groupings and
+# audit reports must equal the connected components of the exact dense
+# affinity/dissimilarity matrices — all pairs, unblocked and unpruned —
+# and the decision edges must equal the pairs those matrices accept,
+# values bit for bit (so a pair blocking dropped fails too), at 1 and 4
 # worker threads (run explicitly so a failure is attributable at a
 # glance; ag_tr_equivalence holds AG-TR on the paper-scale and 202-group
 # campaigns, blocked_equivalence the rest). The 3 000-account
@@ -23,7 +27,7 @@ cargo test -q --offline --workspace
 # engine that re-groups from scratch, across multi-epoch arrival
 # schedules, and the engine-owned edge index must return, epoch by epoch,
 # exactly the dense matrix's accepted pairs that touch a dirty account
-# (out-of-order reports, AG-TS order rebuilds, empty epochs, fallbacks).
+# (out-of-order reports, AG-TS order rebuilds, empty epochs).
 cargo test -q --offline --test blocked_equivalence
 cargo test -q --offline --test ag_tr_equivalence
 cargo test -q --release --offline --test blocked_equivalence -- --ignored

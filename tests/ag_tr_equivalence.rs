@@ -2,23 +2,23 @@
 //! account pair whose DTW dissimilarity falls below φ, then takes
 //! connected components. The exact `dissimilarity_matrix` runs full DTW
 //! over every pair ([`support::DenseReference`]); the product scores only
-//! the `tr_candidates` endpoint-cell pairs and runs them through the
-//! pruned DTW cascade, which may skip a pair's exact distance once it is
-//! known to reach φ. Only the `D_ij < φ` decision feeds the grouping, so
-//! for every campaign here, at 1 and 4 worker threads,
+//! the endpoint-cell candidate pairs and runs them through the pruned DTW
+//! cascade, which may skip a pair's exact distance once it is known to
+//! reach φ. Only the `D_ij < φ` decision feeds the grouping, so for every
+//! campaign here, at 1 and 4 worker threads,
 //! [`support::check_against_dense`] asserts that `group()` equals the
-//! exact matrix's components (groups and labels), that
-//! `dissimilarity_edges` equals its below-φ entries bit for bit — pruning
-//! neither drops a below-φ pair nor perturbs a kept distance — and that
-//! `tr_candidates` contains every one of them; `EpochEngine::audit_report`
-//! reports must match too.
+//! exact matrix's components (groups and labels) and that
+//! `dissimilarity_edges` equals its below-φ entries bit for bit — neither
+//! blocking nor pruning drops a below-φ pair, and pruning perturbs no
+//! kept distance; `EpochEngine::audit_report` reports must match too.
 //!
 //! Campaigns: paper-scale scenarios, a sparse-activeness scenario and a
 //! 202-group Sybil-replay campaign. AG-TS on the same campaigns, and both
 //! signals on random and fixed-size campaigns, are
 //! `blocked_equivalence.rs`.
 
-// `DenseReference::Ts` serves `blocked_equivalence.rs` only.
+// `DenseReference::Ts` serves `blocked_equivalence.rs` only, and
+// `dfs_components` `incremental_group.rs`.
 #[allow(dead_code)]
 mod support;
 

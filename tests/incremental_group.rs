@@ -4,12 +4,14 @@
 //! multi-epoch arrival patterns — growth-only epochs that take the pure
 //! union-find merge path, steady-state epochs with nothing dirty, and
 //! epochs that touch existing accounts and force the kept+fresh edge
-//! rebuild. A `ComponentLabeling::from_edges` oracle over the full
-//! decision-edge list pins both against an independent batch
-//! implementation.
+//! rebuild. A depth-first components oracle over the full decision-edge
+//! list pins both against an independent batch implementation.
 
+#[allow(dead_code)]
+mod support;
+
+use support::dfs_components;
 use sybil_td::core::{AccountGrouping, AgTr, AgTs, EdgeGrouping, Grouping, SybilResistantTd};
-use sybil_td::graph::ComponentLabeling;
 use sybil_td::platform::{EpochConfig, EpochEngine, EpochSnapshot};
 use sybil_td::runtime::rng::{Rng, SeedableRng, StdRng};
 use sybil_td::truth::SensingData;
@@ -112,8 +114,7 @@ fn assert_incremental_matches_batch<G>(
     // list must agree with what the incremental engine converged to.
     let data = incremental.data();
     let edges = grouping.decision_edges(data, None);
-    let oracle = ComponentLabeling::from_edges(data.num_accounts(), edges);
-    let oracle_grouping = Grouping::new(oracle.into_groups());
+    let oracle_grouping = dfs_components(data.num_accounts(), &edges);
     let direct = grouping.group(data, &[]);
     assert_eq!(
         oracle_grouping.groups(),

@@ -1,5 +1,6 @@
 //! Golden export for the DTW pruning counters: one pruned pairwise run
-//! over AG-TR's trajectories must surface the `timeseries.dtw.*` cascade
+//! over every pair of AG-TR's trajectories must surface the
+//! `timeseries.dtw.*` cascade
 //! counters, their deterministic JSON export must be byte-identical across
 //! worker-thread counts, the prune rate must be positive on a φ-sparse
 //! campaign, and exactly zero when the cutoff is ∞.
@@ -10,7 +11,7 @@
 
 use sybil_td::core::AgTr;
 use sybil_td::runtime::obs;
-use sybil_td::runtime::parallel::set_max_threads;
+use sybil_td::runtime::parallel::{set_max_threads, triangle_pairs};
 use sybil_td::timeseries::PrunedPairwise;
 use sybil_td::truth::SensingData;
 
@@ -42,8 +43,9 @@ fn pruning_counters_export_deterministically_and_track_the_cascade() {
 
     // Reference stats from the engine itself (outside instrumentation).
     let trajectories = ag.trajectories(&data);
+    let pairs = triangle_pairs(trajectories.len());
     let engine = PrunedPairwise::new(ag.phi());
-    let (_, stats) = engine.matrix2_with_stats(&trajectories);
+    let (_, stats) = engine.edges2_with_stats(&trajectories, &pairs);
     assert_eq!(stats.pairs, 40 * 39 / 2);
 
     // One instrumented pruned run per thread count; the deterministic
@@ -56,7 +58,7 @@ fn pruning_counters_export_deterministically_and_track_the_cascade() {
         set_max_threads(threads);
         obs::set_enabled(true);
         obs::reset();
-        let _ = engine.matrix2(&trajectories);
+        let _ = engine.edges2_with_stats(&trajectories, &pairs);
         let report = obs::snapshot();
         obs::set_enabled(false);
         exports.push(report.deterministic_json());
@@ -108,7 +110,7 @@ fn pruning_counters_export_deterministically_and_track_the_cascade() {
     );
 
     // φ = ∞ disables pruning: every pair runs the full dynamic program.
-    let (_, unpruned) = PrunedPairwise::new(f64::INFINITY).matrix2_with_stats(&trajectories);
+    let (_, unpruned) = PrunedPairwise::new(f64::INFINITY).edges2_with_stats(&trajectories, &pairs);
     assert_eq!(unpruned.lb_kim_pruned, 0);
     assert_eq!(unpruned.lb_keogh_pruned, 0);
     assert_eq!(unpruned.early_abandoned, 0);

@@ -1,10 +1,10 @@
 //! Shared fixtures for the grouping equivalence suites
-//! (`blocked_equivalence.rs`, `ag_tr_equivalence.rs`): the all-pairs
-//! reference grouping and the checks against it, the 202-group
-//! Sybil-replay campaign, and the epoch-engine replay of a generated
-//! scenario.
+//! (`blocked_equivalence.rs`, `ag_tr_equivalence.rs`, `edge_index.rs`,
+//! `incremental_group.rs`): the all-pairs reference grouping and the
+//! checks against it, a depth-first components labeler independent of
+//! the product's union-find, the 202-group Sybil-replay campaign, and the
+//! epoch-engine replay of a generated scenario.
 
-use sybil_td::core::grouping::blocking::{tr_candidates, ts_candidates};
 use sybil_td::core::{AccountGrouping, AgTr, AgTs, Grouping, SybilResistantTd};
 use sybil_td::graph::UnionFind;
 use sybil_td::platform::{EpochConfig, EpochEngine, ReportRules};
@@ -59,6 +59,36 @@ pub fn components(n: usize, pairs: &[(usize, usize, f64)]) -> Grouping {
     Grouping::new(uf.into_groups())
 }
 
+/// The connected components of `edges` over `n` accounts by iterative
+/// depth-first search — a batch labeler that shares no code with the
+/// union-find every product path runs.
+pub fn dfs_components(n: usize, edges: &[(usize, usize)]) -> Grouping {
+    let mut adjacent = vec![Vec::new(); n];
+    for &(i, j) in edges {
+        adjacent[i].push(j);
+        adjacent[j].push(i);
+    }
+    let mut labels = vec![usize::MAX; n];
+    let mut count = 0;
+    for start in 0..n {
+        if labels[start] != usize::MAX {
+            continue;
+        }
+        labels[start] = count;
+        let mut stack = vec![start];
+        while let Some(u) = stack.pop() {
+            for &v in &adjacent[u] {
+                if labels[v] == usize::MAX {
+                    labels[v] = count;
+                    stack.push(v);
+                }
+            }
+        }
+        count += 1;
+    }
+    Grouping::from_labels(&labels)
+}
+
 impl AccountGrouping for DenseReference {
     fn group(&self, data: &SensingData, _fingerprints: &[Vec<f64>]) -> Grouping {
         components(data.num_accounts(), &self.accepted_pairs(data))
@@ -79,13 +109,8 @@ impl AccountGrouping for DenseReference {
 /// 1. `group()` equals the dense reference's components (groups and
 ///    labels);
 /// 2. `affinity_edges` / `dissimilarity_edges` equal the dense matrix's
-///    accepted pairs, values bit for bit — pruning neither drops a
-///    below-φ pair nor perturbs a kept distance;
-/// 3. `blocking::{ts,tr}_candidates` contains every accepted pair —
-///    blocking checked on its own, apart from pruning.
-///
-/// AG-TS with ρ < 0 skips check 3: such a threshold accepts pairs with no
-/// overlap at all, so the product scans every pair instead of blocking.
+///    accepted pairs, values bit for bit — neither blocking nor pruning
+///    drops an accepted pair, and pruning perturbs no kept distance.
 pub fn check_against_dense(reference: DenseReference, data: &SensingData) -> Result<(), String> {
     let expected = reference.accepted_pairs(data);
     let expected_bits: Vec<(usize, usize, u64)> = expected
@@ -95,21 +120,9 @@ pub fn check_against_dense(reference: DenseReference, data: &SensingData) -> Res
     let expected_grouping = components(data.num_accounts(), &expected);
     for threads in [1usize, 4] {
         set_max_threads(threads);
-        let (grouping, edges, candidates) = match reference {
-            DenseReference::Ts(ag) => {
-                let task_sets: Vec<Vec<usize>> =
-                    (0..data.num_accounts()).map(|a| data.tasks_of(a)).collect();
-                (
-                    ag.group(data, &[]),
-                    ag.affinity_edges(data),
-                    (ag.rho() >= 0.0).then(|| ts_candidates(&task_sets, data.num_tasks(), None)),
-                )
-            }
-            DenseReference::Tr(ag) => (
-                ag.group(data, &[]),
-                ag.dissimilarity_edges(data),
-                Some(tr_candidates(&ag.trajectories(data), ag.phi(), None)),
-            ),
+        let (grouping, edges) = match reference {
+            DenseReference::Ts(ag) => (ag.group(data, &[]), ag.affinity_edges(data)),
+            DenseReference::Tr(ag) => (ag.group(data, &[]), ag.dissimilarity_edges(data)),
         };
         set_max_threads(0);
         let what = format!("{reference:?} at {threads} thread(s)");
@@ -125,14 +138,6 @@ pub fn check_against_dense(reference: DenseReference, data: &SensingData) -> Res
             edge_bits.len(),
             expected_bits.len()
         );
-        if let Some(candidates) = candidates {
-            for &(i, j, _) in &expected {
-                prop_assert!(
-                    candidates.pairs.binary_search(&(i, j)).is_ok(),
-                    "{what}: blocking dropped accepted pair ({i}, {j})"
-                );
-            }
-        }
     }
     Ok(())
 }
