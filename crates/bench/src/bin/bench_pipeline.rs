@@ -14,10 +14,10 @@
 //! FFT, fused vs. seed feature extraction), a `feature_fusion` section
 //! with pass counts and fusion-related counters, an `epochs` section
 //! (cold vs. warm-started epoch latency and incremental CSR fold vs.
-//! from-scratch rebuild), a `pool` section (persistent-pool vs scoped
-//! dispatch cost and the scratch-arena hit rate), obs counters from one
-//! instrumented pass, and a
-//! framework bit-identity check across thread counts. The
+//! from-scratch rebuild), a `pool` section (persistent-pool dispatch vs
+//! a spawn-per-call scoped baseline, and the scratch-arena hit rate), obs
+//! counters from one instrumented pass, and a framework bit-identity
+//! check across thread counts. The
 //! `parallel_speedups_meaningful` flag records whether the host had more
 //! than one core; on single-core hosts the parallel ratios are context,
 //! not claims, and `bench_check` skips its speedup assertions.
@@ -334,6 +334,23 @@ mod seed_features {
             spectral: spectral(&spectrum, config.brightness_cutoff_hz),
         }
     }
+}
+
+/// The spawn-per-call baseline of the pool dispatch bench: the chunks
+/// `parallel_map` cuts at `threads` workers, each on a fresh scoped
+/// thread, joined in chunk order.
+fn scoped_map<T: Sync, U: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(items.len().div_ceil(threads))
+            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<U>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("scoped worker panicked"))
+            .collect()
+    })
 }
 
 fn result_bits(truths: &[Option<f64>], weights: &[f64], trace: &[f64]) -> Vec<u64> {
@@ -734,22 +751,19 @@ fn main() {
     // Same items, same deterministic chunking, same closure — the only
     // difference is how workers come to exist (unpark vs spawn), so the
     // median gap is pure thread-management overhead. The scoped side is
-    // the fallback a busy pool forces: holding the dispatch token here
-    // sends every `parallel_map` to scoped threads, exactly as a nested or
-    // concurrent region would. Outputs are asserted bit-identical before
-    // either path is timed. The scratch counters around a fused feature
-    // pass record how often the per-thread FFT arena checkout found warm
-    // buffers; warm arenas across batches are the reason the pool is
-    // persistent at all.
+    // `scoped_map` below, a fresh `std::thread::scope` per call over the
+    // chunks `parallel_map` cuts at 4 workers. Outputs are asserted
+    // bit-identical before either path is timed. The scratch counters
+    // around a fused feature pass record how often the per-thread FFT
+    // arena checkout found warm buffers; warm arenas across batches are
+    // the reason the pool is persistent at all.
     let dispatch_items: Vec<f64> = (0..256).map(|i| i as f64 * 0.5).collect();
     let dispatch_job = |&x: &f64| (x * 1.000_001 + 0.25).sqrt();
     set_max_threads(4);
-    let pool_busy = pool::try_dispatch().expect("no parallel region is in flight");
-    let out_scoped = parallel_map(&dispatch_items, dispatch_job);
+    let out_scoped = scoped_map(&dispatch_items, 4, dispatch_job);
     let disp_scoped = group.run("pool/dispatch_scoped/4x256", || {
-        parallel_map(black_box(&dispatch_items), dispatch_job)
+        scoped_map(black_box(&dispatch_items), 4, dispatch_job)
     });
-    drop(pool_busy);
     let out_pool = parallel_map(&dispatch_items, dispatch_job);
     assert!(
         out_pool

@@ -5,7 +5,7 @@
 //!
 //! * [`table`] — fixed-width ASCII tables matching the paper's layout,
 //! * [`sweep`] — seed-averaged activeness sweeps (the Fig. 6/7 axes),
-//!   parallelized across seeds with runtime scoped threads,
+//!   parallelized across seeds on the runtime's worker pool,
 //! * [`runners`] — one-call wrappers running each aggregation method or
 //!   grouping method on a scenario and scoring it.
 

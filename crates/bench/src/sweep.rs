@@ -1,4 +1,5 @@
-//! Seed-averaged activeness sweeps, parallelized with scoped threads.
+//! Seed-averaged activeness sweeps, parallelized across seeds on the
+//! runtime's worker pool.
 
 use srtd_runtime::parallel::parallel_map;
 use srtd_sensing::{Scenario, ScenarioConfig};
@@ -17,7 +18,8 @@ pub struct SweepPoint {
 /// Averages `metric` over `seeds` scenarios at one activeness setting.
 ///
 /// Scenario generation dominates the cost, so seeds are evaluated in
-/// parallel through the runtime's scoped-thread [`parallel_map`]; the
+/// parallel through the runtime's [`parallel_map`], each seed's pipeline
+/// running its own parallel regions inline in its pool job; the
 /// order-preserving map keeps the sum (and thus the average) identical
 /// for every worker-thread count.
 pub fn seed_average<F>(

@@ -192,11 +192,12 @@ impl KMeans {
             iterations = iter + 1;
             let centroid_norms: Vec<f64> = centroids.iter().map(|c| norm(c)).collect();
             // Assignment step: each point's nearest centroid is independent
-            // of the others, so it maps over scoped worker threads. The gate
-            // keeps small instances (like the elbow sweeps over a handful
-            // of fingerprints) on the sequential path, where a per-Lloyd-
-            // iteration thread spawn would cost more than the distance
-            // computations; either path yields identical assignments.
+            // of the others, so it maps over the runtime's worker pool. The
+            // gate keeps small instances (like the elbow sweeps over a
+            // handful of fingerprints) on the sequential path, where a
+            // per-Lloyd-iteration pool dispatch would cost more than the
+            // distance computations; either path yields identical
+            // assignments.
             // Pruning tallies come back per point in input order and are
             // summed on this thread, so they too are thread-count
             // independent.

@@ -65,11 +65,6 @@ impl Matrix {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn col_count(&self) -> usize {
-        self.cols
-    }
-
     /// Element at `(r, c)`.
     ///
     /// # Panics

@@ -7,13 +7,13 @@ use srtd_runtime::obs;
 use srtd_runtime::parallel::{parallel_map_min, parallel_reduce};
 use srtd_truth::{max_abs_delta, ConvergenceCriterion, SensingData};
 
-/// Task count below which the per-iteration work runs on the plain
-/// sequential fast path. Paper-scale campaigns (tens of tasks) never pay
-/// thread-spawn or chunk bookkeeping; the `exp_large_scale` regime
-/// (hundreds of tasks and groups) takes the parallel path.
+/// Task count below which the per-task maps run inline instead of
+/// dispatching to the worker pool. Paper-scale campaigns (tens of tasks)
+/// never pay dispatch bookkeeping; the `exp_large_scale` regime
+/// (hundreds of tasks and groups) takes the pool.
 ///
-/// The gate depends only on the campaign (task count), never on the
-/// worker count, so output stays byte-identical across thread counts.
+/// The maps return the same bits on either side of the gate, so it only
+/// moves wall-clock time.
 const PARALLEL_MIN_TASKS: usize = 64;
 
 /// Fixed chunk length of the deterministic parallel loss reduction.
@@ -22,50 +22,11 @@ const PARALLEL_MIN_TASKS: usize = 64;
 /// independent of how many workers execute the chunks.
 const LOSS_CHUNK_TASKS: usize = 64;
 
-/// One truth estimate from a task's group aggregates (Eq. 5 with the
-/// configured update rule).
-fn estimate_truth<F>(
-    update: TruthUpdate,
-    entries: &[(usize, f64, f64)],
-    weight_of: F,
-) -> Option<f64>
-where
-    F: Fn(usize, f64) -> f64,
-{
-    match update {
-        TruthUpdate::WeightedMean => {
-            weighted_truth(entries.iter().map(|&(k, v, seed)| (v, weight_of(k, seed))))
-        }
-        TruthUpdate::WeightedMedian => {
-            let mut pairs: Vec<(f64, f64)> = entries
-                .iter()
-                .map(|&(k, v, seed)| (v, weight_of(k, seed)))
-                .collect();
-            srtd_truth::weighted_median(&mut pairs)
-        }
-    }
-}
-
-/// How the iterative stage updates truths from group aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TruthUpdate {
-    /// Algorithm 2's weighted mean over group aggregates (the default).
-    #[default]
-    WeightedMean,
-    /// Weighted median over group aggregates — a robust extension layered
-    /// on top of grouping: even if one merged group still carries an
-    /// attacker majority *inside* it, the cross-group median resists a
-    /// minority of poisoned group aggregates.
-    WeightedMedian,
-}
-
 /// Configuration of the group-level truth discovery stage.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FrameworkConfig {
     /// How each group's reports collapse to one value per task (Eq. 3).
     pub aggregation: GroupAggregation,
-    /// How truths are re-estimated from group aggregates each iteration.
-    pub truth_update: TruthUpdate,
     /// Convergence control of the iterative stage.
     pub convergence: ConvergenceCriterion,
 }
@@ -116,7 +77,7 @@ impl FrameworkResult {
 
 impl<G: AccountGrouping> SybilResistantTd<G> {
     /// Creates the framework with default configuration (mean aggregation,
-    /// weighted-mean updates, 1000-iteration cap, 1e-6 tolerance).
+    /// 1000-iteration cap, 1e-6 tolerance).
     pub fn new(grouping: G) -> Self {
         Self {
             grouping,
@@ -262,8 +223,6 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
             parallel_map_min(&task_ids, PARALLEL_MIN_TASKS, build_task)
         };
 
-        let update = self.config.truth_update;
-
         // A warm seed is only trusted when it still fits this epoch's
         // grouping: one weight per group, every entry finite and
         // non-negative. Anything else (the group count changed, a NaN crept
@@ -277,10 +236,10 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
         // otherwise.
         let mut truths: Vec<Option<f64>> = match warm {
             Some(w) => parallel_map_min(&task_ids, PARALLEL_MIN_TASKS, |&j| {
-                estimate_truth(update, &per_task[j], |k, _| w[k])
+                weighted_truth(per_task[j].iter().map(|&(k, v, _)| (v, w[k])))
             }),
             None => parallel_map_min(&task_ids, PARALLEL_MIN_TASKS, |&j| {
-                estimate_truth(update, &per_task[j], |_, seed| seed)
+                weighted_truth(per_task[j].iter().map(|&(_, v, seed)| (v, seed)))
             }),
         };
 
@@ -328,44 +287,30 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
         let mut convergence_trace = Vec::new();
         for iter in 0..criterion.max_iterations {
             iterations = iter + 1;
-            // Group weight update. For small campaigns the loss accumulates
-            // in one sequential loop; above the gate it runs as a
-            // deterministic chunked reduction whose partials merge in fixed
-            // chunk order, so the float sums are byte-identical to the
-            // sequential loop split at the same chunk boundaries —
-            // regardless of worker count.
-            let losses: Vec<f64> = if m < PARALLEL_MIN_TASKS {
-                let mut losses = vec![0.0f64; l];
-                for &j in &task_ids {
-                    let Some(truth) = truths[j] else { continue };
-                    for &(k, value, _) in &per_task[j] {
-                        let e = (value - truth) / scales[j];
-                        losses[k] += e * e;
+            // Group weight update: a deterministic chunked reduction whose
+            // partials merge in fixed chunk order, so the float sums depend
+            // on the task count alone, never on the worker count. Below
+            // `LOSS_CHUNK_TASKS` tasks there is one chunk, folded inline.
+            let losses: Vec<f64> = parallel_reduce(
+                &task_ids,
+                LOSS_CHUNK_TASKS,
+                || vec![0.0f64; l],
+                |mut acc, &j| {
+                    if let Some(truth) = truths[j] {
+                        for &(k, value, _) in &per_task[j] {
+                            let e = (value - truth) / scales[j];
+                            acc[k] += e * e;
+                        }
                     }
-                }
-                losses
-            } else {
-                parallel_reduce(
-                    &task_ids,
-                    LOSS_CHUNK_TASKS,
-                    || vec![0.0f64; l],
-                    |mut acc, &j| {
-                        if let Some(truth) = truths[j] {
-                            for &(k, value, _) in &per_task[j] {
-                                let e = (value - truth) / scales[j];
-                                acc[k] += e * e;
-                            }
-                        }
-                        acc
-                    },
-                    |mut a, b| {
-                        for (x, y) in a.iter_mut().zip(&b) {
-                            *x += y;
-                        }
-                        a
-                    },
-                )
-            };
+                    acc
+                },
+                |mut a, b| {
+                    for (x, y) in a.iter_mut().zip(&b) {
+                        *x += y;
+                    }
+                    a
+                },
+            );
             let total: f64 = losses.iter().sum();
             for (w, &loss) in weights.iter_mut().zip(&losses) {
                 *w = (total.max(1e-12) / loss.max(1e-12)).ln().max(0.0);
@@ -376,7 +321,7 @@ impl<G: AccountGrouping> SybilResistantTd<G> {
             // Truth update.
             let weights_ref = &weights;
             let next: Vec<Option<f64>> = parallel_map_min(&task_ids, PARALLEL_MIN_TASKS, |&j| {
-                estimate_truth(update, &per_task[j], |k, _| weights_ref[k])
+                weighted_truth(per_task[j].iter().map(|&(k, v, _)| (v, weights_ref[k])))
             });
             let delta = max_abs_delta(&truths, &next);
             convergence_trace.push(delta);
@@ -557,25 +502,6 @@ mod tests {
             SybilResistantTd::new(PerfectGrouping::new(vec![])).discover(&SensingData::new(2), &[]);
         assert_eq!(r.truths, vec![None, None]);
         assert!(r.converged);
-    }
-
-    #[test]
-    fn weighted_median_update_resists_a_poisoned_group() {
-        // Three groups claim a task: two honest group aggregates and one
-        // Sybil aggregate. The median update ignores the minority
-        // aggregate entirely even at equal weights.
-        let mut d = SensingData::new(1);
-        d.add_report(0, 0, -80.0, 0.0);
-        d.add_report(1, 0, -79.0, 10.0);
-        d.add_report(2, 0, -50.0, 20.0);
-        let grouping = PerfectGrouping::new(vec![0, 1, 2]);
-        let median_cfg = FrameworkConfig {
-            truth_update: TruthUpdate::WeightedMedian,
-            ..FrameworkConfig::default()
-        };
-        let r = SybilResistantTd::with_config(grouping, median_cfg).discover(&d, &[]);
-        let v = r.truths[0].unwrap();
-        assert!((-80.0..=-79.0).contains(&v), "median update gave {v}");
     }
 
     #[test]

@@ -389,10 +389,10 @@ pub(crate) mod tests {
             let ag = AgTs::new(rho);
             let matrix = ag.affinity_matrix(&d);
             let mut expected = Vec::new();
-            for i in 0..6 {
-                for j in i + 1..6 {
-                    if matrix[i][j] > rho {
-                        expected.push((i, j, matrix[i][j]));
+            for (i, row) in matrix.iter().enumerate() {
+                for (j, &a) in row.iter().enumerate().skip(i + 1) {
+                    if a > rho {
+                        expected.push((i, j, a));
                     }
                 }
             }

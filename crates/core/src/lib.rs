@@ -52,7 +52,7 @@ pub mod framework;
 pub mod grouping;
 
 pub use aggregate::GroupAggregation;
-pub use framework::{FrameworkConfig, FrameworkResult, SybilResistantTd, TruthUpdate};
+pub use framework::{FrameworkConfig, FrameworkResult, SybilResistantTd};
 pub use grouping::{
     AccountGrouping, AgFp, AgTr, AgTs, AgVal, CombineMode, CombinedGrouping, EdgeGrouping,
     EdgeIndex, FpClustering, Grouping, PerfectGrouping, SingletonGrouping,

@@ -481,11 +481,6 @@ impl<G: AccountGrouping> EpochEngine<G> {
         self.rejected
     }
 
-    /// Epochs run so far.
-    pub fn epochs_run(&self) -> u64 {
-        self.epoch
-    }
-
     /// A read-only view of the folded campaign data.
     pub fn data(&self) -> &SensingData {
         &self.data

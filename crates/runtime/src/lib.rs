@@ -13,9 +13,9 @@
 //!   pairwise dissimilarity matrices, k-means assignment and per-account
 //!   fingerprint feature extraction,
 //! * [`pool`] — the persistent worker pool behind [`parallel`]: parked
-//!   `Mutex`+`Condvar` workers woken per batch, replacing the
-//!   spawn-per-call `std::thread::scope` tax (the scoped path remains as
-//!   fallback and test oracle),
+//!   `Mutex`+`Condvar` workers woken per batch, so no region pays a
+//!   thread spawn (a nested or concurrent region that finds the pool busy
+//!   runs inline on its caller's thread),
 //! * [`prop`] — a minimal deterministic property-test harness (seeded
 //!   generator loop with failure-case reporting) plus the
 //!   [`prop_assert!`]/[`prop_assert_eq!`] macros the test suites use,

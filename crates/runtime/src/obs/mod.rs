@@ -156,10 +156,10 @@ pub fn span(name: &'static str) -> Span {
 /// Suppresses trace-tree recording on the current thread until the
 /// returned guard drops (flat span aggregates still record).
 ///
-/// `parallel_map` wraps its inline single-worker fallback in this so
-/// spans inside item closures stay out of the window's trace tree at
-/// every worker count alike — on worker threads they are excluded by the
-/// opener-thread rule already.
+/// `parallel_map` wraps its inline path (one worker, or a nested or
+/// concurrent region that finds the pool busy) and its pool jobs in
+/// this, so spans inside item closures stay out of the window's trace
+/// tree on either path and at every worker count alike.
 pub fn suppress_trace() -> TraceSuppressGuard {
     TraceSuppressGuard::new()
 }

@@ -3,18 +3,21 @@
 //! Each call splits its input into one contiguous chunk per worker and
 //! concatenates the chunk outputs in input order, so the result of every
 //! function is **independent of the worker count** — byte-identical on 1
-//! thread and on 64. Chunks run on one of two paths that share that
+//! thread and on 64. A region runs on one of two paths that share that
 //! contract:
 //!
 //! * the persistent worker pool in [`crate::pool`] — parked threads woken
 //!   per batch, no spawn cost, and thread-local scratch that survives
 //!   across batches — whenever its dispatch token is free;
-//! * a fresh [`std::thread::scope`] per call otherwise, i.e. for nested
-//!   or concurrent parallel regions, which find the token taken.
+//! * inline on the calling thread otherwise, i.e. for nested or
+//!   concurrent parallel regions, which find the token taken. The region
+//!   holding the token already keeps up to [`max_threads`] threads busy,
+//!   so more threads for this one would add spawn cost, not cores.
 //!
-//! Chunk boundaries depend only on the input length and [`max_threads`],
-//! never on the path, so the two produce identical bytes
-//! (`tests/pool_equivalence.rs` pins this).
+//! The pool's chunk boundaries depend only on the input length and
+//! [`max_threads`], and the inline path maps every item in input order,
+//! so the two produce identical bytes (`tests/pool_equivalence.rs` pins
+//! this).
 //!
 //! The worker count defaults to [`std::thread::available_parallelism`]
 //! and can be overridden process-wide with [`set_max_threads`] (the
@@ -57,11 +60,11 @@ pub fn max_threads() -> usize {
 /// Maps `f` over `items` on up to [`max_threads`] workers, returning
 /// outputs in input order.
 ///
-/// Falls back to a sequential loop when only one worker is available or
-/// the input has fewer than two items. Panics in `f` propagate to the
-/// caller. Chunks run on the persistent pool, or on scoped threads when
-/// the pool is busy (nested or concurrent parallel regions) — the output
-/// bytes are identical either way.
+/// Runs on the persistent pool when it gets the dispatch token and
+/// there are at least two workers and two items; otherwise — one
+/// worker, a tiny input, or a nested or concurrent region that finds the
+/// token taken — it runs inline on the calling thread. Panics in `f`
+/// propagate to the caller. The output bytes are identical either way.
 pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -75,54 +78,27 @@ where
     crate::obs::counter_add("runtime.parallel.items", items.len() as u64);
     let _map_span = crate::obs::span("runtime.parallel.map");
     let workers = max_threads().min(items.len());
-    crate::obs::gauge_set("runtime.parallel.workers", workers.max(1) as f64);
-    if workers <= 1 {
-        // Trace-tree parity with the threaded branch: there the item
-        // closures run on worker threads, whose spans never enter the
-        // window trace; suppress recording here so the inline fallback
-        // excludes exactly the same spans at 1 worker.
-        let _flat_only = crate::obs::suppress_trace();
-        return items.iter().map(f).collect();
-    }
-    let chunk_len = items.len().div_ceil(workers);
-    match crate::pool::try_dispatch() {
-        Some(token) => pool_map(items, chunk_len, &f, token),
-        None => scoped_map(items, chunk_len, &f),
-    }
-}
-
-/// The scoped-thread execution path: one spawned thread per chunk,
-/// joined in chunk order.
-fn scoped_map<T, U, F>(items: &[T], chunk_len: usize, f: &F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let _worker_span = crate::obs::span("runtime.parallel.worker");
-                    chunk.iter().map(f).collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("parallel_map worker panicked"));
+    if workers > 1 {
+        if let Some(token) = crate::pool::try_dispatch() {
+            crate::obs::gauge_set("runtime.parallel.workers", workers as f64);
+            return pool_map(items, items.len().div_ceil(workers), &f, token);
         }
-    });
-    out
+    }
+    crate::obs::gauge_set("runtime.parallel.workers", 1.0);
+    // Trace-tree parity with the pool branch: there every item closure
+    // runs trace-suppressed, so its spans never enter the window trace;
+    // suppress recording here so the inline path excludes exactly the
+    // same spans.
+    let _flat_only = crate::obs::suppress_trace();
+    items.iter().map(f).collect()
 }
 
 /// The pool execution path: each chunk is one pool job writing into its
 /// own slot; slots are drained in chunk order, so the concatenation is
-/// byte-identical to [`scoped_map`]. The dispatching thread claims
+/// byte-identical to the inline loop. The dispatching thread claims
 /// chunks alongside the pool workers, which is why its per-chunk spans
-/// are trace-suppressed — on the scoped path item closures never run on
-/// the opener thread, and the trace tree must not depend on the path.
+/// are trace-suppressed — inline item closures are suppressed too, and
+/// the trace tree must not depend on the path.
 fn pool_map<T, U, F>(items: &[T], chunk_len: usize, f: &F, token: crate::pool::Dispatch) -> Vec<U>
 where
     T: Sync,
@@ -211,9 +187,9 @@ where
 
 /// [`parallel_map`] that stays sequential below `min_len` items.
 ///
-/// For per-item work too small to amortize a thread spawn — e.g. the
+/// For per-item work too small to amortize a pool dispatch — e.g. the
 /// k-means assignment step, which runs once per Lloyd iteration — the
-/// caller states the break-even point and small inputs skip the scope
+/// caller states the break-even point and small inputs skip the dispatch
 /// entirely. Output is identical either way.
 pub fn parallel_map_min<T, U, F>(items: &[T], min_len: usize, f: F) -> Vec<U>
 where
@@ -226,16 +202,6 @@ where
     } else {
         parallel_map(items, f)
     }
-}
-
-/// Maps `f` over `0..n` in parallel, returning outputs in index order.
-pub fn parallel_map_range<U, F>(n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    parallel_map(&indices, |&i| f(i))
 }
 
 /// All unordered index pairs `(i, j)` with `i < j < n`, row-major.
@@ -318,12 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn map_range_of_zero_is_empty() {
-        assert!(parallel_map_range(0, |i| i).is_empty());
-        assert_eq!(parallel_map_range(1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
     fn triangle_pairs_tiny_inputs_and_counts() {
         assert!(triangle_pairs(0).is_empty());
         assert!(triangle_pairs(1).is_empty());
@@ -336,11 +296,6 @@ mod tests {
             let unique: std::collections::HashSet<_> = pairs.iter().collect();
             assert_eq!(unique.len(), pairs.len());
         }
-    }
-
-    #[test]
-    fn map_range_is_in_index_order() {
-        assert_eq!(parallel_map_range(5, |i| i * 2), vec![0, 2, 4, 6, 8]);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! length and [`crate::parallel::max_threads`] — never on which pool
 //! thread claims which chunk — and every chunk writes into its own
 //! output slot, reassembled in chunk order. Outputs are therefore
-//! byte-identical to the scoped-thread path and across worker counts;
-//! the equivalence suite (`tests/pool_equivalence.rs`) pins this.
+//! byte-identical to the inline path and across worker counts; the
+//! equivalence suite (`tests/pool_equivalence.rs`) pins this.
 //!
 //! # The one lifetime erasure
 //!
@@ -34,10 +34,11 @@
 //!
 //! One batch is in flight at a time, guarded by a dispatch token.
 //! [`try_dispatch`] hands the token to at most one caller; anyone else —
-//! including a job that itself calls `parallel_map` — falls back to the
-//! scoped path in `parallel.rs`, which composes freely. The dispatching
-//! thread is not idle while it waits: it claims and runs chunks like any
-//! worker, so a batch of `k` chunks occupies exactly `k` threads.
+//! including a job that itself calls `parallel_map` — runs its region
+//! inline on its own thread (see `parallel.rs`), so a nested region
+//! never waits on the pool it runs in. The dispatching thread is not
+//! idle while it waits: it claims and runs chunks like any worker, so a
+//! batch of `k` chunks occupies exactly `k` threads.
 //!
 //! # Telemetry
 //!
@@ -165,15 +166,16 @@ pub struct Dispatch {
 
 /// Tries to acquire the exclusive dispatch slot. `None` means a batch is
 /// already in flight (possibly on this very thread, via a nested
-/// `parallel_map` from inside a job) — the caller must use the scoped
-/// fallback instead. While anyone holds a token, every `parallel_map` in
-/// the process takes that fallback.
+/// `parallel_map` from inside a job) — the caller must run its region
+/// inline instead. While anyone holds a token, every `parallel_map` in
+/// the process runs inline.
 pub fn try_dispatch() -> Option<Dispatch> {
     match dispatch_lock().try_lock() {
         Ok(guard) => Some(Dispatch { _guard: guard }),
         Err(TryLockError::WouldBlock) => None,
-        // The lock guards no data, so a holder that panicked (a job on the
-        // scoped fallback, say) leaves nothing inconsistent behind.
+        // The lock guards no data, so a holder that panicked (a region
+        // that ran inline while its caller held the token, say) leaves
+        // nothing inconsistent behind.
         Err(TryLockError::Poisoned(poisoned)) => Some(Dispatch {
             _guard: poisoned.into_inner(),
         }),
@@ -227,8 +229,8 @@ fn worker_loop() {
 /// and has the calling thread claim jobs alongside them, so `total`
 /// chunks occupy `total` threads. Panics inside jobs are caught, the
 /// rest of the batch still runs, and the first payload is re-raised
-/// here after the completion barrier — mirroring the join-based
-/// propagation of the scoped path.
+/// here after the completion barrier, so a job's panic reaches the
+/// caller just as a panic on the inline path does.
 ///
 /// The `_token` parameter forces callers through [`try_dispatch`],
 /// which is what makes the lifetime erasure below sound (single batch
@@ -374,6 +376,6 @@ mod tests {
         note_scratch(true);
         let after = stats();
         assert!(after.scratch_checkouts >= before.scratch_checkouts + 2);
-        assert!(after.scratch_reuses >= before.scratch_reuses + 1);
+        assert!(after.scratch_reuses > before.scratch_reuses);
     }
 }

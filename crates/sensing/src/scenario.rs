@@ -172,7 +172,7 @@ impl Scenario {
         let mut data = SensingData::new(config.num_tasks);
         // Captures are drawn inline (they consume the scenario RNG) but
         // feature extraction is pure, so it is deferred and fanned out over
-        // the runtime's scoped threads once all accounts exist.
+        // the runtime's worker pool once all accounts exist.
         let mut captures = Vec::new();
         let mut owners = Vec::new();
         let mut devices = Vec::new();
@@ -452,11 +452,6 @@ impl Scenario {
     /// *device* grouper).
     pub fn device_labels(&self) -> &[usize] {
         &self.devices
-    }
-
-    /// The account→owner labeling (ground truth for ARI in Figs. 6/7).
-    pub fn owner_labels(&self) -> &[usize] {
-        &self.owners
     }
 }
 

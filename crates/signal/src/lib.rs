@@ -33,7 +33,6 @@ mod arena;
 pub mod complex;
 pub mod features;
 pub mod fft;
-pub mod psd;
 pub mod spectral;
 pub mod spectrum;
 pub mod stats;

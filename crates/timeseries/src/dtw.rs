@@ -48,17 +48,6 @@ impl Dtw {
         self
     }
 
-    /// The configured Sakoe–Chiba half-width, if any.
-    pub fn band(&self) -> Option<usize> {
-        self.band
-    }
-
-    /// `true` when distances are reported as the raw cumulative cost
-    /// rather than the Eq. 7 normalized form.
-    pub fn is_raw(&self) -> bool {
-        self.raw
-    }
-
     /// Returns the raw cumulative squared cost `r(m, n)` instead of the
     /// Eq. 7 normalized form.
     ///

@@ -6,6 +6,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
+cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
@@ -34,18 +35,20 @@ cargo test -q --release --offline --test blocked_equivalence -- --ignored
 cargo test -q --offline --test incremental_group
 cargo test -q --offline --test edge_index
 
-# Golden bit pins: Algorithm 2's results (every aggregation x update,
-# cold and warm, at 1 and 4 threads) and an epoch replay's rendered
-# snapshots must hash to digests recorded once, so a change that moves
-# both sides of an equivalence pair at once still fails.
+# Golden bit pins: Algorithm 2's results (every aggregation, cold and
+# warm, at 1 and 4 threads, on the 4-task Table I as well as on campaigns
+# of 64 tasks and more) and an epoch replay's rendered snapshots must
+# hash to digests recorded once, so a change that moves both sides of an
+# equivalence pair at once still fails.
 cargo test -q --offline --test golden_bits
 
-# Pool vs scoped dispatch equivalence: the persistent worker pool and the
-# scoped spawn-per-call fallback (reached by holding the pool's dispatch
-# token, as a nested or concurrent region does) must produce outputs
-# byte-identical to the 1-worker run — maps, reductions, feature batches,
-# nested and concurrent regions — at 1, 2 and 4 workers, propagate job
-# panics, and stay identical when recycled scratch arenas start poisoned.
+# Pool vs inline dispatch equivalence: the persistent worker pool and the
+# inline fallback (reached by holding the pool's dispatch token, as a
+# nested or concurrent region does) must produce outputs byte-identical
+# to the 1-worker run — maps, reductions, feature batches, nested and
+# concurrent regions — at 1, 2 and 4 workers, propagate job panics, and
+# stay identical when recycled scratch arenas start poisoned; a nested
+# region must run on its outer job's thread.
 cargo test -q --offline --test pool_equivalence
 
 # Observability smoke: an instrumented run must export JSON that the

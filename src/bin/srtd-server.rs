@@ -7,7 +7,7 @@
 //! computes. The PR-2 observability layer doubles as the metrics endpoint.
 //!
 //! ```text
-//! srtd-server [--port N] [--tasks N] [--method ag-tr|ag-ts|singletons] [--shards N]
+//! srtd-server [--port N] [--tasks N] [--method ag-tr|ag-ts|singletons]
 //!             [--epoch-interval-ms N]
 //! ```
 //!
@@ -80,7 +80,7 @@ const USAGE: &str = "\
 srtd-server — epoch-driven truth discovery service
 
 USAGE:
-  srtd-server [--port N] [--tasks N] [--method ag-tr|ag-ts|singletons] [--shards N]
+  srtd-server [--port N] [--tasks N] [--method ag-tr|ag-ts|singletons]
               [--epoch-interval-ms N]
 
 --port 0 (the default) binds an ephemeral loopback port; the chosen port
@@ -156,7 +156,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let port: u16 = flag_parse(&flags, "port", 0)?;
     let tasks: usize = flag_parse(&flags, "tasks", 64)?;
-    let shards: usize = flag_parse(&flags, "shards", 4)?;
     let epoch_interval_ms: u64 = flag_parse(&flags, "epoch-interval-ms", 0)?;
     let method = flags.get("method").map_or("ag-tr", String::as_str);
     if tasks == 0 {
@@ -166,10 +165,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let engine = Engine::new(
         SybilResistantTd::new(grouping_method(method)?),
         tasks,
-        EpochConfig {
-            num_shards: shards,
-            warm_start: true,
-        },
+        EpochConfig::default(),
     )
     .with_report_rules(ReportRules::WifiRssi);
     obs::set_enabled(true);
@@ -659,7 +655,7 @@ fn respond(mut stream: &TcpStream, response: &Response) -> Result<(), String> {
 }
 
 /// Every flag `srtd-server` takes; each takes a value.
-const FLAGS: &[&str] = &["port", "tasks", "method", "shards", "epoch-interval-ms"];
+const FLAGS: &[&str] = &["port", "tasks", "method", "epoch-interval-ms"];
 
 /// Parses `--name value` pairs; an unknown flag is an error, so a typo
 /// fails before the server binds instead of being silently ignored.
@@ -844,14 +840,14 @@ mod tests {
     #[test]
     fn unknown_flags_are_refused() {
         let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        for typo in ["--epoch-intervl-ms", "--shard"] {
+        for typo in ["--epoch-intervl-ms", "--shards"] {
             assert_eq!(
                 parse_flags(&args(&[typo, "8"])),
                 Err(format!("unknown flag `{typo}`"))
             );
         }
-        let flags = parse_flags(&args(&["--shards", "8", "--epoch-interval-ms", "50"])).unwrap();
-        assert_eq!(flags["shards"], "8");
+        let flags = parse_flags(&args(&["--tasks", "8", "--epoch-interval-ms", "50"])).unwrap();
+        assert_eq!(flags["tasks"], "8");
         assert_eq!(flags["epoch-interval-ms"], "50");
     }
 

@@ -24,11 +24,15 @@ use sybil_td::truth::{Crh, SensingData, TruthDiscovery};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some(name) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    let Some((run, own_flags)) = command(name) else {
+        eprintln!("error: unknown command `{name}`");
+        return ExitCode::FAILURE;
+    };
+    let flags = match parse_flags(&args[1..], own_flags) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -48,16 +52,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let result = match command.as_str() {
-        "simulate" => cmd_simulate(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "group" => cmd_group(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
+    let result = run(&flags);
     if result.is_ok() {
         if obs::enabled() {
             let report = obs::snapshot();
@@ -88,10 +83,14 @@ srtd — Sybil-resistant truth discovery for mobile crowdsensing
 
 USAGE:
   srtd simulate [--seed N] [--legit N] [--tasks N] [--activeness L,A] [--out DIR]
-  srtd evaluate [--seed N] [--seeds N] [--activeness L,A] [--from DIR] [--obs]
-                [--obs-history N]
-  srtd group    [--seed N] [--method ag-fp|ag-ts|ag-tr|ag-val] [--activeness L,A] [--obs]
+  srtd evaluate [--seed N] [--seeds N] [--legit N] [--tasks N] [--activeness L,A]
+                [--from DIR]
+  srtd group    [--seed N] [--legit N] [--tasks N] [--activeness L,A]
+                [--method ag-fp|ag-ts|ag-tr|ag-val]
   srtd help
+
+Every command also takes --obs and --obs-history N (below); any other
+flag is an error.
 
 simulate  generate a campaign and write reports.csv, fingerprints.csv,
           ground_truth.csv, owners.csv into --out (default: campaign/)
@@ -105,17 +104,53 @@ SRTD_OBS_JSON=<path> additionally writes the report as JSON (including the
 retained telemetry windows — evaluate opens one per seed). --obs-history N
 overrides how many windows are retained (default SRTD_OBS_HISTORY or 64).";
 
-/// Flags that take no value; their presence alone is the signal.
-const BOOLEAN_FLAGS: &[&str] = &["obs"];
+type Command = fn(&HashMap<String, String>) -> Result<(), String>;
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// A command's handler and the flags it reads besides [`OBS_FLAGS`];
+/// `None` for an unknown command.
+fn command(name: &str) -> Option<(Command, &'static [&'static str])> {
+    Some(match name {
+        "simulate" => (
+            cmd_simulate,
+            &["seed", "legit", "tasks", "activeness", "out"],
+        ),
+        "evaluate" => (
+            cmd_evaluate,
+            &["seed", "seeds", "legit", "tasks", "activeness", "from"],
+        ),
+        "group" => (
+            cmd_group,
+            &["seed", "legit", "tasks", "activeness", "method"],
+        ),
+        "help" | "--help" | "-h" => (
+            |_| {
+                println!("{USAGE}");
+                Ok(())
+            },
+            &[],
+        ),
+        _ => return None,
+    })
+}
+
+/// Flags every command reads; `obs` takes no value, its presence alone is
+/// the signal.
+const OBS_FLAGS: &[&str] = &["obs", "obs-history"];
+
+/// Parses `--name value` pairs; a flag that is neither one of `own` nor
+/// one of [`OBS_FLAGS`] is an error, so a typo fails instead of being
+/// silently ignored.
+fn parse_flags(args: &[String], own: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{flag}`"));
         };
-        if BOOLEAN_FLAGS.contains(&name) {
+        if !own.contains(&name) && !OBS_FLAGS.contains(&name) {
+            return Err(format!("unknown flag `{flag}`"));
+        }
+        if name == "obs" {
             flags.insert(name.to_string(), String::from("1"));
             continue;
         }

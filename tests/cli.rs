@@ -159,3 +159,14 @@ fn obs_disabled_runs_print_no_report() {
     let text = stdout(&out);
     assert!(!text.contains("spans (wall clock)"), "{text}");
 }
+
+#[test]
+fn a_misspelled_flag_is_refused() {
+    let out = srtd(&["group", "--seed", "7", "--methd", "ag-ts"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--methd`"));
+    // A flag another command reads is refused too.
+    let out = srtd(&["group", "--seeds", "2"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--seeds`"));
+}

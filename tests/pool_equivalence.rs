@@ -1,16 +1,16 @@
-//! Pool-vs-scoped execution equivalence.
+//! Pool-vs-inline execution equivalence.
 //!
 //! `parallel_map` runs its chunks on the persistent worker pool whenever
-//! the pool's dispatch token is free, and on spawn-per-call scoped
-//! threads when it is not — a nested region inside a pool job, or a
-//! region that overlaps another thread's. The contract that makes the two
-//! paths interchangeable: chunk boundaries and output assembly depend
-//! only on the input and `max_threads`, never on which path (or which
-//! pool thread) ran a chunk — so outputs must be **byte-identical**
-//! between the paths at every worker count, panics must propagate the
-//! same way, and thread-local scratch must never leak state between jobs.
+//! the pool's dispatch token is free, and inline on the calling thread
+//! when it is not — a nested region inside a pool job, or a region that
+//! overlaps another thread's. The contract that makes the two paths
+//! interchangeable: chunk boundaries and output assembly depend only on
+//! the input and `max_threads`, never on which path (or which pool
+//! thread) ran a chunk — so outputs must be **byte-identical** between
+//! the paths at every worker count, panics must propagate the same way,
+//! and thread-local scratch must never leak state between jobs.
 //!
-//! There is no switch for the path. These tests reach the scoped path the
+//! There is no switch for the path. These tests reach the inline path the
 //! way production does: by holding the dispatch token around the call.
 
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
@@ -24,9 +24,9 @@ use sybil_td::signal::{stream_features_batch, FeatureConfig};
 enum Path {
     /// The persistent pool: nothing else holds the dispatch token.
     Pool,
-    /// The scoped fallback: the caller holds the token, as an enclosing
+    /// The inline fallback: the caller holds the token, as an enclosing
     /// or concurrent region would.
-    Scoped,
+    Inline,
 }
 
 /// Serialises this file's regions, so a `Path::Pool` region always finds
@@ -62,21 +62,21 @@ impl Drop for Threads {
     }
 }
 
-/// Runs `f` on `path` with `threads` workers. On the scoped path the pool
+/// Runs `f` on `path` with `threads` workers. On the inline path the pool
 /// cannot run a single job while `f` does.
 fn with_exec<T>(path: Path, threads: usize, f: impl FnOnce() -> T) -> T {
     let _serial = exclusive();
     let _threads = Threads::set(threads);
     match path {
         Path::Pool => f(),
-        Path::Scoped => {
+        Path::Inline => {
             let _token = hold_dispatch();
             let before = pool::stats().jobs;
             let out = f();
             assert_eq!(
                 pool::stats().jobs,
                 before,
-                "the pool ran jobs on the scoped path"
+                "the pool ran jobs on the inline path"
             );
             out
         }
@@ -96,11 +96,11 @@ fn map_outputs_are_byte_identical_across_backends_and_worker_counts() {
         .map(|i| (i as f64 * 0.137).sin() * 1e3)
         .collect();
     let f = |&x: &f64| (x.abs() + 1.0).ln() * x.mul_add(0.25, -3.0);
-    let reference: Vec<u64> = with_exec(Path::Scoped, 1, || parallel_map(&items, f))
+    let reference: Vec<u64> = with_exec(Path::Inline, 1, || parallel_map(&items, f))
         .into_iter()
         .map(f64::to_bits)
         .collect();
-    for path in [Path::Pool, Path::Scoped] {
+    for path in [Path::Pool, Path::Inline] {
         for threads in [1usize, 2, 4] {
             let (got, jobs) = with_exec(path, threads, || jobs_during(|| parallel_map(&items, f)));
             let got: Vec<u64> = got.into_iter().map(f64::to_bits).collect();
@@ -118,8 +118,8 @@ fn reduce_merges_identically_across_backends() {
     let sum = |items: &[f64]| {
         parallel_reduce(items, 64, || 0.0f64, |acc, &x| acc + x, |a, b| a + b).to_bits()
     };
-    let reference = with_exec(Path::Scoped, 1, || sum(&items));
-    for path in [Path::Pool, Path::Scoped] {
+    let reference = with_exec(Path::Inline, 1, || sum(&items));
+    for path in [Path::Pool, Path::Inline] {
         for threads in [1usize, 2, 4] {
             assert_eq!(
                 with_exec(path, threads, || sum(&items)),
@@ -152,8 +152,8 @@ fn feature_batch_is_backend_invariant() {
                 .collect::<Vec<u64>>()
         })
     };
-    let reference = run(Path::Scoped, 1);
-    for path in [Path::Pool, Path::Scoped] {
+    let reference = run(Path::Inline, 1);
+    for path in [Path::Pool, Path::Inline] {
         for threads in [1usize, 2, 4] {
             assert_eq!(run(path, threads), reference, "{path:?}/{threads}");
         }
@@ -162,7 +162,7 @@ fn feature_batch_is_backend_invariant() {
 
 #[test]
 fn pool_panics_propagate_like_scoped_joins() {
-    for path in [Path::Pool, Path::Scoped] {
+    for path in [Path::Pool, Path::Inline] {
         let outcome = std::panic::catch_unwind(|| {
             with_exec(path, 4, || {
                 let items: Vec<u64> = (0..100).collect();
@@ -186,7 +186,7 @@ fn pool_panics_propagate_like_scoped_joins() {
 
 /// Nested parallel regions: an outer pool batch whose jobs call
 /// `parallel_map` again. The inner calls find the dispatch token taken
-/// and fall back to scoped threads — outputs must match a flat run.
+/// and run inline — outputs must match a flat run.
 #[test]
 fn nested_parallel_map_inside_pool_jobs_is_identical() {
     let outer: Vec<u64> = (0..16).collect();
@@ -198,17 +198,42 @@ fn nested_parallel_map_inside_pool_jobs_is_identical() {
             })
         })
     };
-    let reference = run(Path::Scoped, 1);
+    let reference = run(Path::Inline, 1);
     for threads in [1usize, 2, 4] {
         assert_eq!(run(Path::Pool, threads), reference);
     }
+}
+
+/// A nested region runs inline: every inner item runs on the thread of
+/// the outer pool job that opened it, so a nested region spawns no
+/// threads and never waits on the pool it runs in.
+#[test]
+fn nested_regions_run_on_their_outer_jobs_thread() {
+    let outer: Vec<u64> = (0..8).collect();
+    let inner: Vec<u64> = (0..64).collect();
+    let (on_outer_thread, jobs) = with_exec(Path::Pool, 4, || {
+        jobs_during(|| {
+            parallel_map(&outer, |_| {
+                let outer_thread = std::thread::current().id();
+                parallel_map(&inner, |_| std::thread::current().id() == outer_thread)
+            })
+        })
+    });
+    assert_eq!(
+        jobs, 4,
+        "the outer region ran on the pool, the inner ones did not"
+    );
+    assert!(
+        on_outer_thread.iter().flatten().all(|&same| same),
+        "an inner item ran off its outer job's thread"
+    );
 }
 
 /// Concurrent top-level regions: two threads each run a `parallel_map`
 /// and then a `parallel_reduce` at the same time. Each region's first
 /// item waits for the other thread's first item, so the two regions are
 /// in flight together: whichever took the dispatch token runs on the
-/// pool, the other finds it taken and falls back to scoped threads. Both
+/// pool, the other finds it taken and runs inline on its own thread. Both
 /// must match the 1-worker run bit for bit.
 #[test]
 fn concurrent_top_level_regions_match_the_one_worker_run() {
@@ -282,7 +307,7 @@ fn scratch_arenas_never_leak_state_between_jobs() {
             (streams, rng.gen_range(0u64..u64::MAX))
         },
         |(streams, poison_seed)| {
-            let clean = with_exec(Path::Scoped, 1, || {
+            let clean = with_exec(Path::Inline, 1, || {
                 stream_features_batch(streams, &cfg)
                     .into_iter()
                     .flat_map(|f| f.to_vec())
