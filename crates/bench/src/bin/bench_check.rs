@@ -1,13 +1,19 @@
 //! Validates a `BENCH_pipeline.json` produced by `bench_pipeline` against
-//! the expected schema; exits non-zero on any drift so `scripts/verify.sh`
-//! catches format regressions.
+//! the expected schema and bounds, so `scripts/verify.sh` catches both
+//! format drift and regressions.
+//!
+//! A structural error — a missing key, a wrong type, counts that do not
+//! add up, a correctness flag that reads false — stops the check at once. Bound violations — a measured value
+//! past its ceiling or floor — are collected, and every one is printed
+//! before the check exits non-zero, so one failing gate never hides
+//! another.
 //!
 //! Run with: `cargo run -p srtd-bench --bin bench_check -- BENCH_pipeline.json`
 
 use srtd_runtime::json::{parse, Json};
 use std::process::exit;
 
-const SCHEMA: &str = "srtd-bench-pipeline-v10";
+const SCHEMA: &str = "srtd-bench-pipeline-v11";
 const TOP_LEVEL_KEYS: [&str; 15] = [
     "schema",
     "quick",
@@ -54,6 +60,10 @@ const REGROUP_RATIO_MAX: [(&str, f64); 2] = [("ag_tr", 16.0), ("ag_ts", 11.0)];
 /// 80k accounts; a rescan of the campaign takes 109–221 ms there.
 const EMPTY_INDEX_UPDATE_MAX_NS: f64 = 1e6;
 
+/// Fewest timed `group()` calls behind each `grouping_scale` signal's
+/// `wall_ms` median.
+const MIN_SCALE_CALLS: f64 = 5.0;
+
 /// Ceiling on the whole `epoch.regroup` in an epoch with nothing new, at
 /// 80k accounts: the index update plus reading the unchanged partition
 /// out of the forest. Building one `Vec` per group every epoch read
@@ -93,6 +103,8 @@ fn main() {
         Some(Json::Num(n)) if *n >= 1.0 => *n,
         _ => fail("threads_available must be a number >= 1"),
     };
+    // Bound violations, reported together at the end.
+    let mut violations: Vec<String> = Vec::new();
     let Some(Json::Arr(cases)) = get(&fields, "cases") else {
         fail("cases must be an array");
     };
@@ -134,7 +146,10 @@ fn main() {
     match get(speedups, "framework_par4_vs_seq") {
         Some(Json::Num(n)) if *n > 0.0 => {
             if meaningful && *n <= 1.0 {
-                fail("speedups.framework_par4_vs_seq must exceed 1.0 on a multi-core host");
+                violations.push(format!(
+                    "speedups.framework_par4_vs_seq is {n}; it must exceed 1.0 on a \
+                     multi-core host"
+                ));
             }
         }
         _ => fail("speedups.framework_par4_vs_seq must be a positive number"),
@@ -172,16 +187,21 @@ fn main() {
     // single-core host both benches degenerate toward the sequential
     // path, so the claim is only asserted where it is meaningful.
     if meaningful && dispatch_ratio <= 1.0 {
-        fail("pool.dispatch_pool_vs_scoped must exceed 1.0 on a multi-core host");
+        violations.push(format!(
+            "pool.dispatch_pool_vs_scoped is {dispatch_ratio}; it must exceed 1.0 on a \
+             multi-core host"
+        ));
     }
     if pool_num("jobs") < 1.0 {
-        fail("pool.jobs must be at least 1 (the dispatch bench ran on the pool)");
+        violations.push("pool.jobs must be at least 1 (the dispatch bench ran on the pool)".into());
     }
     pool_num("wakeups");
     let checkouts = pool_num("scratch_checkouts");
     let reuses = pool_num("scratch_reuses");
     if checkouts < 1.0 {
-        fail("pool.scratch_checkouts must be at least 1 (feature passes use the arena)");
+        violations.push(
+            "pool.scratch_checkouts must be at least 1 (feature passes use the arena)".into(),
+        );
     }
     if reuses > checkouts {
         fail("pool.scratch_reuses cannot exceed scratch_checkouts");
@@ -190,7 +210,7 @@ fn main() {
     if !(0.0..=1.0).contains(&hit_rate) {
         fail("pool.scratch_hit_rate must be in [0, 1]");
     }
-    if (hit_rate - reuses / checkouts).abs() > 1e-9 {
+    if (hit_rate - reuses / checkouts.max(1.0)).abs() > 1e-9 {
         fail("pool.scratch_hit_rate is inconsistent with the checkout counts");
     }
     // The counters are sampled after a warmup pass, so a cold arena on
@@ -198,7 +218,7 @@ fn main() {
     // batches — exactly the regression the persistent pool exists to
     // prevent.
     if hit_rate < 0.5 {
-        fail(&format!(
+        violations.push(format!(
             "pool.scratch_hit_rate is {hit_rate}; warm arenas must dominate \
              after warmup"
         ));
@@ -221,10 +241,15 @@ fn main() {
         fail("epochs.warm_started must be true");
     }
     if warm_iters > 2.0 {
-        fail("epochs.warm_iterations must be <= 2 (steady-state contract)");
+        violations.push(format!(
+            "epochs.warm_iterations is {warm_iters}; it must be <= 2 (steady-state contract)"
+        ));
     }
     if warm_iters >= cold_iters {
-        fail("epochs.warm_iterations must be strictly below cold_iterations");
+        violations.push(format!(
+            "epochs.warm_iterations ({warm_iters}) must be strictly below \
+             cold_iterations ({cold_iters})"
+        ));
     }
     for key in [
         "cold_median_ns",
@@ -269,7 +294,10 @@ fn main() {
         fail("dtw_prune outcome counts must partition the pair count");
     }
     if full_evals >= pairs {
-        fail("dtw_prune.full_evals must be strictly below the pair count");
+        violations.push(format!(
+            "dtw_prune.full_evals ({full_evals}) must be strictly below the pair count \
+             ({pairs})"
+        ));
     }
     let rate = prune_num("prune_rate");
     if !(0.0..=1.0).contains(&rate) {
@@ -323,7 +351,7 @@ fn main() {
     }
     // The sub-quadratic acceptance bar: ≥ 99% of pairwise work skipped.
     if skip_rate < 0.99 {
-        fail(&format!(
+        violations.push(format!(
             "grouping_scale.blocking_skip_rate is {skip_rate}; blocking must \
              skip at least 99% of the pairwise work at this scale"
         ));
@@ -359,6 +387,12 @@ fn main() {
         if sig_num("wall_ms") <= 0.0 {
             fail(&format!("grouping_scale.{signal}.wall_ms must be positive"));
         }
+        if sig_num("timed_calls") < MIN_SCALE_CALLS {
+            fail(&format!(
+                "grouping_scale.{signal}.wall_ms must be the median of at least \
+                 {MIN_SCALE_CALLS} timed calls"
+            ));
+        }
         sig_num("buckets");
     }
     let Some(Json::Obj(fp)) = get(scale, "ag_fp") else {
@@ -375,6 +409,12 @@ fn main() {
     }
     if fp_num("k") < 1.0 || fp_num("wall_ms") <= 0.0 {
         fail("grouping_scale.ag_fp k/wall_ms out of range");
+    }
+    if fp_num("timed_calls") < MIN_SCALE_CALLS {
+        fail(&format!(
+            "grouping_scale.ag_fp.wall_ms must be the median of at least \
+             {MIN_SCALE_CALLS} timed calls"
+        ));
     }
     if !matches!(get(scale, "note"), Some(Json::Str(_))) {
         fail("grouping_scale.note must be a string");
@@ -465,14 +505,14 @@ fn main() {
             ));
         }
         if ratio > ratio_max {
-            fail(&format!(
+            violations.push(format!(
                 "regroup_scale.{signal}: regroup per dirty account grew {ratio:.1}x from 5k \
                  to 80k accounts (ceiling {ratio_max}x); the edge index should cost in \
                  proportion to the dirty accounts, not the campaign"
             ));
         }
         if empty_index_ns >= EMPTY_INDEX_UPDATE_MAX_NS {
-            fail(&format!(
+            violations.push(format!(
                 "regroup_scale.{signal}: an epoch with nothing new spent {:.3} ms updating \
                  the edge index at 80k accounts (ceiling {} ms)",
                 empty_index_ns / 1e6,
@@ -480,7 +520,7 @@ fn main() {
             ));
         }
         if empty_regroup_ns >= EMPTY_REGROUP_MAX_NS {
-            fail(&format!(
+            violations.push(format!(
                 "regroup_scale.{signal}: an epoch with nothing new spent {:.3} ms in \
                  epoch.regroup at 80k accounts (ceiling {} ms); an unchanged partition \
                  should cost one pass over the forest",
@@ -511,8 +551,11 @@ fn main() {
             fail(&format!("feature_fusion.{key} must be positive"));
         }
     }
-    if fusion_num("fused_vs_seed_speedup") <= 1.0 {
-        fail("feature_fusion.fused_vs_seed_speedup must exceed 1.0");
+    let fused_vs_seed = fusion_num("fused_vs_seed_speedup");
+    if fused_vs_seed <= 1.0 {
+        violations.push(format!(
+            "feature_fusion.fused_vs_seed_speedup is {fused_vs_seed}; it must exceed 1.0"
+        ));
     }
     for key in [
         "window_cache_hits",
@@ -548,7 +591,7 @@ fn main() {
     ] {
         let ns = obs_num(key);
         if ns >= 1000.0 {
-            fail(&format!(
+            violations.push(format!(
                 "obs_overhead.{key} is {ns} ns/op; the disabled path must stay \
                  far below 1000 ns"
             ));
@@ -556,6 +599,12 @@ fn main() {
     }
     if !matches!(get(obs, "note"), Some(Json::Str(_))) {
         fail("obs_overhead.note must be a string");
+    }
+    if !violations.is_empty() {
+        for violation in &violations {
+            eprintln!("bench-check: {violation}");
+        }
+        fail(&format!("{} bound(s) violated in {path}", violations.len()));
     }
     println!("bench-check: OK ({path})");
 }

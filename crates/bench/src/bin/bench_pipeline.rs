@@ -41,7 +41,7 @@ use srtd_sensing::{ScaledCampaign, ScaledCampaignConfig};
 use srtd_signal::features::standardize;
 use srtd_signal::fft::{fft_real, fft_real_pair};
 use srtd_signal::{stream_features, stream_features_batch, FeatureConfig};
-use srtd_timeseries::{Dtw, PrunedPairwise};
+use srtd_timeseries::{dtw, PrunedPairwise};
 use srtd_truth::{max_abs_delta, ConvergenceCriterion, Report, SensingData};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -57,6 +57,10 @@ const REPORT_PROB: f64 = 0.25;
 /// Interleaved (seq, par4) single-call pairs behind
 /// `speedups.framework_par4_vs_seq`; odd, so the median is one pair.
 const FRAMEWORK_PAIRS: usize = 21;
+
+/// Timed calls behind each `grouping_scale` signal's `wall_ms`; odd, so
+/// the median is one call.
+const SCALE_CALLS: usize = 5;
 
 /// A deterministic large campaign: 240 accounts in 202 true groups over
 /// 600 tasks, ~25% report density, two Sybil attackers pushing -50 dBm.
@@ -89,7 +93,7 @@ fn large_campaign(seed: u64) -> (SensingData, Vec<usize>) {
 }
 
 /// The pre-CSR reference implementation of Algorithm 2's data-grouping
-/// and iteration stages: allocating `reports_for_task` snapshots, one
+/// and iteration stages: an allocated snapshot of each task's claims, one
 /// bucket `Vec` per group per task, sequential loss/truth loops. Kept
 /// here (not in the library) purely as the bench's legacy baseline.
 fn legacy_discover(data: &SensingData, grouping: &Grouping) -> (Vec<Option<f64>>, Vec<f64>, usize) {
@@ -97,15 +101,20 @@ fn legacy_discover(data: &SensingData, grouping: &Grouping) -> (Vec<Option<f64>>
     let l = grouping.len();
     let mut per_task: Vec<Vec<(usize, f64, f64)>> = Vec::with_capacity(m);
     for j in 0..m {
-        let reports = data.reports_for_task(j);
-        if reports.is_empty() {
+        let (accounts, values) = data.task_claims(j);
+        let claims: Vec<(u32, f64)> = accounts
+            .iter()
+            .copied()
+            .zip(values.iter().copied())
+            .collect();
+        if claims.is_empty() {
             per_task.push(Vec::new());
             continue;
         }
-        let reporters = reports.len();
+        let reporters = claims.len();
         let mut by_group: Vec<Vec<f64>> = vec![Vec::new(); l];
-        for r in &reports {
-            by_group[grouping.group_of(r.account)].push(r.value);
+        for &(account, value) in &claims {
+            by_group[grouping.group_of(account as usize)].push(value);
         }
         per_task.push(
             by_group
@@ -536,6 +545,23 @@ fn blocking_counts(signal: &str, group: impl FnOnce() -> Grouping) -> BlockingCo
     }
 }
 
+/// Runs `f` [`SCALE_CALLS`] times and returns its last output with the
+/// median wall time of one call, in ms. Dropping an output is not timed.
+fn median_call_ms<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut out = None;
+    let mut ms: Vec<f64> = (0..SCALE_CALLS)
+        .map(|_| {
+            let start = Instant::now();
+            let value = black_box(f());
+            let elapsed = start.elapsed().as_secs_f64() * 1e3;
+            out = Some(value);
+            elapsed
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    (out.expect("at least one call"), ms[SCALE_CALLS / 2])
+}
+
 /// `regroup_scale`'s export of one stage split.
 fn stages_json(stages: &[f64; 7]) -> Json {
     Json::obj(
@@ -800,31 +826,18 @@ fn main() {
         pool_params,
     ));
 
-    // ---- DTW ----
+    // ---- DTW: the one the product runs, under its band (25 at n = 200) ----
     let dtw_n = 200usize;
     let a: Vec<f64> = (0..dtw_n).map(|i| (i as f64 * 0.11).sin() * 5.0).collect();
     let b: Vec<f64> = (0..dtw_n)
         .map(|i| (i as f64 * 0.11 + 0.8).sin() * 5.0)
         .collect();
-    let dtw_full = group.run("dtw/full/200", || {
-        Dtw::new().distance(black_box(&a), black_box(&b))
-    });
-    let dtw_band = group.run("dtw/band16/200", || {
-        Dtw::new()
-            .with_band(16)
-            .distance(black_box(&a), black_box(&b))
-    });
+    let dtw_raw = group.run("dtw/raw/200", || dtw(black_box(&a), black_box(&b)));
     cases.push(stats_json(
         "dtw",
-        "full/200",
-        dtw_full,
+        "raw/200",
+        dtw_raw,
         vec![("n", dtw_n.to_json())],
-    ));
-    cases.push(stats_json(
-        "dtw",
-        "band16/200",
-        dtw_band,
-        vec![("n", dtw_n.to_json()), ("band", 16usize.to_json())],
     ));
 
     // ---- AG-TR pairwise pruning on the large campaign ----
@@ -925,9 +938,10 @@ fn main() {
     // ---- Grouping at scale: a 100k-account campaign, all three signals ----
     // The sub-quadratic claim measured, not asserted: blocked candidate
     // generation must leave ≥ 99% of the n(n−1)/2 pairs unvisited while
-    // grouping still runs end to end. One timed pass per signal — at this
-    // size the wall-clock is far above timer noise, and a Bench loop would
-    // blow the quick-mode budget `scripts/verify.sh` runs under.
+    // grouping still runs end to end. Each signal's wall time is the
+    // median of SCALE_CALLS calls: one call of the same code spreads up
+    // to 2× on a busy host, and a Bench loop would blow the quick-mode
+    // budget `scripts/verify.sh` runs under.
     let scale_cfg = ScaledCampaignConfig::new(100_000).with_seed(42);
     let t_gen = Instant::now();
     let campaign = ScaledCampaign::generate(&scale_cfg);
@@ -940,23 +954,19 @@ fn main() {
     // calls run uninstrumented.
     let ag_ts_scale = AgTs::new(0.01);
     let ts_scale = blocking_counts("ag_ts", || ag_ts_scale.group(&campaign.data, &[]));
-    let t_ts = Instant::now();
-    let g_ts_scale = ag_ts_scale.group(&campaign.data, &[]);
-    let scale_ts_ms = t_ts.elapsed().as_secs_f64() * 1e3;
+    let (g_ts_scale, scale_ts_ms) = median_call_ms(|| ag_ts_scale.group(&campaign.data, &[]));
     let ag_tr_scale = AgTr::default();
     let tr_scale = blocking_counts("ag_tr", || ag_tr_scale.group(&campaign.data, &[]));
-    let t_tr = Instant::now();
-    let g_tr_scale = ag_tr_scale.group(&campaign.data, &[]);
-    let scale_tr_ms = t_tr.elapsed().as_secs_f64() * 1e3;
-    let t_fp = Instant::now();
-    let scale_points = standardize(&campaign.fingerprints).0;
-    let fp_scale = KMeans::new(
-        KMeansConfig::new(campaign.num_devices)
-            .with_restarts(1)
-            .with_max_iterations(25),
-    )
-    .fit(&scale_points);
-    let scale_fp_ms = t_fp.elapsed().as_secs_f64() * 1e3;
+    let (g_tr_scale, scale_tr_ms) = median_call_ms(|| ag_tr_scale.group(&campaign.data, &[]));
+    let (fp_scale, scale_fp_ms) = median_call_ms(|| {
+        let scale_points = standardize(&campaign.fingerprints).0;
+        KMeans::new(
+            KMeansConfig::new(campaign.num_devices)
+                .with_restarts(1)
+                .with_max_iterations(25),
+        )
+        .fit(&scale_points)
+    });
     assert_eq!(fp_scale.assignments.len(), sn);
     // Both pairwise signals must group the Sybil rings: every ring merges
     // its five members, so each signal loses at least 4 accounts per ring
@@ -1016,8 +1026,8 @@ fn main() {
     // reports by folding into the warm CSR indexes vs the pre-incremental
     // world (invalidate, re-index everything from scratch on next read).
     // `data`'s indexes are warm from the runs above; `cold_base` holds the
-    // same reports with its caches never touched, so the accessor pays the
-    // full counting-sort build after the fold.
+    // same reports with its caches never touched, so the accessor pays a
+    // fold of the whole report list into empty indexes after the fold.
     let accounts = LEGIT + ATTACKERS * SYBILS_PER_ATTACKER;
     let new_accounts = 10usize;
     let mut batch_rng = StdRng::seed_from_u64(99);
@@ -1036,7 +1046,7 @@ fn main() {
     }
     let (cold_base, _) = large_campaign(0);
     let touch = |d: &SensingData| {
-        d.task_report_indices(0).len() + d.account_report_indices(accounts + new_accounts - 1).len()
+        d.task_claims(0).0.len() + d.account_reports(accounts + new_accounts - 1).len()
     };
     let fold_warm = group.run("epochs/fold_incremental", || {
         let mut d = data.clone();
@@ -1072,7 +1082,7 @@ fn main() {
     obs::reset();
     let _ = framework.discover_with_grouping(&data, grouping.clone());
     let _ = stream_features_batch(&streams, &feat_cfg);
-    let _ = Dtw::new().distance(&a, &b);
+    let _ = dtw(&a, &b);
     let _ = pruned_engine.edges2_with_stats(&ag_tr.trajectories(&data), &all_pairs);
     let report = obs::snapshot();
     obs::set_enabled(false);
@@ -1183,7 +1193,7 @@ fn main() {
     ));
 
     let doc = Json::obj([
-        ("schema", Json::str("srtd-bench-pipeline-v10")),
+        ("schema", Json::str("srtd-bench-pipeline-v11")),
         ("quick", quick.to_json()),
         ("threads_available", threads_available.to_json()),
         (
@@ -1383,6 +1393,7 @@ fn main() {
                         ("pairs_candidate", ts_scale.candidate.to_json()),
                         ("buckets", ts_scale.buckets.to_json()),
                         ("groups", g_ts_scale.len().to_json()),
+                        ("timed_calls", SCALE_CALLS.to_json()),
                         ("wall_ms", scale_ts_ms.to_json()),
                     ]),
                 ),
@@ -1394,6 +1405,7 @@ fn main() {
                         ("pairs_candidate", tr_scale.candidate.to_json()),
                         ("buckets", tr_scale.buckets.to_json()),
                         ("groups", g_tr_scale.len().to_json()),
+                        ("timed_calls", SCALE_CALLS.to_json()),
                         ("wall_ms", scale_tr_ms.to_json()),
                     ]),
                 ),
@@ -1408,14 +1420,16 @@ fn main() {
                             fp_scale.pruning.skipped_by_norm.to_json(),
                         ),
                         ("iterations", fp_scale.iterations.to_json()),
+                        ("timed_calls", SCALE_CALLS.to_json()),
                         ("wall_ms", scale_fp_ms.to_json()),
                     ]),
                 ),
                 (
                     "note",
                     Json::str(
-                        "one timed pass per signal on a 100k-account synthetic \
-                         campaign; pairwise totals count both blocked signals \
+                        "wall_ms is the median of timed_calls calls per signal on a \
+                         100k-account synthetic campaign (AG-FP: standardize + \
+                         k-means); pairwise totals count both blocked signals \
                          (AG-TS + AG-TR), AG-FP is centroid-based so its pair \
                          economics are point–centroid comparisons",
                     ),

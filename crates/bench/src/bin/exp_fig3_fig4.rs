@@ -9,7 +9,7 @@
 
 use srtd_bench::table::matrix;
 use srtd_core::{AccountGrouping, AgTr, AgTs};
-use srtd_timeseries::Dtw;
+use srtd_timeseries::dtw;
 use srtd_truth::SensingData;
 
 const NAMES: [&str; 6] = ["1", "2", "3", "4'", "4''", "4'''"];
@@ -81,13 +81,12 @@ fn main() {
     println!("\nFig. 4 — AG-TR worked example (Table III data)\n");
     let ag_tr = AgTr::default();
     let trajectories = ag_tr.trajectories(&data);
-    let raw = Dtw::new().raw();
     let mut dtw_x = vec![vec![0.0; 6]; 6];
     let mut dtw_y = vec![vec![0.0; 6]; 6];
     for i in 0..6 {
         for j in 0..6 {
-            dtw_x[i][j] = raw.distance(&trajectories[i].0, &trajectories[j].0);
-            dtw_y[i][j] = raw.distance(&trajectories[i].1, &trajectories[j].1);
+            dtw_x[i][j] = dtw(&trajectories[i].0, &trajectories[j].0);
+            dtw_y[i][j] = dtw(&trajectories[i].1, &trajectories[j].1);
         }
     }
     println!("(a) DTW(X_i, X_j) — task series, raw cumulative cost:");

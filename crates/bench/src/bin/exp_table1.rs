@@ -57,10 +57,11 @@ fn main() {
     for (a, name) in ACCOUNTS.iter().enumerate() {
         let mut row = vec![name.to_string()];
         for task in 0..4 {
-            let value = attacked
-                .task_reports(task)
-                .find(|r| r.account == a)
-                .map(|r| r.value);
+            let (accounts, values) = attacked.task_claims(task);
+            let value = accounts
+                .iter()
+                .position(|&b| b as usize == a)
+                .map(|k| values[k]);
             row.push(cell(value, 2));
         }
         t.add_row(row);

@@ -525,7 +525,7 @@ mod tests {
         let data = table_i_attacked();
         let r = SybilResistantTd::new(AgTr::default()).discover(&data, &[]);
         for t in 0..4 {
-            let vals: Vec<f64> = data.task_reports(t).map(|r| r.value).collect();
+            let vals = data.task_claims(t).1;
             let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let v = r.truths[t].unwrap();

@@ -663,7 +663,7 @@ mod tests {
 
     #[test]
     fn endpoint_cells_cover_every_below_phi_pair() {
-        use srtd_timeseries::Dtw;
+        use srtd_timeseries::dtw;
         srtd_runtime::prop::check(
             |rng| {
                 let items = srtd_runtime::prop::vec_with(rng, 2..10, |r| {
@@ -682,14 +682,12 @@ mod tests {
             },
             |(items, phi)| {
                 let (pairs, _) = tr_pairs(items, *phi, &all(items.len()));
-                let dtw = Dtw::new().raw();
                 for i in 0..items.len() {
                     for j in i + 1..items.len() {
                         if items[i].0.is_empty() || items[j].0.is_empty() {
                             continue; // inactive accounts stay singletons
                         }
-                        let d = dtw.distance(&items[i].0, &items[j].0)
-                            + dtw.distance(&items[i].1, &items[j].1);
+                        let d = dtw(&items[i].0, &items[j].0) + dtw(&items[i].1, &items[j].1);
                         if d < *phi {
                             srtd_runtime::prop_assert!(
                                 contains(&pairs, i, j),

@@ -4,7 +4,7 @@ use crate::grouping::blocking::{self, endpoint_cell, Cell, KeyRuns};
 use crate::grouping::{referenced, AccountGrouping, EdgeGrouping, EdgeIndex, Grouping};
 use srtd_graph::UnionFind;
 use srtd_runtime::parallel::{parallel_map, triangle_pairs};
-use srtd_timeseries::{adaptive_band, Dtw, PrunedPairwise};
+use srtd_timeseries::{dtw, PrunedPairwise};
 use srtd_truth::{Report, SensingData};
 
 /// Ceiling for the dense [`AgTr::dissimilarity_matrix`] API: it exists
@@ -28,15 +28,15 @@ const SECONDS_PER_TIMESTAMP_UNIT: f64 = 3600.0;
 /// ```
 ///
 /// over the raw cumulative DTW cost that the paper's worked example
-/// (Fig. 4) tabulates, under [`adaptive_band`] (trajectories under 64
-/// points warp unconstrained). Pairs with `D_ij < φ` are connected and
-/// connected components become groups: the accounts of one Sybil attacker
-/// replay a single physical walk, so both their task order and their
-/// timing pattern nearly coincide. Under the raw cost, task-index series
-/// of different task sets are at least 1 apart (integer indices, squared
-/// distances), so the default `φ = 1` cleanly separates different-walk
-/// accounts while same-walk accounts differ only by their small timestamp
-/// offsets.
+/// (Fig. 4) tabulates, [`dtw`] (trajectories under 64 points warp
+/// unconstrained, longer ones within an adaptive band). Pairs with
+/// `D_ij < φ` are connected and connected components become groups: the
+/// accounts of one Sybil attacker replay a single physical walk, so both
+/// their task order and their timing pattern nearly coincide. Under the
+/// raw cost, task-index series of different task sets are at least 1
+/// apart (integer indices, squared distances), so the default `φ = 1`
+/// cleanly separates different-walk accounts while same-walk accounts
+/// differ only by their small timestamp offsets.
 ///
 /// # Examples
 ///
@@ -85,14 +85,9 @@ impl AgTr {
         self.phi
     }
 
-    /// Eq. 8 for one pair of trajectories, by full raw DTW under the
-    /// adaptive band.
+    /// Eq. 8 for one pair of trajectories, by full DTW.
     fn distance(a: &(Vec<f64>, Vec<f64>), b: &(Vec<f64>, Vec<f64>)) -> f64 {
-        let dtw = match adaptive_band(a.0.len(), b.0.len()) {
-            Some(w) => Dtw::new().raw().with_band(w),
-            None => Dtw::new().raw(),
-        };
-        dtw.distance(&a.0, &b.0) + dtw.distance(&a.1, &b.1)
+        dtw(&a.0, &b.0) + dtw(&a.1, &b.1)
     }
 
     /// Extracts the `(X_i, Y_i)` trajectory series of every account.
@@ -384,8 +379,7 @@ mod tests {
         // series shift together, so differences are unchanged.
         let d = table_iii_data();
         let trajectories = AgTr::default().trajectories(&d);
-        let dtw = Dtw::new().raw();
-        let dx = |i: usize, j: usize| dtw.distance(&trajectories[i].0, &trajectories[j].0);
+        let dx = |i: usize, j: usize| dtw(&trajectories[i].0, &trajectories[j].0);
         assert_eq!(dx(0, 1), 2.0); // DTW(X_1, X_2)
         assert_eq!(dx(0, 3), 1.0); // DTW(X_1, X_4')
         assert_eq!(dx(3, 4), 0.0); // identical task series

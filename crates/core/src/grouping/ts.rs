@@ -221,7 +221,7 @@ impl TsIndex {
             tasks.extend(data.account_reports(a).map(|r| r.task));
             prefix_keys(&mut tasks, rank, out);
         });
-        let set_size = |a: usize| data.account_report_indices(a).len();
+        let set_size = |a: usize| data.account_reports(a).len();
         let pairs = blocking::prefix_pairs(&self.keys, &probes, dirty, set_size);
         blocking::record_pair_counts(
             "ag_ts",

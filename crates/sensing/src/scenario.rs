@@ -758,8 +758,10 @@ mod tests {
         for t in 0..s.data.num_tasks() {
             let sybil_reports = s
                 .data
-                .task_reports(t)
-                .filter(|r| s.is_sybil[r.account])
+                .task_claims(t)
+                .0
+                .iter()
+                .filter(|&&a| s.is_sybil[a as usize])
                 .count();
             assert!(
                 sybil_reports <= 4,

@@ -170,8 +170,10 @@ fn mimicry_sets_stay_inside_the_honest_marginal() {
         for &t in &union {
             let reports = s
                 .data
-                .task_reports(t)
-                .filter(|r| s.is_sybil[r.account])
+                .task_claims(t)
+                .0
+                .iter()
+                .filter(|&&a| s.is_sybil[a as usize])
                 .count();
             let drawn = sybils
                 .iter()

@@ -7,16 +7,16 @@
 //! exceeds `φ` can be skipped without running the `O(m·n)` dynamic
 //! program.
 
-#[cfg(test)]
-use crate::Dtw;
+use crate::dtw::band;
 use std::collections::VecDeque;
 
-/// Precomputed Sakoe–Chiba envelope of one series: running min/max over a
-/// centered window of half-width `band`.
+/// Precomputed Sakoe–Chiba envelope of one series: running min/max over
+/// a centered window of the half-width [`dtw`](fn@crate::dtw) applies to a
+/// pair of series of this length.
 ///
 /// The envelope is what makes an LB_Keogh *cascade* cheap: it depends only
-/// on the reference series and the band, so a pairwise driver computes one
-/// envelope per series up front and reuses it against every query
+/// on the reference series, so a pairwise pass computes one envelope per
+/// series up front and reuses it against every equal-length query
 /// ([`lb_keogh_env`] is then `O(n)` per pair with no window scan). Built
 /// with the monotonic-deque sliding min/max, so construction is `O(n)`
 /// regardless of the band width.
@@ -24,25 +24,31 @@ use std::collections::VecDeque;
 /// # Examples
 ///
 /// ```
-/// use srtd_timeseries::{lb_keogh_env, Dtw, Envelope};
+/// use srtd_timeseries::{dtw, lb_keogh_env, Envelope};
 ///
 /// let q = [0.0, 1.0, 2.0, 1.0];
 /// let r = [1.0, 1.0, 1.0, 1.0];
-/// let env = Envelope::new(&r, 1);
-/// let bound = lb_keogh_env(&q, &env);
-/// assert!(bound <= Dtw::new().raw().with_band(1).distance(&q, &r) + 1e-12);
+/// let bound = lb_keogh_env(&q, &Envelope::new(&r));
+/// assert!(bound > 0.0 && bound <= dtw(&q, &r));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     upper: Vec<f64>,
     lower: Vec<f64>,
-    band: usize,
 }
 
 impl Envelope {
-    /// The envelope of `series` for Sakoe–Chiba half-width `band`
-    /// (clamped to the series length — wider adds nothing).
-    pub fn new(series: &[f64], band: usize) -> Self {
+    /// The envelope of `series`, over the band `dtw` applies to a pair of
+    /// series of this length. An unbanded pair gets a window spanning the
+    /// whole series; otherwise LB_Keogh would not bound its cost.
+    pub fn new(series: &[f64]) -> Self {
+        let n = series.len();
+        Self::with_band(series, band(n, n).unwrap_or(n))
+    }
+
+    /// The envelope of `series` for half-width `band` (clamped to the
+    /// series length — wider adds nothing).
+    fn with_band(series: &[f64], band: usize) -> Self {
         let n = series.len();
         let w = band.min(n.saturating_sub(1));
         let mut upper = Vec::with_capacity(n);
@@ -74,11 +80,7 @@ impl Envelope {
             upper.push(series[maxq[0]]);
             lower.push(series[minq[0]]);
         }
-        Self {
-            upper,
-            lower,
-            band: w,
-        }
+        Self { upper, lower }
     }
 
     /// Number of points (same as the underlying series).
@@ -90,17 +92,12 @@ impl Envelope {
     pub fn is_empty(&self) -> bool {
         self.upper.is_empty()
     }
-
-    /// The clamped band half-width this envelope was built for.
-    pub fn band(&self) -> usize {
-        self.band
-    }
 }
 
 /// LB_Keogh against a precomputed [`Envelope`]: the squared distance from
-/// `query` to the envelope, a lower bound on the **banded** raw DTW cost
-/// with the envelope's window (and on unbanded DTW only when the window
-/// spans the whole reference).
+/// `query` to the envelope, a lower bound on [`dtw`](fn@crate::dtw) of
+/// `query` and the envelope's series (their lengths being equal, the
+/// envelope's window is the band the cost is taken under).
 ///
 /// # Panics
 ///
@@ -129,18 +126,18 @@ pub fn lb_keogh_env(query: &[f64], env: &Envelope) -> f64 {
 /// LB_Kim (simplified): every warping path aligns the first points and
 /// the last points, so their squared distances always contribute.
 ///
-/// Returns a lower bound on `Dtw::new().raw().distance(a, b)`. Degenerate
-/// inputs follow the DTW conventions (`0` for two empty series, `∞` when
-/// exactly one is empty).
+/// Returns a lower bound on [`dtw`](fn@crate::dtw)`(a, b)` under any band.
+/// Degenerate inputs follow the DTW conventions (`0` for two empty
+/// series, `∞` when exactly one is empty).
 ///
 /// # Examples
 ///
 /// ```
-/// use srtd_timeseries::{lb_kim, Dtw};
+/// use srtd_timeseries::{dtw, lb_kim};
 ///
 /// let a = [0.0, 5.0, 1.0];
 /// let b = [2.0, 2.0, 2.0];
-/// assert!(lb_kim(&a, &b) <= Dtw::new().raw().distance(&a, &b) + 1e-12);
+/// assert!(lb_kim(&a, &b) <= dtw(&a, &b));
 /// ```
 pub fn lb_kim(a: &[f64], b: &[f64]) -> f64 {
     match (a.len(), b.len()) {
@@ -163,12 +160,19 @@ pub fn lb_kim(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtw;
+    use crate::dtw::dtw_with_band;
     use srtd_runtime::rng::Rng;
     use srtd_runtime::{prop, prop_assert, prop_assert_eq};
 
     /// LB_Keogh of `query` against `reference`'s envelope at window `w`.
     fn keogh(query: &[f64], reference: &[f64], w: usize) -> f64 {
-        lb_keogh_env(query, &Envelope::new(reference, w))
+        lb_keogh_env(query, &Envelope::with_band(reference, w))
+    }
+
+    /// Raw DTW at half-width `w` (`None` = unconstrained).
+    fn dtw_at(a: &[f64], b: &[f64], w: Option<usize>) -> f64 {
+        dtw_with_band(a, b, w, f64::INFINITY)
     }
 
     #[test]
@@ -196,7 +200,7 @@ mod tests {
         let q = [10.0, 10.0];
         let r = [0.0, 0.0];
         let bound = keogh(&q, &r, 5);
-        let exact = Dtw::new().raw().distance(&q, &r);
+        let exact = dtw(&q, &r);
         assert!(bound <= exact + 1e-12);
         assert!(bound > 0.0);
     }
@@ -212,8 +216,7 @@ mod tests {
                 )
             },
             |(a, b)| {
-                let exact = Dtw::new().raw().distance(a, b);
-                prop_assert!(lb_kim(a, b) <= exact + 1e-9);
+                prop_assert!(lb_kim(a, b) <= dtw(a, b) + 1e-9);
                 Ok(())
             },
         );
@@ -235,10 +238,43 @@ mod tests {
                 let w = *w;
                 let a: Vec<f64> = data.iter().map(|d| d.0).collect();
                 let b: Vec<f64> = data.iter().map(|d| d.1).collect();
-                let exact = Dtw::new().raw().with_band(w).distance(&a, &b);
+                let exact = dtw_at(&a, &b, Some(w));
                 prop_assert!(keogh(&a, &b, w) <= exact + 1e-9);
                 Ok(())
             },
+        );
+    }
+
+    /// `Envelope::new` takes the band `dtw` applies to its length, so
+    /// LB_Keogh bounds `dtw` on equal-length pairs either side of the
+    /// 64-point band boundary.
+    #[test]
+    fn default_envelope_bounds_dtw() {
+        prop::check(
+            |rng| {
+                let len = rng.gen_range(1usize..150);
+                let walk = |r: &mut srtd_runtime::rng::StdRng| {
+                    (0..len)
+                        .scan(0.0, |x, _| {
+                            *x += r.gen_range(-1f64..1.0);
+                            Some(*x)
+                        })
+                        .collect::<Vec<f64>>()
+                };
+                (walk(rng), walk(rng))
+            },
+            |(a, b)| {
+                let exact = dtw(a, b);
+                let keogh = lb_keogh_env(a, &Envelope::new(b));
+                prop_assert!(keogh <= exact + 1e-9, "{keogh} > {exact}");
+                Ok(())
+            },
+        );
+        let series: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
+        assert_eq!(Envelope::new(&series), Envelope::with_band(&series, 16));
+        assert_eq!(
+            Envelope::new(&series[..63]),
+            Envelope::with_band(&series[..63], 62)
         );
     }
 
@@ -271,8 +307,8 @@ mod tests {
                 let w = *w;
                 let a: Vec<f64> = data.iter().map(|d| d.0).collect();
                 let b: Vec<f64> = data.iter().map(|d| d.1).collect();
-                let full = Dtw::new().raw().distance(&a, &b);
-                let banded = Dtw::new().raw().with_band(w).distance(&a, &b);
+                let full = dtw_at(&a, &b, None);
+                let banded = dtw_at(&a, &b, Some(w));
                 let kim = lb_kim(&a, &b);
                 let keogh_w = keogh(&a, &b, w);
                 let tol = 1e-9 * banded.max(1.0);
@@ -303,7 +339,7 @@ mod tests {
                 )
             },
             |(series, w)| {
-                let env = Envelope::new(series, *w);
+                let env = Envelope::with_band(series, *w);
                 prop_assert_eq!(env.len(), series.len());
                 for i in 0..series.len() {
                     let lo = i.saturating_sub(*w);
@@ -320,16 +356,15 @@ mod tests {
 
     #[test]
     fn envelope_of_empty_series_is_empty() {
-        let env = Envelope::new(&[], 3);
+        let env = Envelope::new(&[]);
         assert!(env.is_empty());
-        assert_eq!(env.band(), 0);
         assert_eq!(lb_keogh_env(&[], &env), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "equal-length")]
     fn lb_keogh_env_rejects_ragged_queries() {
-        let env = Envelope::new(&[1.0, 2.0], 1);
+        let env = Envelope::new(&[1.0, 2.0]);
         lb_keogh_env(&[1.0, 2.0, 3.0], &env);
     }
 }

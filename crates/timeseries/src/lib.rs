@@ -3,32 +3,31 @@
 //! AG-TR regards each account's submissions as two time series — the task
 //! index series `X_i` and the timestamp series `Y_i` — and groups accounts
 //! whose combined DTW dissimilarity (Eq. 8) falls below a threshold. This
-//! crate implements the Dynamic Time Warping distance of Eq. 7,
+//! crate computes that DTW as the raw cumulative cost the paper's worked
+//! example (Fig. 4) tabulates,
 //!
 //! ```text
-//! DTW(A, B) = min over warping paths W of sqrt( Σ_k ω_k / K )
+//! DTW(A, B) = min over warping paths W of Σ_k ω_k
 //! ```
 //!
 //! where `ω_k` are squared point distances along the path, via the standard
-//! cumulative-distance dynamic program, plus the raw cumulative cost that
-//! Fig. 4 tabulates and AG-TR groups on. A Sakoe–Chiba band bounds the
-//! warping window for long series ([`adaptive_band`] picks it), and
-//! [`PrunedPairwise`] decides Eq. 8 over candidate pairs through an
-//! LB_Kim → LB_Keogh → early-abandoning DP cascade.
+//! cumulative-distance dynamic program: [`dtw`](fn@dtw), and its early-abandoning
+//! twin [`dtw_upper_bounded`]. Both confine warping to one adaptive
+//! Sakoe–Chiba band chosen from the two lengths (series under 64 points
+//! warp unconstrained). [`PrunedPairwise`] decides Eq. 8 over candidate
+//! pairs through an LB_Kim → LB_Keogh → early-abandoning DP cascade.
 //!
 //! # Examples
 //!
 //! ```
-//! use srtd_timeseries::{dtw, Dtw};
+//! use srtd_timeseries::{dtw, dtw_upper_bounded};
 //!
-//! assert_eq!(dtw(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]), 0.0);
-//! // Time-shifted copies are close under DTW even though they differ
-//! // point-wise.
-//! let a = [0.0, 0.0, 1.0, 2.0, 3.0];
-//! let b = [0.0, 1.0, 2.0, 3.0, 3.0];
-//! assert!(dtw(&a, &b) < 0.5);
-//! let banded = Dtw::new().with_band(1).distance(&a, &b);
-//! assert!(banded >= dtw(&a, &b));
+//! // Fig. 4(a): DTW(X_1, X_2) = 2 for the Table III task series.
+//! let x1 = [1.0, 2.0, 3.0, 4.0];
+//! let x2 = [2.0, 3.0];
+//! assert_eq!(dtw(&x1, &x2), 2.0);
+//! // A budget below the cost abandons the dynamic program.
+//! assert_eq!(dtw_upper_bounded(&x1, &x2, 1.0), f64::INFINITY);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,5 +38,5 @@ mod dtw;
 mod pruned;
 
 pub use bounds::{lb_keogh_env, lb_kim, Envelope};
-pub use dtw::{dtw, Dtw};
-pub use pruned::{adaptive_band, PruneStats, PrunedPairwise};
+pub use dtw::{dtw, dtw_upper_bounded};
+pub use pruned::{PruneStats, PrunedPairwise};

@@ -14,7 +14,7 @@
 //!
 //! Both hold by construction: the cascade only skips a pair when a lower
 //! bound on its distance exceeds the cutoff, and the fall-through DP
-//! ([`Dtw::distance_upper_bounded`]) only abandons when the cumulative
+//! ([`dtw_upper_bounded`]) only abandons when the cumulative
 //! cost provably overshoots the remaining budget. The engine is therefore
 //! **decision-equivalent** to full DTW over the same pairs, which the
 //! workspace pins with a property test here and an AG-TR equivalence
@@ -25,7 +25,7 @@
 //! envelopes computed once per series, then the `O(n·w)` banded DP.
 
 use crate::bounds::{lb_keogh_env, lb_kim, Envelope};
-use crate::Dtw;
+use crate::dtw_upper_bounded;
 use srtd_runtime::obs;
 use srtd_runtime::parallel::parallel_map_min;
 
@@ -37,55 +37,6 @@ const MIN_PARALLEL_PAIRS: usize = 256;
 
 /// Sequential-fallback gate for the per-series envelope precomputation.
 const MIN_PARALLEL_SERIES: usize = 64;
-
-/// Series shorter than this warp unconstrained under [`adaptive_band`].
-const UNBANDED_BELOW: usize = 64;
-
-/// Floor of [`adaptive_band`]'s half-width.
-const MIN_BAND: usize = 16;
-
-/// [`adaptive_band`]'s half-width is the longer length over this.
-const BAND_DIVISOR: usize = 8;
-
-/// The Sakoe–Chiba half-width for a pair of series with lengths `la` and
-/// `lb` (`None` = unconstrained). Below 64 points a pair is unbanded, so
-/// paper-scale trajectories keep exact classic-DTW semantics; from there
-/// on the half-width is `max(16, len / 8)` of the longer series — roughly
-/// the 10%-of-length guidance from the DTW-banding literature, with a
-/// generous floor so warp flexibility never collapses on mid-size series.
-///
-/// # Examples
-///
-/// ```
-/// use srtd_timeseries::adaptive_band;
-///
-/// assert_eq!(adaptive_band(10, 20), None);
-/// assert_eq!(adaptive_band(64, 64), Some(16));
-/// assert_eq!(adaptive_band(100, 400), Some(50));
-/// ```
-pub fn adaptive_band(la: usize, lb: usize) -> Option<usize> {
-    let len = la.max(lb);
-    (len >= UNBANDED_BELOW).then(|| MIN_BAND.max(len / BAND_DIVISOR))
-}
-
-/// The raw DTW the exact fall-through runs for a pair with lengths `la`,
-/// `lb`: [`adaptive_band`]'s band, if any.
-fn dtw_for(la: usize, lb: usize) -> Dtw {
-    let dtw = Dtw::new().raw();
-    match adaptive_band(la, lb) {
-        Some(w) => dtw.with_band(w),
-        None => dtw,
-    }
-}
-
-/// Envelope of one series at its own (equal-length-pair) band. For an
-/// unbanded pair the window must span the whole series, otherwise
-/// LB_Keogh would not bound unconstrained DTW.
-fn envelope_for(series: &[f64]) -> Envelope {
-    let w =
-        adaptive_band(series.len(), series.len()).unwrap_or_else(|| series.len().saturating_sub(1));
-    Envelope::new(series, w)
-}
 
 /// Where each pair of one pruned pairwise run ended up. The four
 /// categories partition the pair set.
@@ -127,14 +78,14 @@ enum PairOutcome {
 /// Pruned pairwise raw-DTW engine over two-channel items.
 ///
 /// Each item is one AG-TR trajectory `(X, Y)`; a pair's distance is the
-/// **sum** of the per-channel raw cumulative costs — Eq. 8's
-/// `DTW(X_i, X_j) + DTW(Y_i, Y_j)` — under [`adaptive_band`], and the
-/// cutoff lives in the same space.
+/// **sum** of the per-channel [`dtw`](fn@crate::dtw) costs — Eq. 8's
+/// `DTW(X_i, X_j) + DTW(Y_i, Y_j)` — and the cutoff lives in the same
+/// space.
 ///
 /// # Examples
 ///
 /// ```
-/// use srtd_timeseries::{Dtw, PrunedPairwise};
+/// use srtd_timeseries::{dtw, PrunedPairwise};
 ///
 /// let items = vec![
 ///     (vec![0.0, 0.1], vec![5.0, 5.0]),
@@ -144,8 +95,7 @@ enum PairOutcome {
 /// let pairs = [(0, 1), (0, 2), (1, 2)];
 /// let (edges, stats) = PrunedPairwise::new(1.0).edges2_with_stats(&items, &pairs);
 /// // The close pair keeps its exact distance...
-/// let raw = Dtw::new().raw();
-/// let exact = raw.distance(&items[0].0, &items[1].0) + raw.distance(&items[0].1, &items[1].1);
+/// let exact = dtw(&items[0].0, &items[1].0) + dtw(&items[0].1, &items[1].1);
 /// assert_eq!(edges, vec![(0, 1, exact)]);
 /// // ...the far pairs are pruned without a full DTW evaluation.
 /// assert_eq!(stats.full_evals, 1);
@@ -230,7 +180,7 @@ impl PrunedPairwise {
             } else {
                 f64::INFINITY
             };
-            let d = dtw_for(a[c].len(), b[c].len()).distance_upper_bounded(a[c], b[c], ub);
+            let d = dtw_upper_bounded(a[c], b[c], ub);
             if d == f64::INFINITY && ub.is_finite() {
                 return PairOutcome::Abandoned;
             }
@@ -267,10 +217,10 @@ impl PrunedPairwise {
         let indices: Vec<usize> = (0..items.len()).collect();
         let envelopes = parallel_map_min(&indices, MIN_PARALLEL_SERIES, |&i| {
             if needed[i] {
-                (envelope_for(&items[i].0), envelope_for(&items[i].1))
+                (Envelope::new(&items[i].0), Envelope::new(&items[i].1))
             } else {
                 // Never consulted — blocked-out items pay nothing.
-                (Envelope::new(&[], 0), Envelope::new(&[], 0))
+                (Envelope::new(&[]), Envelope::new(&[]))
             }
         });
         let outcomes = parallel_map_min(pairs, MIN_PARALLEL_PAIRS, |&(i, j)| {
@@ -303,15 +253,15 @@ impl PrunedPairwise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtw;
+    use crate::dtw::band;
     use srtd_runtime::parallel::{set_max_threads, triangle_pairs};
     use srtd_runtime::rng::Rng;
     use srtd_runtime::{prop, prop_assert, prop_assert_eq};
 
-    /// Eq. 8 by full DTW under the adaptive band: the reference the
-    /// cascade must reproduce.
+    /// Eq. 8 by full DTW: the reference the cascade must reproduce.
     fn full_distance(a: &(Vec<f64>, Vec<f64>), b: &(Vec<f64>, Vec<f64>)) -> f64 {
-        let dtw = dtw_for(a.0.len(), b.0.len());
-        dtw.distance(&a.0, &b.0) + dtw.distance(&a.1, &b.1)
+        dtw(&a.0, &b.0) + dtw(&a.1, &b.1)
     }
 
     /// Every pair of `items`, through the engine.
@@ -376,9 +326,7 @@ mod tests {
                                 d.to_bits() == full.to_bits(),
                                 "edge ({i},{j}) drifted: {d} vs {full}"
                             );
-                            if d <= *cutoff
-                                && adaptive_band(items[i].0.len(), items[j].0.len()).is_some()
-                            {
+                            if d <= *cutoff && band(items[i].0.len(), items[j].0.len()).is_some() {
                                 banded_kept += 1;
                             }
                         }
@@ -496,15 +444,6 @@ mod tests {
         let (none, empty_stats) = engine.edges2_with_stats(&items, &[]);
         assert!(none.is_empty());
         assert_eq!(empty_stats, PruneStats::default());
-    }
-
-    #[test]
-    fn adaptive_band_rules() {
-        assert_eq!(adaptive_band(10, 20), None, "short series unbanded");
-        assert_eq!(adaptive_band(63, 5), None);
-        assert_eq!(adaptive_band(5, 64), Some(16), "the longer series decides");
-        assert_eq!(adaptive_band(64, 64), Some(16), "floor applies");
-        assert_eq!(adaptive_band(100, 400), Some(50), "len/8 of the longer");
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl TruthDiscovery for MedianVote {
     fn discover(&self, data: &SensingData) -> TruthDiscoveryResult {
         let truths = (0..data.num_tasks())
             .map(|t| {
-                let mut vals: Vec<f64> = data.task_reports(t).map(|r| r.value).collect();
+                let mut vals = data.task_claims(t).1.to_vec();
                 if vals.is_empty() {
                     return None;
                 }

@@ -149,10 +149,9 @@ impl TruthDiscovery for Crh {
                     next[t] = Some(num[t] / den[t]);
                 } else {
                     // All reporters have zero weight: plain mean.
-                    let reports = data.task_reports(t);
-                    if reports.len() > 0 {
-                        let count = reports.len();
-                        next[t] = Some(reports.map(|r| r.value).sum::<f64>() / count as f64);
+                    let (_, values) = data.task_claims(t);
+                    if !values.is_empty() {
+                        next[t] = Some(values.iter().sum::<f64>() / values.len() as f64);
                     }
                 }
             }

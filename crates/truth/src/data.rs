@@ -2,6 +2,7 @@
 
 use srtd_runtime::json::{Json, ToJson};
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// One sensing report: account `account` claims `value` for task `task`
@@ -18,100 +19,40 @@ pub struct Report {
     pub timestamp: f64,
 }
 
-/// A compressed-sparse-row view over the flat report list: `offsets` has
-/// one entry per bucket plus a sentinel, `indices` holds report indices
-/// grouped by bucket in insertion order.
+/// The offsets of a compressed-sparse-row layout over the report list:
+/// one entry per bucket plus a sentinel, so bucket `b`'s reports sit at
+/// `b`'s [`Offsets::range`] of every column kept in the layout's order —
+/// grouped by bucket, in report order within a bucket.
 ///
-/// Built in one counting-sort pass (O(reports + buckets)) and cached
-/// lazily; the campaign's read paths hand out `&[usize]` slices into it,
-/// so per-task and per-account iteration never allocates.
-///
-/// The index is **incremental**: [`CsrIndex::fold`] merges a batch of
-/// appended reports into the existing arrays in place (one run shift per
-/// bucket, new indices appended at the end of their bucket's run), which
-/// is what lets a long-running campaign admit new reports without
-/// rebuilding from scratch. A fold produces arrays bit-identical to a
-/// [`CsrIndex::build`] over the concatenated key stream, because both
-/// group indices by bucket in ascending flat-index order.
+/// A layout starts empty and changes only by [`Offsets::fold`], which
+/// merges a batch of appended reports in place (one run shift per bucket,
+/// the batch at the tail of its buckets' runs). The first build is one
+/// fold of the whole report list into the empty layout, so a folded index
+/// is bit-identical to one built over the concatenated report list: both
+/// hold each bucket's reports in ascending report order.
 #[derive(Debug, Clone, Default)]
-struct CsrIndex {
-    offsets: Vec<usize>,
-    indices: Vec<usize>,
-}
+struct Offsets(Vec<usize>);
 
-impl CsrIndex {
-    fn build(buckets: usize, keys: impl Iterator<Item = usize> + Clone) -> Self {
-        let mut offsets = vec![0usize; buckets + 1];
-        for key in keys.clone() {
-            offsets[key + 1] += 1;
-        }
-        for b in 0..buckets {
-            offsets[b + 1] += offsets[b];
-        }
-        let mut cursor = offsets.clone();
-        let mut indices = vec![0usize; offsets[buckets]];
-        for (report, key) in keys.enumerate() {
-            indices[cursor[key]] = report;
-            cursor[key] += 1;
-        }
-        Self { offsets, indices }
-    }
-
-    fn range(&self, bucket: usize) -> std::ops::Range<usize> {
-        self.offsets[bucket]..self.offsets[bucket + 1]
-    }
-
-    fn slice(&self, bucket: usize) -> &[usize] {
-        &self.indices[self.range(bucket)]
+impl Offsets {
+    fn range(&self, bucket: usize) -> Range<usize> {
+        self.0[bucket]..self.0[bucket + 1]
     }
 
     /// Extends the bucket space to `buckets`, appending empty trailing
     /// runs (new accounts enter mid-campaign with no reports yet).
-    fn grow_buckets(&mut self, buckets: usize) {
-        let total = *self.offsets.last().expect("built index has a sentinel");
-        if self.offsets.len() < buckets + 1 {
-            self.offsets.resize(buckets + 1, total);
+    fn grow(&mut self, buckets: usize) {
+        let total = self.0.last().copied().unwrap_or(0);
+        if self.0.len() < buckets + 1 {
+            self.0.resize(buckets + 1, total);
         }
     }
 
-    /// Folds a batch of appended reports into the index in place, and
-    /// returns the [`RunShift`] it applied so that columns kept in the
-    /// index's order can follow.
-    ///
-    /// `keys` are the bucket keys of the new reports, whose flat indices
-    /// are `base..base + keys.len()` (they were appended to the report
-    /// list, so every new flat index is larger than every existing one —
-    /// appending at the end of each bucket run preserves the grouped
-    /// insertion order [`CsrIndex::build`] produces).
-    fn fold(
-        &mut self,
-        buckets: usize,
-        keys: impl Iterator<Item = usize> + Clone,
-        base: usize,
-    ) -> RunShift {
-        self.grow_buckets(buckets);
-        debug_assert_eq!(self.offsets.len(), buckets + 1);
-        let shift = RunShift::plan(&mut self.offsets, keys);
-        shift.apply(&self.offsets, &mut self.indices, base..);
-        shift
-    }
-}
-
-/// One fold's relocation of a [`CsrIndex`]: bucket `b`'s existing run
-/// moves right by `shift[b]` (the insertions into buckets below it), and
-/// the batch's `i`-th entry lands at `slots[i]`, at the tail of its
-/// bucket's run. Applied to any column kept in the index's order, it
-/// keeps the column aligned with the index.
-struct RunShift {
-    shift: Vec<usize>,
-    slots: Vec<usize>,
-}
-
-impl RunShift {
-    /// Counts the batch's `keys` per bucket, moves `offsets` to their
-    /// folded values and records where each batch entry lands.
-    fn plan(offsets: &mut [usize], keys: impl Iterator<Item = usize> + Clone) -> Self {
-        let buckets = offsets.len() - 1;
+    /// Moves the offsets over a batch of appended reports with bucket
+    /// `keys` (growing the bucket space to `buckets` first), and returns
+    /// the [`RunShift`] every column kept in this order applies to follow.
+    fn fold(&mut self, buckets: usize, keys: impl Iterator<Item = usize> + Clone) -> RunShift {
+        self.grow(buckets);
+        debug_assert_eq!(self.0.len(), buckets + 1);
         let mut added = vec![0usize; buckets];
         for key in keys.clone() {
             added[key] += 1;
@@ -120,21 +61,32 @@ impl RunShift {
         for b in 0..buckets {
             shift[b + 1] = shift[b] + added[b];
         }
-        for (offset, s) in offsets.iter_mut().zip(&shift) {
+        for (offset, s) in self.0.iter_mut().zip(&shift) {
             *offset += s;
         }
         // Each bucket's new entries occupy the tail of its shifted run;
         // walking the batch in order keeps them in batch order.
-        let mut cursor: Vec<usize> = (0..buckets).map(|b| offsets[b + 1] - added[b]).collect();
+        let mut cursor: Vec<usize> = (0..buckets).map(|b| self.0[b + 1] - added[b]).collect();
         let slots = keys
             .map(|key| {
                 cursor[key] += 1;
                 cursor[key] - 1
             })
             .collect();
-        Self { shift, slots }
+        RunShift { shift, slots }
     }
+}
 
+/// One fold's relocation of an [`Offsets`] layout: bucket `b`'s existing
+/// run moves right by `shift[b]` (the insertions into buckets below it),
+/// and the batch's `i`-th entry lands at `slots[i]`, at the tail of its
+/// bucket's run.
+struct RunShift {
+    shift: Vec<usize>,
+    slots: Vec<usize>,
+}
+
+impl RunShift {
     /// Shifts `column`'s runs to the folded `offsets` and writes `new`,
     /// one item per batch entry, into the batch's slots.
     ///
@@ -144,10 +96,11 @@ impl RunShift {
     /// reallocation beyond the column's growth itself.
     fn apply<T: Copy + Default>(
         &self,
-        offsets: &[usize],
+        offsets: &Offsets,
         column: &mut Vec<T>,
         new: impl Iterator<Item = T>,
     ) {
+        let offsets = &offsets.0;
         let buckets = offsets.len() - 1;
         column.resize(offsets[buckets], T::default());
         for b in (0..buckets).rev() {
@@ -163,42 +116,42 @@ impl RunShift {
     }
 }
 
-/// The task index with its claim columns: position `p` of the task CSR
-/// names report `csr.indices[p]`, whose account is `accounts[p]` and whose
-/// value is `values[p]` — each task's claims, in report order, as two
-/// sequential runs (12 B per report; `fold_batch` refuses an account that
-/// does not fit in `u32`). Folds shift the columns with the same
-/// [`RunShift`] as the index, so they never need a rebuild.
+/// The account index: each account's report indices (into the report
+/// list), so [`SensingData::account_reports`] walks a borrowed slice.
+#[derive(Debug, Clone, Default)]
+struct AccountIndex {
+    offsets: Offsets,
+    reports: Vec<usize>,
+}
+
+impl AccountIndex {
+    /// Folds `batch`, whose reports sit at `base..` in the report list.
+    fn fold(&mut self, num_accounts: usize, batch: &[Report], base: usize) {
+        let shift = self
+            .offsets
+            .fold(num_accounts, batch.iter().map(|r| r.account));
+        shift.apply(&self.offsets, &mut self.reports, base..);
+    }
+}
+
+/// The task index: each task's claims as two columns, the reporting
+/// accounts and their values, in report order — two sequential runs per
+/// task (12 B per report; `fold_batch` refuses an account that does not
+/// fit in `u32`).
 #[derive(Debug, Clone, Default)]
 struct TaskIndex {
-    csr: CsrIndex,
+    offsets: Offsets,
     accounts: Vec<u32>,
     values: Vec<f64>,
 }
 
 impl TaskIndex {
-    fn build(num_tasks: usize, reports: &[Report]) -> Self {
-        let csr = CsrIndex::build(num_tasks, reports.iter().map(|r| r.task));
-        let accounts = csr
-            .indices
-            .iter()
-            .map(|&i| reports[i].account as u32)
-            .collect();
-        let values = csr.indices.iter().map(|&i| reports[i].value).collect();
-        Self {
-            csr,
-            accounts,
-            values,
-        }
-    }
-
-    /// Folds `batch`, whose reports sit at `base..` in the report list.
-    fn fold(&mut self, num_tasks: usize, batch: &[Report], base: usize) {
-        let shift = self.csr.fold(num_tasks, batch.iter().map(|r| r.task), base);
+    fn fold(&mut self, num_tasks: usize, batch: &[Report]) {
+        let shift = self.offsets.fold(num_tasks, batch.iter().map(|r| r.task));
         let accounts = batch.iter().map(|r| r.account as u32);
-        shift.apply(&self.csr.offsets, &mut self.accounts, accounts);
+        shift.apply(&self.offsets, &mut self.accounts, accounts);
         shift.apply(
-            &self.csr.offsets,
+            &self.offsets,
             &mut self.values,
             batch.iter().map(|r| r.value),
         );
@@ -220,16 +173,16 @@ struct TaskStats {
 /// report per (account, task) pair ("each account is allowed to submit at
 /// most one data for one task").
 ///
-/// Reports live in one flat insertion-ordered `Vec`; the per-task and
-/// per-account views are flat CSR offset+index arrays built lazily on
-/// first read, so the hot read paths ([`SensingData::task_reports`],
-/// [`SensingData::account_reports`]) are allocation-free index-slice
-/// walks.
+/// Reports live in one flat insertion-ordered `Vec`. Two CSR indexes are
+/// built lazily on first read: per task, the claim columns that
+/// [`SensingData::task_claims`] borrows; per account, the report indices
+/// that [`SensingData::account_reports`] walks. Both reads are
+/// allocation-free slice walks.
 ///
 /// The campaign is **generation-stamped and incremental**: every
 /// mutation bumps [`SensingData::generation`] and folds the new reports
-/// into any already-built CSR arrays in place (per-bucket run merge)
-/// instead of discarding them, so a long-running service can admit
+/// into any already-built index in place (per-bucket run merge)
+/// instead of discarding it, so a long-running service can admit
 /// report batches mid-campaign ([`SensingData::fold_batch`]) without
 /// ever paying a from-scratch re-index. Derived value statistics
 /// ([`SensingData::task_means`], [`SensingData::task_value_std`]) are
@@ -248,7 +201,7 @@ struct TaskStats {
 /// data.add_report(1, 1, -74.0, 30.0);
 /// assert_eq!(data.num_accounts(), 2);
 /// assert_eq!(data.tasks_of(0), &[0, 1]);
-/// assert_eq!(data.task_reports(1).len(), 2);
+/// assert_eq!(data.task_claims(1), (&[0, 1][..], &[-75.0, -74.0][..]));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SensingData {
@@ -262,7 +215,7 @@ pub struct SensingData {
     /// structures (epoch snapshots, caches) can tell stale from fresh.
     generation: u64,
     by_task: OnceLock<TaskIndex>,
-    by_account: OnceLock<CsrIndex>,
+    by_account: OnceLock<AccountIndex>,
     stats: OnceLock<TaskStats>,
 }
 
@@ -323,6 +276,38 @@ impl SensingData {
         self.seen.contains(&(account, task))
     }
 
+    /// Why the campaign would refuse `report`, or `Ok` if it takes it: a
+    /// task out of range, a non-finite value or timestamp, an account
+    /// beyond `u32`, or a repeated (account, task) pair. These are what
+    /// [`SensingData::fold_batch`] panics on, so a caller holding outside
+    /// input can refuse a report gracefully first.
+    pub fn check_report(&self, report: &Report) -> Result<(), String> {
+        let Report {
+            account,
+            task,
+            value,
+            timestamp,
+        } = *report;
+        if task >= self.num_tasks {
+            return Err(format!(
+                "task {task} out of range for {} tasks",
+                self.num_tasks
+            ));
+        }
+        for (what, x) in [("value", value), ("timestamp", timestamp)] {
+            if !x.is_finite() {
+                return Err(format!("{what} {x} is not finite"));
+            }
+        }
+        if u32::try_from(account).is_err() {
+            return Err(format!("account {account} does not fit in u32"));
+        }
+        if self.has_report(account, task) {
+            return Err(format!("account {account} already reported task {task}"));
+        }
+        Ok(())
+    }
+
     /// Ensures the campaign tracks at least `n` accounts, adding trailing
     /// report-less accounts if needed.
     ///
@@ -333,8 +318,8 @@ impl SensingData {
     pub fn reserve_accounts(&mut self, n: usize) {
         if n > self.num_accounts {
             self.num_accounts = n;
-            if let Some(csr) = self.by_account.get_mut() {
-                csr.grow_buckets(n);
+            if let Some(index) = self.by_account.get_mut() {
+                index.offsets.grow(n);
             }
             self.generation += 1;
         }
@@ -348,9 +333,10 @@ impl SensingData {
     ///
     /// # Panics
     ///
-    /// Panics if `task >= num_tasks`, if the value or timestamp is not
-    /// finite, if `account` does not fit in a `u32`, or if the account
-    /// already reported this task (the paper's one-report-per-task rule).
+    /// Panics where [`SensingData::check_report`] refuses the report: a
+    /// task out of range, a non-finite value or timestamp, an account
+    /// beyond `u32`, or an account that already reported this task (the
+    /// paper's one-report-per-task rule).
     pub fn add_report(&mut self, account: usize, task: usize, value: f64, timestamp: f64) {
         self.fold_batch(&[Report {
             account,
@@ -363,9 +349,9 @@ impl SensingData {
     /// Folds a batch of new reports (and any new accounts they introduce)
     /// into the campaign incrementally.
     ///
-    /// Reports append to the flat list in batch order; already-built CSR
+    /// Reports append to the flat list in batch order; already-built
     /// indexes are merged in place — one run shift per bucket plus the
-    /// new indices at each run's tail — rather than rebuilt, so the
+    /// new entries at each run's tail — rather than rebuilt, so the
     /// resulting arrays are bit-identical to a from-scratch rebuild over
     /// the same report list while existing accessors stay warm. The
     /// derived statistics cache is invalidated and the generation bumps
@@ -373,58 +359,45 @@ impl SensingData {
     ///
     /// # Panics
     ///
-    /// Panics on the same conditions as [`SensingData::add_report`]
-    /// (out-of-range task, non-finite value/timestamp, an account beyond
-    /// `u32`, duplicate (account, task) pair — including duplicates within
-    /// the batch).
-    /// Callers that need graceful rejection validate first with
-    /// [`SensingData::has_report`] and friends.
+    /// Panics where [`SensingData::check_report`] refuses a report,
+    /// including a duplicate within the batch. Callers that need graceful
+    /// rejection check first.
     pub fn fold_batch(&mut self, batch: &[Report]) {
         if batch.is_empty() {
             return;
         }
         let base = self.reports.len();
         for r in batch {
-            assert!(
-                r.task < self.num_tasks,
-                "task {} out of range for {} tasks",
-                r.task,
-                self.num_tasks
-            );
-            assert!(r.value.is_finite(), "report value must be finite");
-            assert!(r.timestamp.is_finite(), "timestamp must be finite");
-            assert!(
-                u32::try_from(r.account).is_ok(),
-                "account {} does not fit in u32",
-                r.account
-            );
-            assert!(
-                self.seen.insert((r.account, r.task)),
-                "account {} already reported task {}",
-                r.account,
-                r.task
-            );
+            if let Err(reason) = self.check_report(r) {
+                panic!("{reason}");
+            }
+            self.seen.insert((r.account, r.task));
             self.num_accounts = self.num_accounts.max(r.account + 1);
             self.reports.push(*r);
         }
         if let Some(index) = self.by_task.get_mut() {
-            index.fold(self.num_tasks, batch, base);
+            index.fold(self.num_tasks, batch);
         }
-        if let Some(csr) = self.by_account.get_mut() {
-            csr.fold(self.num_accounts, batch.iter().map(|r| r.account), base);
+        if let Some(index) = self.by_account.get_mut() {
+            index.fold(self.num_accounts, batch, base);
         }
         self.stats.take();
         self.generation += 1;
     }
 
     fn task_index(&self) -> &TaskIndex {
-        self.by_task
-            .get_or_init(|| TaskIndex::build(self.num_tasks, &self.reports))
+        self.by_task.get_or_init(|| {
+            let mut index = TaskIndex::default();
+            index.fold(self.num_tasks, &self.reports);
+            index
+        })
     }
 
-    fn account_csr(&self) -> &CsrIndex {
+    fn account_index(&self) -> &AccountIndex {
         self.by_account.get_or_init(|| {
-            CsrIndex::build(self.num_accounts, self.reports.iter().map(|r| r.account))
+            let mut index = AccountIndex::default();
+            index.fold(self.num_accounts, &self.reports, 0);
+            index
         })
     }
 
@@ -435,13 +408,15 @@ impl SensingData {
 
     /// The reports account `account` submitted, in insertion order.
     ///
-    /// Accounts that never reported return an empty iterator.
+    /// Accounts that never reported return an empty iterator; its `len()`
+    /// is the account's report count in O(1).
     pub fn account_reports(
         &self,
         account: usize,
     ) -> impl ExactSizeIterator<Item = &Report> + Clone {
-        let indices = if account < self.num_accounts {
-            self.account_csr().slice(account)
+        let indices: &[usize] = if account < self.num_accounts {
+            let index = self.account_index();
+            &index.reports[index.offsets.range(account)]
         } else {
             &[]
         };
@@ -455,24 +430,11 @@ impl SensingData {
         tasks
     }
 
-    /// Indices (into [`SensingData::reports`]) of the reports submitted
-    /// for `task`, in insertion order — a borrowed slice of the CSR
-    /// index, no allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task >= num_tasks`.
-    pub fn task_report_indices(&self, task: usize) -> &[usize] {
-        assert!(task < self.num_tasks, "task {task} out of range");
-        self.task_index().csr.slice(task)
-    }
-
-    /// The claims on `task` as two parallel columns, the reporting
-    /// accounts and their values, in the order of
-    /// [`SensingData::task_report_indices`]: entry `k` belongs to report
-    /// `task_report_indices(task)[k]`. Borrowed from the task index and
-    /// laid out contiguously, so a per-task pass reads them sequentially
-    /// instead of gathering from the report list.
+    /// The claims on `task` (the paper's `U_j` with values) as two
+    /// parallel columns, the reporting accounts and their values, in
+    /// report order. Borrowed from the task index and laid out
+    /// contiguously, so a per-task pass reads them sequentially instead of
+    /// gathering from the report list.
     ///
     /// # Panics
     ///
@@ -480,44 +442,8 @@ impl SensingData {
     pub fn task_claims(&self, task: usize) -> (&[u32], &[f64]) {
         assert!(task < self.num_tasks, "task {task} out of range");
         let index = self.task_index();
-        let run = index.csr.range(task);
+        let run = index.offsets.range(task);
         (&index.accounts[run.clone()], &index.values[run])
-    }
-
-    /// Indices (into [`SensingData::reports`]) of the reports account
-    /// `account` submitted, in insertion order — the per-account
-    /// counterpart of [`SensingData::task_report_indices`]. Accounts
-    /// beyond the tracked range return an empty slice.
-    pub fn account_report_indices(&self, account: usize) -> &[usize] {
-        if account < self.num_accounts {
-            self.account_csr().slice(account)
-        } else {
-            &[]
-        }
-    }
-
-    /// The reports submitted for `task` (the paper's `U_j` with values),
-    /// as a non-allocating iterator over the CSR index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task >= num_tasks`.
-    pub fn task_reports(&self, task: usize) -> impl ExactSizeIterator<Item = &Report> + Clone {
-        self.task_report_indices(task)
-            .iter()
-            .map(|&i| &self.reports[i])
-    }
-
-    /// The reports submitted for `task`, collected into a vector.
-    ///
-    /// Allocating compatibility shim over [`SensingData::task_reports`] —
-    /// hot paths should iterate the CSR slice instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task >= num_tasks`.
-    pub fn reports_for_task(&self, task: usize) -> Vec<&Report> {
-        self.task_reports(task).collect()
     }
 
     /// The account's reports ordered by timestamp — its trajectory, as
@@ -584,8 +510,8 @@ impl SensingData {
     /// translation equivariance).
     ///
     /// One flat pass computes the centers and the residual copy shares
-    /// this campaign's CSR caches (the index structure is position-based
-    /// and value-independent), so no re-indexing or re-validation runs.
+    /// this campaign's indexes (their layout is position-based and
+    /// value-independent), so no re-indexing or re-validation runs.
     /// The value-dependent statistics cache is dropped from the copy —
     /// residuals have their own means/stds.
     pub fn centered(&self) -> (SensingData, Vec<Option<f64>>) {
@@ -600,7 +526,7 @@ impl SensingData {
         if let Some(index) = centered.by_task.get_mut() {
             for (task, center) in centers.iter().enumerate() {
                 if let Some(c) = center {
-                    for value in &mut index.values[index.csr.range(task)] {
+                    for value in &mut index.values[index.offsets.range(task)] {
                         *value -= c;
                     }
                 }
@@ -655,33 +581,31 @@ mod tests {
         assert_eq!(d.num_reports(), 3);
         assert_eq!(d.tasks_of(0), vec![1, 2]);
         assert_eq!(d.tasks_of(1), Vec::<usize>::new());
-        assert_eq!(d.task_reports(1).len(), 2);
-        assert_eq!(d.task_reports(0).len(), 0);
-        assert_eq!(d.reports_for_task(1).len(), 2);
+        assert_eq!(d.task_claims(1), (&[2, 0][..], &[5.0, 6.0][..]));
+        assert_eq!(d.task_claims(0), (&[][..], &[][..]));
     }
 
     #[test]
     fn csr_index_survives_interleaved_reads_and_writes() {
-        // Reads build the cache; the next write must invalidate it.
+        // Reads build the indexes; the next writes fold into them.
         let mut d = SensingData::new(2);
         d.add_report(0, 0, 1.0, 0.0);
-        assert_eq!(d.task_reports(0).len(), 1);
+        assert_eq!(d.task_claims(0).0.len(), 1);
         assert_eq!(d.account_reports(0).len(), 1);
         d.add_report(1, 0, 2.0, 1.0);
         d.add_report(1, 1, 3.0, 2.0);
-        assert_eq!(d.task_reports(0).len(), 2);
-        assert_eq!(d.task_report_indices(1), &[2]);
+        assert_eq!(d.task_claims(0).0.len(), 2);
+        assert_eq!(d.task_claims(1), (&[1][..], &[3.0][..]));
         assert_eq!(d.account_reports(1).len(), 2);
     }
 
     #[test]
-    fn task_reports_preserve_insertion_order() {
+    fn task_claims_preserve_insertion_order() {
         let mut d = SensingData::new(1);
         for (a, v) in [(3usize, 30.0), (0, 0.0), (2, 20.0)] {
             d.add_report(a, 0, v, 0.0);
         }
-        let accounts: Vec<usize> = d.task_reports(0).map(|r| r.account).collect();
-        assert_eq!(accounts, vec![3, 0, 2]);
+        assert_eq!(d.task_claims(0), (&[3, 0, 2][..], &[30.0, 0.0, 20.0][..]));
     }
 
     #[test]
@@ -701,7 +625,7 @@ mod tests {
         a.add_report(0, 0, 1.0, 0.0);
         let mut b = SensingData::new(2);
         b.add_report(0, 0, 1.0, 0.0);
-        let _ = a.task_reports(0).len(); // a has a built cache, b has not
+        let _ = a.task_claims(0); // a has a built index, b has not
         assert_eq!(a, b);
         b.reserve_accounts(3);
         assert_ne!(a, b);
@@ -760,11 +684,41 @@ mod tests {
         assert_eq!(centers[0], Some(-81.0));
         assert_eq!(centers[1], Some(-70.0));
         assert_eq!(centered.num_accounts(), d.num_accounts());
-        assert_eq!(centered.task_report_indices(0), d.task_report_indices(0));
-        let vals: Vec<f64> = centered.task_reports(0).map(|r| r.value).collect();
-        assert_eq!(vals, vec![1.0, -1.0]);
+        assert_eq!(centered.task_claims(0), (&[0, 1][..], &[1.0, -1.0][..]));
         // Residuals keep the original timestamps.
         assert_eq!(centered.reports()[2].timestamp, 2.0);
+    }
+
+    #[test]
+    fn check_report_names_each_refusal() {
+        let mut d = SensingData::new(2);
+        d.add_report(0, 1, -70.0, 5.0);
+        let report = |account, task, value, timestamp| Report {
+            account,
+            task,
+            value,
+            timestamp,
+        };
+        assert_eq!(d.check_report(&report(0, 0, -71.0, 6.0)), Ok(()));
+        let refusals = [
+            (report(0, 2, -71.0, 6.0), "task 2 out of range for 2 tasks"),
+            (report(0, 0, f64::NAN, 6.0), "value NaN is not finite"),
+            (
+                report(0, 0, -71.0, f64::INFINITY),
+                "timestamp inf is not finite",
+            ),
+            (
+                report(1 << 32, 0, -71.0, 6.0),
+                "account 4294967296 does not fit in u32",
+            ),
+            (
+                report(0, 1, -71.0, 6.0),
+                "account 0 already reported task 1",
+            ),
+        ];
+        for (r, why) in refusals {
+            assert_eq!(d.check_report(&r), Err(why.to_string()));
+        }
     }
 
     #[test]
@@ -829,7 +783,7 @@ mod tests {
         warm.add_report(2, 1, 5.0, 10.0);
         warm.add_report(0, 1, 6.0, 11.0);
         warm.add_report(0, 2, 7.0, 12.0);
-        let _ = warm.task_reports(1).len();
+        let _ = warm.task_claims(1);
         let _ = warm.account_reports(0).len();
         let _ = warm.task_means();
 
@@ -846,13 +800,10 @@ mod tests {
         assert_eq!(warm, cold);
         assert_eq!(warm.num_accounts(), cold.num_accounts());
         for t in 0..3 {
-            assert_eq!(warm.task_report_indices(t), cold.task_report_indices(t));
+            assert_eq!(warm.task_claims(t), cold.task_claims(t));
         }
         for a in 0..warm.num_accounts() {
-            assert_eq!(
-                warm.account_report_indices(a),
-                cold.account_report_indices(a)
-            );
+            assert!(warm.account_reports(a).eq(cold.account_reports(a)));
         }
         assert_eq!(warm.task_means(), cold.task_means());
         assert_eq!(warm.task_value_std(), cold.task_value_std());

@@ -10,7 +10,9 @@
 //!
 //! * [`SensingData`] — the account × task report matrix (with timestamps)
 //!   shared by every algorithm and by the Sybil-resistant framework built
-//!   on top in `srtd-core`,
+//!   on top in `srtd-core`; a task is read as its claims
+//!   ([`SensingData::task_claims`], accounts and values in report order)
+//!   and an account as its reports ([`SensingData::account_reports`]),
 //! * [`Crh`] — the CRH algorithm (Li et al., SIGMOD 2014), the paper's
 //!   baseline and representative of the truth discovery family,
 //! * [`MeanVote`] / [`MedianVote`] — unweighted baselines,

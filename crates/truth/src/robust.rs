@@ -89,7 +89,7 @@ impl TruthDiscovery for RobustCrh {
         let mut truths: Vec<Option<f64>> = (0..data.num_tasks())
             .map(|t| {
                 let mut pairs: Vec<(f64, f64)> =
-                    data.task_reports(t).map(|r| (r.value, 1.0)).collect();
+                    data.task_claims(t).1.iter().map(|&v| (v, 1.0)).collect();
                 weighted_median(&mut pairs)
             })
             .collect();
@@ -119,9 +119,11 @@ impl TruthDiscovery for RobustCrh {
             // Weighted-median truth update.
             let next: Vec<Option<f64>> = (0..data.num_tasks())
                 .map(|t| {
-                    let mut pairs: Vec<(f64, f64)> = data
-                        .task_reports(t)
-                        .map(|r| (r.value, weights[r.account]))
+                    let (accounts, values) = data.task_claims(t);
+                    let mut pairs: Vec<(f64, f64)> = values
+                        .iter()
+                        .zip(accounts)
+                        .map(|(&v, &a)| (v, weights[a as usize]))
                         .collect();
                     weighted_median(&mut pairs)
                 })
@@ -257,7 +259,7 @@ mod tests {
                 }
                 let r = RobustCrh::default().discover(&d);
                 for t in 0..3 {
-                    let vals: Vec<f64> = d.task_reports(t).map(|r| r.value).collect();
+                    let vals = d.task_claims(t).1;
                     if let Some(est) = r.truths[t] {
                         let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
                         let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

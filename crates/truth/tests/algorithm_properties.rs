@@ -58,7 +58,7 @@ fn estimates_stay_in_task_hull() {
             let result = algo.discover(data);
             prop_assert_eq!(result.truths.len(), data.num_tasks());
             for task in 0..data.num_tasks() {
-                let values: Vec<f64> = data.task_reports(task).map(|r| r.value).collect();
+                let values = data.task_claims(task).1;
                 match result.truths[task] {
                     None => prop_assert!(values.is_empty(), "{}", algo.name()),
                     Some(estimate) => {

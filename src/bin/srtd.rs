@@ -20,7 +20,7 @@ use sybil_td::core::{AccountGrouping, AgFp, AgTr, AgTs, AgVal, SybilResistantTd}
 use sybil_td::metrics::{adjusted_rand_index, mae};
 use sybil_td::runtime::obs;
 use sybil_td::sensing::{Scenario, ScenarioConfig};
-use sybil_td::truth::{Crh, SensingData, TruthDiscovery};
+use sybil_td::truth::{Crh, Report, SensingData, TruthDiscovery};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -256,63 +256,120 @@ struct LoadedCampaign {
     ground_truth: Vec<f64>,
 }
 
+/// Reads a campaign back from `simulate`'s CSV files. A row the pipeline
+/// cannot take fails with its file and line number: a malformed cell, a
+/// ground-truth row out of task order, a report
+/// [`SensingData::check_report`] refuses (a task beyond the rows of
+/// `ground_truth.csv` among them), and a fingerprint row out of account
+/// order or whose length differs from the first one's. So does an
+/// account with no fingerprint.
 fn load_campaign(dir: &Path) -> Result<LoadedCampaign, String> {
     let read = |name: &str| -> Result<String, String> {
         std::fs::read_to_string(dir.join(name))
             .map_err(|e| format!("reading {name} in {dir:?}: {e}"))
     };
-    let truths_csv = read("ground_truth.csv")?;
     let mut ground_truth = Vec::new();
-    for line in truths_csv.lines().skip(1).filter(|l| !l.trim().is_empty()) {
-        let (_, v) = line.split_once(',').ok_or("malformed ground_truth.csv")?;
-        ground_truth.push(v.trim().parse::<f64>().map_err(|e| e.to_string())?);
+    for (line, row) in csv_rows(&read("ground_truth.csv")?, 1) {
+        let value = truth(row, ground_truth.len())
+            .map_err(|e| format!("ground_truth.csv line {line}: {e}"))?;
+        ground_truth.push(value);
     }
     let mut data = SensingData::new(ground_truth.len());
-    let reports_csv = read("reports.csv")?;
-    for line in reports_csv.lines().skip(1).filter(|l| !l.trim().is_empty()) {
-        let cells: Vec<&str> = line.split(',').collect();
-        if cells.len() != 4 {
-            return Err(format!("malformed reports.csv line: {line}"));
-        }
-        data.add_report(
-            cells[0]
-                .trim()
-                .parse()
-                .map_err(|e: std::num::ParseIntError| e.to_string())?,
-            cells[1]
-                .trim()
-                .parse()
-                .map_err(|e: std::num::ParseIntError| e.to_string())?,
-            cells[2]
-                .trim()
-                .parse()
-                .map_err(|e: std::num::ParseFloatError| e.to_string())?,
-            cells[3]
-                .trim()
-                .parse()
-                .map_err(|e: std::num::ParseFloatError| e.to_string())?,
-        );
+    for (line, row) in csv_rows(&read("reports.csv")?, 1) {
+        let r = report(row)
+            .and_then(|r| data.check_report(&r).map(|()| r))
+            .map_err(|e| format!("reports.csv line {line}: {e}"))?;
+        data.fold_batch(&[r]);
     }
-    let prints_csv = read("fingerprints.csv")?;
-    let mut fingerprints = vec![Vec::new(); data.num_accounts()];
-    for line in prints_csv.lines().filter(|l| !l.trim().is_empty()) {
-        let mut cells = line.split(',');
-        let account: usize = cells
-            .next()
-            .ok_or("malformed fingerprints.csv")?
-            .trim()
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())?;
-        let features: Result<Vec<f64>, _> = cells.map(|c| c.trim().parse::<f64>()).collect();
-        if account >= fingerprints.len() {
-            fingerprints.resize(account + 1, Vec::new());
-        }
-        fingerprints[account] = features.map_err(|e| e.to_string())?;
+    let mut fingerprints: Vec<Vec<f64>> = Vec::new();
+    for (line, row) in csv_rows(&read("fingerprints.csv")?, 0) {
+        let width = fingerprints.first().map(Vec::len);
+        let features = fingerprint(row, fingerprints.len(), width)
+            .map_err(|e| format!("fingerprints.csv line {line}: {e}"))?;
+        fingerprints.push(features);
+    }
+    if fingerprints.len() < data.num_accounts() {
+        return Err(format!(
+            "fingerprints.csv: no row for account {}",
+            fingerprints.len()
+        ));
     }
     Ok(LoadedCampaign {
         data,
         fingerprints,
         ground_truth,
+    })
+}
+
+/// The non-blank lines of a CSV file after its `header` lines, each with
+/// its 1-based line number.
+fn csv_rows(text: &str, header: usize) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .skip(header)
+        .filter(|(_, row)| !row.trim().is_empty())
+        .map(|(i, row)| (i + 1, row))
+}
+
+/// Parses one CSV cell, naming it in the error.
+fn cell<T: std::str::FromStr>(text: &str, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let text = text.trim();
+    text.parse().map_err(|e| format!("{what} `{text}`: {e}"))
+}
+
+/// One `ground_truth.csv` row, `task,value`, which must name `task`: the
+/// truths are indexed by row, so a missing or swapped row would silently
+/// score every later task against another task's truth. Fingerprints are
+/// read the same way.
+fn truth(row: &str, task: usize) -> Result<f64, String> {
+    let Some((named, value)) = row.split_once(',') else {
+        return Err("expected `task,value`".to_string());
+    };
+    let named: usize = cell(named, "task")?;
+    if named != task {
+        return Err(format!("task {named} where task {task} belongs"));
+    }
+    cell(value, "value")
+}
+
+/// One `fingerprints.csv` row, `account,feature,…`, which must name
+/// `account` and hold `width` features (the first row's count, `None`
+/// for the first row itself).
+fn fingerprint(row: &str, account: usize, width: Option<usize>) -> Result<Vec<f64>, String> {
+    let mut cells = row.split(',');
+    let named: usize = cell(cells.next().unwrap_or(""), "account")?;
+    if named != account {
+        return Err(format!("account {named} where account {account} belongs"));
+    }
+    let features = cells
+        .map(|c| cell(c, "feature"))
+        .collect::<Result<Vec<f64>, _>>()?;
+    match width {
+        Some(want) if features.len() != want => Err(format!(
+            "{} features, but the first row has {want}",
+            features.len()
+        )),
+        _ => Ok(features),
+    }
+}
+
+/// One `reports.csv` row, `account,task,value,timestamp`.
+fn report(row: &str) -> Result<Report, String> {
+    let cells: Vec<&str> = row.split(',').collect();
+    let [account, task, value, timestamp] = cells[..] else {
+        return Err(format!(
+            "expected `account,task,value,timestamp`, got {} cells",
+            cells.len()
+        ));
+    };
+    Ok(Report {
+        account: cell(account, "account")?,
+        task: cell(task, "task")?,
+        value: cell(value, "value")?,
+        timestamp: cell(timestamp, "timestamp")?,
     })
 }
 

@@ -170,3 +170,114 @@ fn a_misspelled_flag_is_refused() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--seeds`"));
 }
+
+/// `evaluate --from` on a `simulate` export with one file edited: each
+/// row the pipeline cannot take or would misread fails the run with exit
+/// code 1 and `error: <file> line N: …`, never a panic.
+#[test]
+fn evaluate_refuses_bad_csv_rows_by_line() {
+    let base = temp_dir("bad-rows");
+    let base_str = base.to_str().expect("utf-8 temp path");
+    assert!(srtd(&["simulate", "--seed", "7", "--out", base_str])
+        .status
+        .success());
+    let read = |file: &str| -> Vec<String> {
+        std::fs::read_to_string(base.join(file))
+            .expect("simulate wrote the file")
+            .lines()
+            .map(String::from)
+            .collect()
+    };
+    let set_cell = |row: &str, k: usize, value: &str| -> String {
+        let mut cells: Vec<&str> = row.split(',').collect();
+        cells[k] = value;
+        cells.join(",")
+    };
+    let truths = read("ground_truth.csv");
+    let reports = read("reports.csv");
+    let prints = read("fingerprints.csv");
+    let cases: [(&str, Vec<String>, String); 7] = [
+        (
+            "ground_truth.csv",
+            {
+                let mut rows = truths.clone();
+                rows.swap(1, 2);
+                rows
+            },
+            "ground_truth.csv line 2: task 1 where task 0 belongs".to_string(),
+        ),
+        (
+            "reports.csv",
+            reports.iter().chain(&reports[1..2]).cloned().collect(),
+            {
+                let dup: Vec<&str> = reports[1].split(',').collect();
+                format!(
+                    "reports.csv line {}: account {} already reported task {}",
+                    reports.len() + 1,
+                    dup[0],
+                    dup[1]
+                )
+            },
+        ),
+        (
+            "reports.csv",
+            {
+                let mut rows = reports.clone();
+                rows[3] = set_cell(&rows[3], 2, "NaN");
+                rows
+            },
+            "reports.csv line 4: value NaN is not finite".to_string(),
+        ),
+        (
+            "reports.csv",
+            {
+                let mut rows = reports.clone();
+                rows[4] = set_cell(&rows[4], 1, "10");
+                rows
+            },
+            "reports.csv line 5: task 10 out of range for 10 tasks".to_string(),
+        ),
+        (
+            "fingerprints.csv",
+            {
+                let mut rows = prints.clone();
+                let short = rows[2].rsplit_once(',').expect("features").0.to_string();
+                rows[2] = short;
+                rows
+            },
+            format!(
+                "fingerprints.csv line 3: {} features, but the first row has {}",
+                prints[0].split(',').count() - 2,
+                prints[0].split(',').count() - 1
+            ),
+        ),
+        (
+            "fingerprints.csv",
+            prints
+                .iter()
+                .filter(|row| !row.starts_with("3,"))
+                .cloned()
+                .collect(),
+            "fingerprints.csv line 4: account 4 where account 3 belongs".to_string(),
+        ),
+        (
+            "fingerprints.csv",
+            prints[..3].to_vec(),
+            "fingerprints.csv: no row for account 3".to_string(),
+        ),
+    ];
+    for (k, (file, rows, want)) in cases.into_iter().enumerate() {
+        let dir = temp_dir(&format!("bad-rows-{k}"));
+        std::fs::create_dir_all(&dir).expect("case dir");
+        for name in ["reports.csv", "fingerprints.csv", "ground_truth.csv"] {
+            std::fs::copy(base.join(name), dir.join(name)).expect("copy");
+        }
+        std::fs::write(dir.join(file), rows.join("\n") + "\n").expect("edit");
+        let out = srtd(&["evaluate", "--from", dir.to_str().expect("utf-8")]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "case {k}: {stderr}");
+        assert_eq!(stderr.trim_end(), format!("error: {want}"), "case {k}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}

@@ -249,7 +249,7 @@ fn random_campaign_results_are_pinned() {
     // The property the campaign exists for: some multi-member group
     // reports some task in descending account order.
     let out_of_order = (0..data.num_tasks()).any(|t| {
-        let accounts: Vec<usize> = data.task_reports(t).map(|r| r.account).collect();
+        let accounts: Vec<usize> = data.task_claims(t).0.iter().map(|&a| a as usize).collect();
         accounts.iter().enumerate().any(|(i, &a)| {
             accounts[i + 1..]
                 .iter()

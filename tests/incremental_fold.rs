@@ -1,13 +1,15 @@
 //! Equivalence regression for the incremental data plane: folding report
 //! batches into warm CSR indexes must be bit-identical to building the
 //! same indexes from scratch over the same report sequence — for every
-//! task/account index run, and for every derived statistic downstream of
-//! them (`task_means`, `task_value_std`, the centered residual copy).
+//! task's claims and account's reports, and for every derived statistic
+//! downstream of them (`task_means`, `task_value_std`, the centered
+//! residual copy).
 //!
 //! The warm side touches its accessors between folds (so each fold
 //! relocates existing runs in place); the cold side never reads until the
-//! end (so its first accessor touch pays one full counting-sort build).
-//! Any divergence between the two paths is an index-corruption bug.
+//! end (so its first accessor touch folds the whole report list into
+//! empty indexes). Any divergence between the two paths is an
+//! index-corruption bug.
 
 use sybil_td::runtime::parallel::set_max_threads;
 use sybil_td::runtime::rng::{Rng, SeedableRng, StdRng};
@@ -55,17 +57,9 @@ fn assert_bitwise_equivalent(warm: &SensingData, cold: &SensingData) {
     assert_eq!(warm.num_accounts(), cold.num_accounts());
     assert_eq!(warm.num_reports(), cold.num_reports());
     assert_eq!(warm.reports(), cold.reports());
-    for t in 0..warm.num_tasks() {
-        assert_eq!(
-            warm.task_report_indices(t),
-            cold.task_report_indices(t),
-            "task {t} index run diverged"
-        );
-    }
     for a in 0..warm.num_accounts() {
-        assert_eq!(
-            warm.account_report_indices(a),
-            cold.account_report_indices(a),
+        assert!(
+            warm.account_reports(a).eq(cold.account_reports(a)),
             "account {a} index run diverged"
         );
     }
@@ -104,8 +98,8 @@ fn assert_bitwise_equivalent(warm: &SensingData, cold: &SensingData) {
 }
 
 /// The task claim columns: the same accounts and value bits on both
-/// sides, and on each side the account and value of the report the task
-/// index names at that position.
+/// sides, and on each side the accounts and values of the task's reports
+/// in report order, read from the report list itself.
 fn assert_claims_equivalent(warm: &SensingData, cold: &SensingData) {
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for t in 0..warm.num_tasks() {
@@ -119,11 +113,7 @@ fn assert_claims_equivalent(warm: &SensingData, cold: &SensingData) {
         );
         for data in [warm, cold] {
             let (accounts, values) = data.task_claims(t);
-            let named: Vec<_> = data
-                .task_report_indices(t)
-                .iter()
-                .map(|&i| &data.reports()[i])
-                .collect();
+            let named: Vec<_> = data.reports().iter().filter(|r| r.task == t).collect();
             let want_accounts: Vec<u32> = named.iter().map(|r| r.account as u32).collect();
             let want_values: Vec<f64> = named.iter().map(|r| r.value).collect();
             assert_eq!(

@@ -161,7 +161,7 @@ fn feature_batch_is_backend_invariant() {
 }
 
 #[test]
-fn pool_panics_propagate_like_scoped_joins() {
+fn pool_and_inline_paths_propagate_job_panics() {
     for path in [Path::Pool, Path::Inline] {
         let outcome = std::panic::catch_unwind(|| {
             with_exec(path, 4, || {
