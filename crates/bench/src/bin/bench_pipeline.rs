@@ -435,21 +435,26 @@ fn epoch_stage_ns(window: &obs::WindowRecord) -> [f64; 7] {
     })
 }
 
-/// The per-stage medians of several epochs' [`epoch_stage_ns`].
-fn median_stages(epochs: &[[f64; 7]]) -> [f64; 7] {
-    std::array::from_fn(|stage| {
-        let mut times: Vec<f64> = epochs.iter().map(|e| e[stage]).collect();
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    })
+/// The whole [`epoch_stage_ns`] split of the epoch whose `epoch.discover`
+/// is the median of `epochs`: stages taken from one epoch nest as they
+/// ran, where per-stage medians of different epochs need not.
+fn median_epoch(epochs: &[[f64; 7]]) -> [f64; 7] {
+    let discover = REGROUP_STAGES
+        .iter()
+        .position(|&(stage, _)| stage == "epoch.discover")
+        .expect("a discover stage");
+    let mut epochs = epochs.to_vec();
+    epochs.sort_by(|a, b| a[discover].total_cmp(&b[discover]));
+    epochs[epochs.len() / 2]
 }
 
 /// One engine grouping `campaign` with `method`: a set-up epoch folds all
 /// but `rounds × REGROUP_DIRTY` held-back reports (the latest of as many
 /// accounts); then each round folds one held-back report into each of
 /// `REGROUP_DIRTY` accounts, and runs one more epoch with nothing new.
-/// Returns the median stage split of the touched epochs and of the empty
-/// ones, read from each epoch's telemetry window.
+/// Returns the stage split of the median touched epoch and of the median
+/// empty one (by `epoch.discover`), read from each epoch's telemetry
+/// window.
 fn regroup_rounds<G: AccountGrouping>(
     method: G,
     campaign: &ScaledCampaign,
@@ -505,7 +510,7 @@ fn regroup_rounds<G: AccountGrouping>(
         ));
     }
     obs::set_enabled(false);
-    (median_stages(&touched), median_stages(&empty))
+    (median_epoch(&touched), median_epoch(&empty))
 }
 
 /// What one `group()` call recorded about its blocking: the
@@ -1448,13 +1453,14 @@ fn main() {
                 .chain([(
                     "note",
                     Json::str(
-                        "median stage times over the rounds, from each epoch's own \
-                         obs window: an epoch folding one report into each of 100 \
-                         accounts, and one folding nothing; epoch.index_update is \
-                         nested in epoch.regroup, which adds the union-find and the \
-                         Grouping build; framework.per_task_build (Eq. 3/4 arena) and \
-                         framework.td_loop (the weight/truth iterations) are nested \
-                         in epoch.discover",
+                        "each split is one epoch's stage times, the epoch whose \
+                         epoch.discover is the median over the rounds, from its own obs \
+                         window: an epoch folding one report into each of 100 accounts, \
+                         and one folding nothing; epoch.index_update is nested in \
+                         epoch.regroup, which adds the union-find and the Grouping \
+                         build; framework.per_task_build (Eq. 3/4 arena) and \
+                         framework.td_loop (the weight/truth iterations) are nested in \
+                         epoch.discover",
                     ),
                 )]),
             ),

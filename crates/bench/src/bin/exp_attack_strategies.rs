@@ -92,11 +92,7 @@ fn main() {
                     .with_seed(seed)
                     .with_attackers(attackers),
             );
-            crh += mae(
-                &Crh::default().discover(&s.data).truths_or(0.0),
-                &s.ground_truth,
-            )
-            .expect("lengths");
+            crh += mae(&Crh.discover(&s.data).truths_or(0.0), &s.ground_truth).expect("lengths");
             let r = SybilResistantTd::new(AgTr::default()).discover(&s.data, &s.fingerprints);
             ours += mae(&r.truths_or(0.0), &s.ground_truth).expect("lengths");
             let g = AgTr::default().group(&s.data, &s.fingerprints);

@@ -64,11 +64,8 @@ fn main() {
             .with_seed(seed);
             let s = Scenario::generate(&cfg);
             share += s.is_sybil.iter().filter(|&&x| x).count() as f64 / s.num_accounts() as f64;
-            crh_sum += mae(
-                &Crh::default().discover(&s.data).truths_or(0.0),
-                &s.ground_truth,
-            )
-            .expect("lengths");
+            crh_sum +=
+                mae(&Crh.discover(&s.data).truths_or(0.0), &s.ground_truth).expect("lengths");
             let r = SybilResistantTd::new(AgTr::default()).discover(&s.data, &s.fingerprints);
             tr_sum += mae(&r.truths_or(0.0), &s.ground_truth).expect("lengths");
             let g = AgTr::default().group(&s.data, &s.fingerprints);

@@ -66,8 +66,8 @@ fn main() {
         }
         t.add_row(row);
     }
-    let clean_result = Crh::default().discover(&data(false));
-    let attacked_result = Crh::default().discover(&attacked);
+    let clean_result = Crh.discover(&data(false));
+    let attacked_result = Crh.discover(&attacked);
     let mut row = vec!["TD w/o attack".to_string()];
     row.extend(clean_result.truths.iter().map(|&v| cell(v, 2)));
     t.add_row(row);

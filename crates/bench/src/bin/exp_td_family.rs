@@ -27,10 +27,10 @@ fn main() {
     let algorithms: Vec<Box<dyn TruthDiscovery>> = vec![
         Box::new(MeanVote),
         Box::new(MedianVote),
-        Box::new(Crh::default()),
-        Box::new(Catd::default()),
-        Box::new(Gtm::default()),
-        Box::new(RobustCrh::default()),
+        Box::new(Crh),
+        Box::new(Catd),
+        Box::new(Gtm),
+        Box::new(RobustCrh),
     ];
     let mut header = vec!["attacker activeness".to_string()];
     header.extend(algorithms.iter().map(|a| a.name().to_string()));

@@ -55,7 +55,7 @@ fn main() {
                     .with_seed(seed)
                     .with_activeness(1.0, alpha),
             );
-            let crh = Crh::default().discover(&s.data);
+            let crh = Crh.discover(&s.data);
             crh_legit += mean(
                 (0..s.num_accounts())
                     .filter(|&a| !s.is_sybil[a])

@@ -36,7 +36,7 @@ impl Method {
     /// truth.
     pub fn mae_on(self, scenario: &Scenario) -> f64 {
         let estimates = match self {
-            Method::Crh => Crh::default().discover(&scenario.data).truths_or(0.0),
+            Method::Crh => Crh.discover(&scenario.data).truths_or(0.0),
             Method::TdFp => SybilResistantTd::new(AgFp::default())
                 .discover(&scenario.data, &scenario.fingerprints)
                 .truths_or(0.0),

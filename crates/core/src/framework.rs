@@ -415,7 +415,7 @@ mod tests {
         // Attacked tasks (0, 2, 3): the Sybil trio collapses to one voice
         // at -50 with low weight; estimates must move back toward the
         // legitimate readings (CRH alone lands near -55).
-        let crh = Crh::default().discover(&data);
+        let crh = Crh.discover(&data);
         for t in [0usize, 2, 3] {
             let ours = result.truths[t].unwrap();
             let baseline = crh.truths[t].unwrap();
@@ -445,7 +445,7 @@ mod tests {
     #[test]
     fn ag_ts_variant_also_diminishes_the_attack() {
         let data = table_i_attacked();
-        let crh = Crh::default().discover(&data);
+        let crh = Crh.discover(&data);
         let by_ts = SybilResistantTd::new(AgTs::default()).discover(&data, &[]);
         for t in [0usize, 2, 3] {
             assert!(by_ts.truths[t].unwrap() < crh.truths[t].unwrap() - 3.0);
@@ -481,7 +481,7 @@ mod tests {
         }
         let oracle = PerfectGrouping::new(vec![0, 1, 1, 1, 1, 1]);
         let r = SybilResistantTd::new(oracle).discover(&d, &[]);
-        let crh = Crh::default().discover(&d);
+        let crh = Crh.discover(&d);
         assert!(r.truths[0].unwrap() < crh.truths[0].unwrap());
         assert!(r.truths[0].unwrap() <= -65.0, "{:?}", r.truths);
     }

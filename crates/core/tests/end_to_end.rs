@@ -18,7 +18,7 @@ fn scenario(seed: u64, legit_alpha: f64, attacker_alpha: f64) -> Scenario {
 }
 
 fn crh_mae(s: &Scenario) -> f64 {
-    let r = Crh::default().discover(&s.data);
+    let r = Crh.discover(&s.data);
     mae(&r.truths_or(0.0), &s.ground_truth).expect("equal lengths")
 }
 

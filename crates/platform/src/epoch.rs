@@ -954,7 +954,7 @@ mod tests {
         e.ingest(0, 1, 0.0, 500.0).expect("upper end");
         // Rejected reports never reach the data.
         e.run_epoch();
-        let r = srtd_truth::TruthDiscovery::discover(&srtd_truth::Crh::default(), e.data());
+        let r = srtd_truth::TruthDiscovery::discover(&srtd_truth::Crh, e.data());
         assert_eq!(r.truths[0], Some(-120.0));
     }
 

@@ -69,8 +69,8 @@ fn platform_audit_flags_the_sybil_clusters() {
 fn platform_end_to_end_aggregation_matches_direct_calls() {
     let s = Scenario::generate(&ScenarioConfig::paper_default().with_seed(6));
     let engine = replay(&s);
-    let via_platform = srtd_truth::TruthDiscovery::discover(&Crh::default(), engine.data());
-    let direct = srtd_truth::TruthDiscovery::discover(&Crh::default(), &s.data);
+    let via_platform = srtd_truth::TruthDiscovery::discover(&Crh, engine.data());
+    let direct = srtd_truth::TruthDiscovery::discover(&Crh, &s.data);
     // The engine folds reports in shard order, so floating-point
     // summation order differs from the generator's — equal to rounding.
     for (a, b) in via_platform.truths.iter().zip(&direct.truths) {

@@ -7,7 +7,9 @@
 //! [`Report`]** against the registry state at the previous window end
 //! (counter and histogram-bucket deltas, the events emitted since, the
 //! current gauge values) and pushing the result into a bounded in-memory
-//! ring buffer served by [`super::history()`].
+//! ring buffer served by [`super::history()`]. A window evicted from the
+//! ring takes its events out of the event log, so a long-running server's
+//! log stays as bounded as its history.
 //!
 //! Because every delta is taken against the *previous* window boundary —
 //! not against `window_begin` — consecutive windows tile the timeline
@@ -182,8 +184,9 @@ fn counters_json(counters: &[(String, u64)]) -> Json {
 
 /// Closes the open window against `store`, advancing the baseline to the
 /// current registry state and pushing the record into the ring buffer
-/// (evicting the oldest beyond `capacity`). Returns `None` when no window
-/// is open.
+/// (evicting the oldest beyond `capacity`). An evicted window's events
+/// leave the event log with it, so the log holds only the retained and
+/// the open windows' events. Returns `None` when no window is open.
 pub(super) fn end_window(store: &mut Store, label: &str, capacity: usize) -> Option<WindowRecord> {
     let open = store.window.open.take()?;
 
@@ -247,7 +250,12 @@ pub(super) fn end_window(store: &mut Store, label: &str, capacity: usize) -> Opt
     };
     store.window.history.push_back(record.clone());
     while store.window.history.len() > capacity.max(1) {
-        store.window.history.pop_front();
+        let evicted = store.window.history.pop_front().expect("over capacity");
+        // Every window's events follow the previous window's in the log,
+        // so the oldest window's lead it.
+        let held = evicted.report.events.len();
+        store.events.drain(..held);
+        store.window.base_events -= held;
     }
     Some(record)
 }

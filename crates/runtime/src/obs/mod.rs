@@ -185,7 +185,9 @@ pub fn event<'a>(name: &str, fields: impl IntoIterator<Item = (&'a str, Json)>) 
     });
 }
 
-/// Captures the current contents of the registry.
+/// Captures the current contents of the registry. Its events are those of
+/// the windows [`history()`] retains and of the open window, in emission
+/// order; an evicted window's events are gone with it.
 pub fn snapshot() -> Report {
     store::with(|s| Report::from_store(s))
 }

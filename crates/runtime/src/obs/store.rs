@@ -115,6 +115,8 @@ pub(crate) struct Store {
     pub(crate) gauges: BTreeMap<String, f64>,
     pub(crate) histograms: BTreeMap<String, Histogram>,
     pub(crate) spans: BTreeMap<&'static str, SpanStats>,
+    /// Events in emission order, from the oldest retained window's on
+    /// (an evicted window's events leave with it).
     pub(crate) events: Vec<Event>,
     pub(crate) window: WindowState,
 }

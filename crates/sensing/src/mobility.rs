@@ -24,7 +24,7 @@ pub struct Visit {
 ///
 /// let map = PoiMap::campus(10, 1);
 /// let mut rng = srtd_runtime::rng::StdRng::seed_from_u64(2);
-/// let walk = Walk::plan(&map, &[3, 7, 1], 0.0, 1.3, &mut rng);
+/// let walk = Walk::plan_in_order(&map, &[3, 7, 1], 0.0, 1.3, &mut rng);
 /// assert_eq!(walk.visits().len(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -38,67 +38,6 @@ impl Walk {
     /// Spread of the dwell time (s).
     pub const DWELL_STD_S: f64 = 12.0;
 
-    /// Plans a walk visiting `tasks` in nearest-neighbor order.
-    ///
-    /// The walker starts at the first chosen task's POI at `start_time`,
-    /// then repeatedly heads to the nearest unvisited POI at `speed_mps`,
-    /// dwelling at each stop to take the measurement. Nearest-neighbor
-    /// ordering mimics how a volunteer strings errands together; the exact
-    /// order only matters in that *one physical walk has one order* — the
-    /// property AG-TR exploits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tasks` is empty, contains an out-of-range id, or
-    /// `speed_mps` is not positive.
-    pub fn plan<R: Rng + ?Sized>(
-        map: &PoiMap,
-        tasks: &[usize],
-        start_time: f64,
-        speed_mps: f64,
-        rng: &mut R,
-    ) -> Self {
-        assert!(!tasks.is_empty(), "a walk must visit at least one POI");
-        assert!(
-            tasks.iter().all(|&t| t < map.len()),
-            "task id out of range for the POI map"
-        );
-        assert!(speed_mps > 0.0, "walking speed must be positive");
-        let mut remaining: Vec<usize> = tasks.to_vec();
-        remaining.sort_unstable();
-        remaining.dedup();
-        let mut t = start_time;
-        let mut visits = Vec::with_capacity(remaining.len());
-        // Start at the first listed task (the volunteer's entry point).
-        let first = tasks[0];
-        let mut current = first;
-        remaining.retain(|&x| x != first);
-        visits.push(Visit {
-            task: current,
-            arrival: t,
-        });
-        t += dwell(rng);
-        while !remaining.is_empty() {
-            let (idx, &next) = remaining
-                .iter()
-                .enumerate()
-                .min_by(|a, b| {
-                    map.distance(current, *a.1)
-                        .total_cmp(&map.distance(current, *b.1))
-                })
-                .expect("remaining not empty");
-            remaining.swap_remove(idx);
-            t += map.distance(current, next) / speed_mps;
-            current = next;
-            visits.push(Visit {
-                task: current,
-                arrival: t,
-            });
-            t += dwell(rng);
-        }
-        Self { visits }
-    }
-
     /// Plans a walk visiting `tasks` exactly in the order given
     /// (duplicates after the first occurrence are dropped).
     ///
@@ -109,7 +48,8 @@ impl Walk {
     ///
     /// # Panics
     ///
-    /// Same conditions as [`Walk::plan`].
+    /// Panics if `tasks` is empty, contains an out-of-range id, or
+    /// `speed_mps` is not positive.
     pub fn plan_in_order<R: Rng + ?Sized>(
         map: &PoiMap,
         tasks: &[usize],
@@ -182,7 +122,7 @@ mod tests {
     fn visits_all_requested_tasks_once() {
         let map = PoiMap::campus(10, 1);
         let mut rng = StdRng::seed_from_u64(1);
-        let walk = Walk::plan(&map, &[2, 5, 8, 5], 100.0, 1.4, &mut rng);
+        let walk = Walk::plan_in_order(&map, &[2, 5, 8, 5], 100.0, 1.4, &mut rng);
         let mut tasks: Vec<usize> = walk.visits().iter().map(|v| v.task).collect();
         tasks.sort_unstable();
         assert_eq!(tasks, vec![2, 5, 8]);
@@ -192,7 +132,7 @@ mod tests {
     fn timestamps_strictly_increase() {
         let map = PoiMap::campus(10, 2);
         let mut rng = StdRng::seed_from_u64(2);
-        let walk = Walk::plan(&map, &[0, 9, 4, 7, 2], 0.0, 1.2, &mut rng);
+        let walk = Walk::plan_in_order(&map, &[0, 9, 4, 7, 2], 0.0, 1.2, &mut rng);
         for w in walk.visits().windows(2) {
             assert!(w[1].arrival > w[0].arrival);
         }
@@ -202,7 +142,7 @@ mod tests {
     fn starts_at_start_time_and_first_task() {
         let map = PoiMap::campus(5, 3);
         let mut rng = StdRng::seed_from_u64(3);
-        let walk = Walk::plan(&map, &[3, 1], 250.0, 1.0, &mut rng);
+        let walk = Walk::plan_in_order(&map, &[3, 1], 250.0, 1.0, &mut rng);
         assert_eq!(walk.visits()[0].task, 3);
         assert_eq!(walk.visits()[0].arrival, 250.0);
     }
@@ -211,7 +151,7 @@ mod tests {
     fn walking_takes_realistic_time() {
         let map = PoiMap::campus(10, 4);
         let mut rng = StdRng::seed_from_u64(4);
-        let walk = Walk::plan(&map, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 0.0, 1.4, &mut rng);
+        let walk = Walk::plan_in_order(&map, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 0.0, 1.4, &mut rng);
         // 10 POIs over a 400×300 m campus: minutes, not hours or seconds.
         assert!(walk.duration() > 300.0, "{}", walk.duration());
         assert!(walk.duration() < 7200.0, "{}", walk.duration());
@@ -222,7 +162,7 @@ mod tests {
     fn empty_task_list_panics() {
         let map = PoiMap::campus(3, 5);
         let mut rng = StdRng::seed_from_u64(5);
-        Walk::plan(&map, &[], 0.0, 1.0, &mut rng);
+        Walk::plan_in_order(&map, &[], 0.0, 1.0, &mut rng);
     }
 
     #[test]
@@ -230,6 +170,6 @@ mod tests {
     fn out_of_range_task_panics() {
         let map = PoiMap::campus(3, 6);
         let mut rng = StdRng::seed_from_u64(6);
-        Walk::plan(&map, &[5], 0.0, 1.0, &mut rng);
+        Walk::plan_in_order(&map, &[5], 0.0, 1.0, &mut rng);
     }
 }

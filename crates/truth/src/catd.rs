@@ -7,11 +7,22 @@
 //! source made and `χ²(p, k)` is the chi-square quantile. Sparse sources
 //! get systematically discounted.
 
-use crate::convergence::ConvergenceCriterion;
+use crate::convergence::{account_losses, alternate, weighted_mean};
 use crate::data::SensingData;
 use crate::traits::{TruthDiscovery, TruthDiscoveryResult};
 
+/// Significance level of the confidence interval (the paper's recommended
+/// `α = 0.05`).
+const ALPHA: f64 = 0.05;
+
 /// CATD-style truth discovery.
+///
+/// Each round weighs account `i` by `χ²(α/2, n_i) / loss_i`, where
+/// `loss_i` sums its squared residuals in units of each task's claim
+/// standard deviation (an account without claims weighs 0), then takes
+/// weighted means; a task whose claims weigh nothing keeps its previous
+/// truth. Truths start at the per-task means, and the loop stops when no
+/// truth moves more than 10⁻⁶ (at most 1000 rounds).
 ///
 /// # Examples
 ///
@@ -21,38 +32,28 @@ use crate::traits::{TruthDiscovery, TruthDiscoveryResult};
 /// let mut data = SensingData::new(1);
 /// data.add_report(0, 0, 1.0, 0.0);
 /// data.add_report(1, 0, 1.1, 0.0);
-/// let result = Catd::default().discover(&data);
+/// let result = Catd.discover(&data);
 /// assert!(result.truths[0].is_some());
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Catd {
-    convergence: ConvergenceCriterion,
-    /// Significance level of the confidence interval (the paper's
-    /// recommended `α = 0.05`).
-    alpha: f64,
-}
-
-impl Default for Catd {
-    fn default() -> Self {
-        Self {
-            convergence: ConvergenceCriterion::default(),
-            alpha: 0.05,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Catd;
 
 impl Catd {
-    /// Creates a CATD instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1)`.
-    pub fn new(convergence: ConvergenceCriterion, alpha: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&alpha) && alpha > 0.0,
-            "alpha must be in (0,1)"
-        );
-        Self { convergence, alpha }
+    fn round(data: &SensingData, truths: &[Option<f64>], weights: &mut [f64]) -> Vec<Option<f64>> {
+        let stds = data.task_value_std();
+        let losses = account_losses(data, truths, |t, e| {
+            let e = e / stds[t].unwrap_or(1.0).max(1e-9);
+            e * e
+        });
+        for (a, (w, loss)) in weights.iter_mut().zip(losses).enumerate() {
+            let claims = data.account_reports(a).len();
+            *w = if claims == 0 {
+                0.0
+            } else {
+                chi_square_quantile(ALPHA / 2.0, claims as f64).max(1e-6) / loss.max(1e-9)
+            };
+        }
+        weighted_mean(data, weights, |t| truths[t])
     }
 }
 
@@ -118,76 +119,7 @@ fn standard_normal_quantile(p: f64) -> f64 {
 
 impl TruthDiscovery for Catd {
     fn discover(&self, data: &SensingData) -> TruthDiscoveryResult {
-        let n = data.num_accounts();
-        if data.is_empty() || n == 0 {
-            return TruthDiscoveryResult {
-                truths: vec![None; data.num_tasks()],
-                weights: vec![0.0; n],
-                iterations: 0,
-                converged: true,
-            };
-        }
-        // Iterate on residuals from the per-task means (see
-        // `SensingData::centered`): offset-independent arithmetic.
-        let (centered, centers) = data.centered();
-        let data = &centered;
-        let mut truths: Vec<Option<f64>> = data.task_means();
-        let stds = data.task_value_std();
-        let claim_counts: Vec<usize> = (0..n).map(|a| data.account_reports(a).len()).collect();
-        let mut weights = vec![1.0; n];
-        let mut iterations = 0;
-        let mut converged = false;
-        for iter in 0..self.convergence.max_iterations {
-            iterations = iter + 1;
-            // Weight update: chi-square-scaled inverse loss.
-            let mut losses = vec![0.0f64; n];
-            for r in data.reports() {
-                let Some(truth) = truths[r.task] else {
-                    continue;
-                };
-                let sigma = stds[r.task].unwrap_or(1.0).max(1e-9);
-                let e = (r.value - truth) / sigma;
-                losses[r.account] += e * e;
-            }
-            for a in 0..n {
-                if claim_counts[a] == 0 {
-                    weights[a] = 0.0;
-                    continue;
-                }
-                let quantile = chi_square_quantile(self.alpha / 2.0, claim_counts[a] as f64);
-                weights[a] = quantile.max(1e-6) / losses[a].max(1e-9);
-            }
-            // Truth update.
-            let mut num = vec![0.0; data.num_tasks()];
-            let mut den = vec![0.0; data.num_tasks()];
-            for r in data.reports() {
-                num[r.task] += weights[r.account] * r.value;
-                den[r.task] += weights[r.account];
-            }
-            let next: Vec<Option<f64>> = (0..data.num_tasks())
-                .map(|t| (den[t] > 0.0).then(|| num[t] / den[t]).or(truths[t]))
-                .collect();
-            let done = self.convergence.is_converged(&truths, &next);
-            truths = next;
-            if done {
-                converged = true;
-                break;
-            }
-        }
-        let truths = truths
-            .iter()
-            .zip(&centers)
-            .map(|(t, c)| match (t, c) {
-                (Some(t), Some(c)) => Some(t + c),
-                _ => None,
-            })
-            .collect();
-        TruthDiscoveryResult {
-            truths,
-            weights,
-            iterations,
-            converged,
-        }
+        alternate(data, SensingData::task_means, Self::round, |_, next| next)
     }
 
     fn name(&self) -> &'static str {
@@ -225,7 +157,7 @@ mod tests {
             d.add_report(2, t, t as f64 + 0.4, 0.0);
         }
         d.add_report(1, 0, 0.05, 0.0);
-        let r = Catd::default().discover(&d);
+        let r = Catd.discover(&d);
         assert!(
             r.weights[0] > r.weights[1],
             "dense accurate source should outweigh sparse one: {:?}",
@@ -241,7 +173,7 @@ mod tests {
             d.add_report(1, t, 10.1, 0.0);
             d.add_report(2, t, 50.0, 0.0);
         }
-        let r = Catd::default().discover(&d);
+        let r = Catd.discover(&d);
         for t in 0..3 {
             let v = r.truths[t].unwrap();
             assert!(v < 20.0, "task {t}: {v}");
@@ -250,7 +182,7 @@ mod tests {
 
     #[test]
     fn empty_data_is_fine() {
-        let r = Catd::default().discover(&SensingData::new(2));
+        let r = Catd.discover(&SensingData::new(2));
         assert_eq!(r.truths, vec![None, None]);
     }
 }

@@ -34,7 +34,7 @@ pub struct Claim {
 /// data.add_claim(0, 0, 1);
 /// data.add_claim(1, 0, 1);
 /// data.add_claim(2, 0, 0);
-/// let result = WeightedVote::default().discover(&data);
+/// let result = WeightedVote.discover(&data);
 /// assert_eq!(result.truths[0], Some(1));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -111,21 +111,17 @@ pub struct CategoricalResult {
 
 /// Iterative weighted voting (the categorical analogue of CRH).
 ///
-/// Weight update: `w_i = ln(total_mismatches / mismatches_i)` with the
-/// same scale-aware floor as the numeric CRH; truth update: per task, the
-/// label with the largest total claim weight. Ties break toward the
-/// smaller label id, which keeps the algorithm deterministic.
-#[derive(Debug, Clone, Copy)]
-pub struct WeightedVote {
-    /// Iteration cap.
-    pub max_iterations: usize,
-}
+/// Weight update: `w_i = ln(total_mismatches / mismatches_i)` with a
+/// scale-aware floor like the numeric CRH's, at least 0.05; truth update:
+/// per task, the label with the largest total claim weight. Ties break
+/// toward the smaller label id, which keeps the algorithm deterministic.
+/// Truths start at the majority vote, and the loop stops when a round
+/// changes no label (at most 50 rounds).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WeightedVote;
 
-impl Default for WeightedVote {
-    fn default() -> Self {
-        Self { max_iterations: 50 }
-    }
-}
+/// [`WeightedVote`]'s round cap.
+const MAX_ROUNDS: usize = 50;
 
 impl WeightedVote {
     /// Runs the weighted vote.
@@ -134,7 +130,7 @@ impl WeightedVote {
         let mut weights = vec![1.0f64; n];
         let mut truths = plain_vote(data, &weights);
         let mut iterations = 0;
-        for iter in 0..self.max_iterations.max(1) {
+        for iter in 0..MAX_ROUNDS {
             iterations = iter + 1;
             // 0/1 mismatch losses.
             let mut losses = vec![0.0f64; n];
@@ -281,7 +277,7 @@ mod tests {
             d.add_claim(1, task, 0);
             d.add_claim(2, task, if task == 0 { 0 } else { 1 });
         }
-        let r = WeightedVote::default().discover(&d);
+        let r = WeightedVote.discover(&d);
         assert!(r.weights[0] > r.weights[2]);
         assert!(r.truths.iter().all(|&t| t == Some(0)));
     }
@@ -291,7 +287,7 @@ mod tests {
         let d = attacked_campaign();
         let plain = majority_vote(&d);
         assert!(plain.iter().all(|&t| t == Some(1)), "{plain:?}");
-        let weighted = WeightedVote::default().discover(&d);
+        let weighted = WeightedVote.discover(&d);
         assert!(
             weighted.truths.iter().all(|&t| t == Some(1)),
             "weighted voting cannot beat a coordinated majority"
@@ -338,7 +334,7 @@ mod tests {
     fn empty_campaign() {
         let d = CategoricalData::new(2);
         assert!(d.is_empty());
-        let r = WeightedVote::default().discover(&d);
+        let r = WeightedVote.discover(&d);
         assert_eq!(r.truths, vec![None, None]);
     }
 }
@@ -375,7 +371,7 @@ mod property_tests {
             let group_of: Vec<usize> = (0..data.num_accounts().max(1)).collect();
             let outputs = [
                 majority_vote(data),
-                WeightedVote::default().discover(data).truths,
+                WeightedVote.discover(data).truths,
                 grouped_weighted_vote(data, &group_of),
             ];
             for truths in outputs {
@@ -414,8 +410,8 @@ mod property_tests {
     #[test]
     fn weighted_vote_deterministic() {
         prop::check(campaign, |data| {
-            let a = WeightedVote::default().discover(data);
-            let b = WeightedVote::default().discover(data);
+            let a = WeightedVote.discover(data);
+            let b = WeightedVote.discover(data);
             prop_assert_eq!(a, b);
             Ok(())
         });

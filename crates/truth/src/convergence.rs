@@ -1,4 +1,7 @@
-//! Convergence control shared by the iterative algorithms.
+//! Convergence control, and the one loop of the CRH family.
+
+use crate::data::SensingData;
+use crate::traits::TruthDiscoveryResult;
 
 /// Iteration cap plus truth-change tolerance.
 ///
@@ -74,6 +77,107 @@ pub fn max_abs_delta(previous: &[Option<f64>], current: &[Option<f64>]) -> f64 {
         .zip(current)
         .filter_map(|(p, c)| Some((p.as_ref()? - c.as_ref()?).abs()))
         .fold(0.0, f64::max)
+}
+
+/// Runs one member of the CRH family (Algorithm 1) on `data`.
+///
+/// Weights and truths alternate from `start`'s truths and unit weights:
+/// each `round` turns the truths into new weights (in place, so a rule can
+/// damp against the previous ones) and the weights into new truths, until
+/// the default [`ConvergenceCriterion`] holds between two rounds' truths or
+/// its iteration cap is reached. A round that has not converged passes its
+/// truths on through `carry(current, next)`, task by task; the converged
+/// round's truths are kept as they are.
+///
+/// The rounds see the residuals of [`SensingData::centered`] and the
+/// centres are added back at the end, so the arithmetic is independent of
+/// a global offset. An empty campaign returns at once: no truths, zero
+/// weights, no iterations, converged.
+pub(crate) fn alternate(
+    data: &SensingData,
+    start: impl FnOnce(&SensingData) -> Vec<Option<f64>>,
+    round: impl Fn(&SensingData, &[Option<f64>], &mut [f64]) -> Vec<Option<f64>>,
+    carry: impl Fn(Option<f64>, Option<f64>) -> Option<f64>,
+) -> TruthDiscoveryResult {
+    if data.is_empty() {
+        return TruthDiscoveryResult {
+            truths: vec![None; data.num_tasks()],
+            weights: vec![0.0; data.num_accounts()],
+            iterations: 0,
+            converged: true,
+        };
+    }
+    let (centered, centers) = data.centered();
+    let criterion = ConvergenceCriterion::default();
+    let mut truths = start(&centered);
+    let mut weights = vec![1.0; data.num_accounts()];
+    let mut iterations = 0;
+    let mut converged = false;
+    while !converged && iterations < criterion.max_iterations {
+        iterations += 1;
+        let next = round(&centered, &truths, &mut weights);
+        converged = criterion.is_converged(&truths, &next);
+        if converged {
+            truths = next;
+        } else {
+            for (current, next) in truths.iter_mut().zip(next) {
+                *current = carry(*current, next);
+            }
+        }
+    }
+    TruthDiscoveryResult {
+        truths: truths
+            .iter()
+            .zip(&centers)
+            .map(|(t, c)| Some((*t)? + (*c)?))
+            .collect(),
+        weights,
+        iterations,
+        converged,
+    }
+}
+
+/// Per account, the sum of `loss(task, value − truth)` over its reports;
+/// a report of a task without a truth adds nothing.
+pub(crate) fn account_losses(
+    data: &SensingData,
+    truths: &[Option<f64>],
+    loss: impl Fn(usize, f64) -> f64,
+) -> Vec<f64> {
+    let mut losses = vec![0.0; data.num_accounts()];
+    for r in data.reports() {
+        if let Some(truth) = truths[r.task] {
+            losses[r.account] += loss(r.task, r.value - truth);
+        }
+    }
+    losses
+}
+
+/// Each task's claims averaged with their accounts' `weights`, summed in
+/// report order; a task whose claims weigh nothing in total (or that has
+/// none) takes `fallback(task)`.
+pub(crate) fn weighted_mean(
+    data: &SensingData,
+    weights: &[f64],
+    fallback: impl Fn(usize) -> Option<f64>,
+) -> Vec<Option<f64>> {
+    let mut num = vec![0.0; data.num_tasks()];
+    let mut den = vec![0.0; data.num_tasks()];
+    for r in data.reports() {
+        num[r.task] += weights[r.account] * r.value;
+        den[r.task] += weights[r.account];
+    }
+    num.iter()
+        .zip(&den)
+        .enumerate()
+        .map(|(t, (&num, &den))| {
+            if den > 0.0 {
+                Some(num / den)
+            } else {
+                fallback(t)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,44 +1,37 @@
 //! CRH — Conflict Resolution on Heterogeneous data (Li et al., SIGMOD
 //! 2014), the paper's representative baseline.
 
-use crate::convergence::ConvergenceCriterion;
+use crate::convergence::{account_losses, alternate, weighted_mean};
 use crate::data::SensingData;
 use crate::traits::{TruthDiscovery, TruthDiscoveryResult};
 
-/// Configuration for [`Crh`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CrhConfig {
-    /// Convergence control.
-    pub convergence: ConvergenceCriterion,
-    /// Normalize each task's loss term by the standard deviation of its
-    /// claims (CRH's continuous-data normalization). Disabled, tasks with
-    /// wide value ranges dominate the loss.
-    pub normalize_by_task_std: bool,
-}
-
-impl CrhConfig {
-    /// The standard CRH setup: normalized losses, 1000-iteration cap, 1e-6
-    /// tolerance.
-    pub fn new() -> Self {
-        Self {
-            convergence: ConvergenceCriterion::default(),
-            normalize_by_task_std: true,
-        }
-    }
-}
-
 /// The CRH truth discovery algorithm.
 ///
-/// Iterates the two steps of Algorithm 1:
+/// Alternates the two steps of Algorithm 1 on the campaign's per-task
+/// residuals (see [`SensingData::centered`]):
 ///
-/// * **weight update** — account `i` gets
-///   `w_i = ln( Σ_i' loss_i' / loss_i )`, where
-///   `loss_i = Σ_{τ_j ∈ T_i} ((d_j^i − d_j) / σ_j)²` and `σ_j` is the task's
-///   claim standard deviation,
-/// * **truth update** — `d_j = Σ_{i ∈ U_j} w_i d_j^i / Σ w_i`.
+/// * **weight update** — account `i` gets the target
+///   `ln( Σ_i' loss_i' / max(loss_i, floor) )`, clamped at 0, where
+///   `loss_i = Σ_{τ_j ∈ T_i} (d_j^i − d_j)²` is its unnormalised squared
+///   residual and the scale-aware `floor` is 10⁻⁶ of the mean loss: an
+///   account with (near-)zero loss gets a large but bounded weight instead
+///   of a winner-take-all one. The weight moves 70 % of the way to its
+///   target (`w_i ← 0.3 w_i + 0.7 target`), which keeps the alternation
+///   from oscillating between competing fixed points. If every weight is
+///   zero, all become 1;
+/// * **truth update** — `d_j = Σ_{i ∈ U_j} w_i d_j^i / Σ w_i`, summed in
+///   report order; a task whose reporters all weigh zero takes the plain
+///   mean of its claims.
 ///
-/// Truths are initialized to per-task means (a deterministic stand-in for
-/// the random initialization in Algorithm 1 — CRH's fixed point does not
+/// Convergence is judged on the undamped truth update (largest per-task
+/// change at most 10⁻⁶, at most 1000 rounds); until then each round moves
+/// the truths only half-way to the update. For a fixed-point map with an
+/// oscillatory slope λ ∈ (−3, 1) at the root, the halved map's slope
+/// 1 + (λ − 1)/2 lies in (−1, 1), so period-2 limit cycles collapse
+/// instead of persisting; the fixed points themselves are unchanged.
+///
+/// Truths start at the per-task means (a deterministic stand-in for the
+/// random initialization in Algorithm 1 — CRH's fixed point does not
 /// depend on the start).
 ///
 /// # Examples
@@ -51,144 +44,51 @@ impl CrhConfig {
 ///     data.add_report(acct, 0, values[0], 0.0);
 ///     data.add_report(acct, 1, values[1], 1.0);
 /// }
-/// let result = Crh::default().discover(&data);
+/// let result = Crh.discover(&data);
 /// assert!(result.converged);
 /// // The two agreeing accounts dominate the outlier.
 /// assert!((result.truths[0].unwrap() - 5.1).abs() < 0.5);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Crh {
-    config: CrhConfig,
-}
+pub struct Crh;
 
 impl Crh {
-    /// Creates a CRH instance with the given configuration.
-    pub fn new(config: CrhConfig) -> Self {
-        Self { config }
+    fn round(data: &SensingData, truths: &[Option<f64>], weights: &mut [f64]) -> Vec<Option<f64>> {
+        let losses = account_losses(data, truths, |_, e| e * e);
+        reweigh(weights, &losses, |w, target| 0.3 * w + 0.7 * target);
+        weighted_mean(data, weights, |t| {
+            let values = data.task_claims(t).1;
+            (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
+        })
     }
+}
 
-    fn initial_truths(data: &SensingData) -> Vec<Option<f64>> {
-        data.task_means()
+/// Sets each weight to `update(weight, target)` with CRH's target
+/// `ln(Σ loss / max(loss_i, floor))`, clamped at 0, under the scale-aware
+/// floor of 10⁻⁶ of the mean loss; if that leaves every weight zero, all
+/// become 1 so the truths stay defined.
+pub(crate) fn reweigh(weights: &mut [f64], losses: &[f64], update: impl Fn(f64, f64) -> f64) {
+    let total: f64 = losses.iter().sum();
+    let floor = (total / losses.len() as f64).max(1e-12) * 1e-6;
+    for (w, &loss) in weights.iter_mut().zip(losses) {
+        *w = update(*w, (total.max(1e-12) / loss.max(floor)).ln().max(0.0));
     }
-
-    fn losses(
-        data: &SensingData,
-        truths: &[Option<f64>],
-        stds: &[Option<f64>],
-        normalize: bool,
-    ) -> Vec<f64> {
-        let n = data.num_accounts();
-        let mut losses = vec![0.0; n];
-        for r in data.reports() {
-            let Some(truth) = truths[r.task] else {
-                continue;
-            };
-            let mut err = r.value - truth;
-            if normalize {
-                let sigma = stds[r.task].unwrap_or(1.0).max(1e-9);
-                err /= sigma;
-            }
-            losses[r.account] += err * err;
-        }
-        losses
+    if weights.iter().all(|&w| w == 0.0) {
+        weights.fill(1.0);
     }
 }
 
 impl TruthDiscovery for Crh {
     fn discover(&self, data: &SensingData) -> TruthDiscoveryResult {
-        let n = data.num_accounts();
-        if data.is_empty() || n == 0 {
-            return TruthDiscoveryResult {
-                truths: Self::initial_truths(data),
-                weights: vec![0.0; n],
-                iterations: 0,
-                converged: true,
-            };
-        }
-        // Precondition the numbers: iterate on per-task *residuals* from
-        // the initial mean and add the centers back at the end (see
-        // `SensingData::centered`).
-        let (centered, centers) = data.centered();
-        let data = &centered;
-        let mut truths = Self::initial_truths(data);
-        let stds = data.task_value_std();
-        let mut weights = vec![1.0; n];
-        let mut iterations = 0;
-        let mut converged = false;
-        for iter in 0..self.config.convergence.max_iterations {
-            iterations = iter + 1;
-            // Weight update.
-            let losses = Self::losses(data, &truths, &stds, self.config.normalize_by_task_std);
-            let total_loss: f64 = losses.iter().sum();
-            // Scale-aware floor: an account with (near-)zero loss gets a
-            // large but bounded weight. An absolute epsilon would hand it
-            // a winner-take-all weight and can put the iteration into a
-            // limit cycle on small campaigns.
-            let floor = (total_loss / n as f64).max(1e-12) * 1e-6;
-            for (w, &loss) in weights.iter_mut().zip(&losses) {
-                let target = (total_loss.max(1e-12) / loss.max(floor)).ln().max(0.0);
-                // Damping keeps the weight/truth alternation from
-                // oscillating between competing fixed points.
-                *w = 0.3 * *w + 0.7 * target;
-            }
-            // If every account has zero weight (e.g. a single account),
-            // fall back to uniform so truths stay defined.
-            if weights.iter().all(|&w| w == 0.0) {
-                weights.fill(1.0);
-            }
-            // Truth update.
-            let mut next = vec![None; data.num_tasks()];
-            let mut num = vec![0.0; data.num_tasks()];
-            let mut den = vec![0.0; data.num_tasks()];
-            for r in data.reports() {
-                num[r.task] += weights[r.account] * r.value;
-                den[r.task] += weights[r.account];
-            }
-            for t in 0..data.num_tasks() {
-                if den[t] > 0.0 {
-                    next[t] = Some(num[t] / den[t]);
-                } else {
-                    // All reporters have zero weight: plain mean.
-                    let (_, values) = data.task_claims(t);
-                    if !values.is_empty() {
-                        next[t] = Some(values.iter().sum::<f64>() / values.len() as f64);
-                    }
-                }
-            }
-            // Convergence is judged on the *undamped* residual, then the
-            // step is halved: for a fixed-point map with an oscillatory
-            // slope λ ∈ (−3, 1) at the root, the damped map's slope
-            // 1 + (λ−1)/2 lies in (−1, 1), so period-2 limit cycles that
-            // plague winner-take-all weighting collapse instead of
-            // persisting. The fixed points themselves are unchanged.
-            let done = self.config.convergence.is_converged(&truths, &next);
-            for (current, target) in truths.iter_mut().zip(&next) {
-                *current = match (&current, target) {
-                    (Some(c), Some(t)) => Some(0.5 * *c + 0.5 * t),
-                    _ => *target,
-                };
-            }
-            if done {
-                truths = next;
-                converged = true;
-                break;
-            }
-        }
-        // Undo the centering.
-        let truths = truths
-            .iter()
-            .zip(&centers)
-            .map(|(t, c)| match (t, c) {
-                (Some(t), Some(c)) => Some(t + c),
-                _ => None,
-            })
-            .collect();
-        TruthDiscoveryResult {
-            truths,
-            weights,
-            iterations,
-            converged,
-        }
+        alternate(
+            data,
+            SensingData::task_means,
+            Self::round,
+            |current, next| match (current, next) {
+                (Some(c), Some(t)) => Some(0.5 * c + 0.5 * t),
+                _ => next,
+            },
+        )
     }
 
     fn name(&self) -> &'static str {
@@ -228,7 +128,7 @@ mod tests {
 
     #[test]
     fn table_i_without_attack_stays_in_legit_range() {
-        let r = Crh::default().discover(&table_i_data(false));
+        let r = Crh.discover(&table_i_data(false));
         assert!(r.converged);
         for (t, range) in [
             (0, (-85.0, -72.0)),
@@ -243,7 +143,7 @@ mod tests {
 
     #[test]
     fn table_i_with_attack_is_dragged_toward_minus_50() {
-        let r = Crh::default().discover(&table_i_data(true));
+        let r = Crh.discover(&table_i_data(true));
         // The Sybil accounts hold the majority for tasks 1, 3, 4 (indices
         // 0, 2, 3) and CRH follows them — the paper's vulnerability demo.
         for t in [0, 2, 3] {
@@ -257,8 +157,8 @@ mod tests {
 
     #[test]
     fn sybil_attack_hurts_accuracy_vs_no_attack() {
-        let clean = Crh::default().discover(&table_i_data(false));
-        let attacked = Crh::default().discover(&table_i_data(true));
+        let clean = Crh.discover(&table_i_data(false));
+        let attacked = Crh.discover(&table_i_data(true));
         let mut drift = 0.0;
         for t in 0..4 {
             drift += (clean.truths[t].unwrap() - attacked.truths[t].unwrap()).abs();
@@ -275,14 +175,14 @@ mod tests {
             d.add_report(1, t, 10.0 * t as f64 + 4.0, 0.0);
             d.add_report(2, t, 10.0 * t as f64 - 0.5, 0.0);
         }
-        let r = Crh::default().discover(&d);
+        let r = Crh.discover(&d);
         assert!(r.weights[0] > r.weights[1]);
         assert!(r.weights[2] > r.weights[1]);
     }
 
     #[test]
     fn empty_data_is_fine() {
-        let r = Crh::default().discover(&SensingData::new(3));
+        let r = Crh.discover(&SensingData::new(3));
         assert_eq!(r.truths, vec![None, None, None]);
         assert!(r.converged);
     }
@@ -292,7 +192,7 @@ mod tests {
         let mut d = SensingData::new(2);
         d.add_report(0, 0, 3.0, 0.0);
         d.add_report(0, 1, 4.0, 1.0);
-        let r = Crh::default().discover(&d);
+        let r = Crh.discover(&d);
         assert_eq!(r.truths[0], Some(3.0));
         assert_eq!(r.truths[1], Some(4.0));
     }
@@ -303,7 +203,7 @@ mod tests {
         d.add_report(0, 0, 1.0, 0.0);
         d.add_report(1, 0, 5.0, 0.0);
         d.add_report(2, 0, 3.0, 0.0);
-        let r = Crh::default().discover(&d);
+        let r = Crh.discover(&d);
         let v = r.truths[0].unwrap();
         assert!((1.0..=5.0).contains(&v));
     }

@@ -491,8 +491,8 @@ impl SensingData {
         self.task_stats().means.clone()
     }
 
-    /// Per-task standard deviation of claimed values (used by CRH's loss
-    /// normalization); `None` for tasks with no reports.
+    /// Per-task standard deviation of claimed values (CATD and RobustCRH
+    /// measure residuals in its units); `None` for tasks with no reports.
     ///
     /// Flat passes over the report list — no per-task value buffers.
     /// Cached until the next mutation.

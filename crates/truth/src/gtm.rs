@@ -7,30 +7,22 @@
 //! the evaluation a second iterative baseline with a different weighting
 //! scheme.
 
-use crate::convergence::ConvergenceCriterion;
+use crate::convergence::{account_losses, alternate, weighted_mean};
 use crate::data::SensingData;
 use crate::traits::{TruthDiscovery, TruthDiscoveryResult};
 
-/// Configuration for [`Gtm`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GtmConfig {
-    /// Convergence control.
-    pub convergence: ConvergenceCriterion,
-    /// Lower bound on per-source variance, preventing a single source from
-    /// acquiring infinite precision and freezing the estimate.
-    pub variance_floor: f64,
-}
-
-impl Default for GtmConfig {
-    fn default() -> Self {
-        Self {
-            convergence: ConvergenceCriterion::default(),
-            variance_floor: 1e-4,
-        }
-    }
-}
+/// Lower bound on per-source variance, preventing a single source from
+/// acquiring infinite precision and freezing the estimate.
+const VARIANCE_FLOOR: f64 = 1e-4;
 
 /// Gaussian truth model with per-source variances.
+///
+/// Each round sets a source's variance to its mean squared residual
+/// (floored at 10⁻⁴; a source without claims keeps variance 1) and takes
+/// precision-weighted means; a task whose claims weigh nothing keeps its
+/// previous truth. Truths start at the per-task means, and the loop stops
+/// when no truth moves more than 10⁻⁶ (at most 1000 rounds). The reported
+/// weights are the precisions.
 ///
 /// # Examples
 ///
@@ -41,89 +33,28 @@ impl Default for GtmConfig {
 /// data.add_report(0, 0, 4.0, 0.0);
 /// data.add_report(1, 0, 4.4, 0.0);
 /// data.add_report(2, 0, 9.0, 0.0);
-/// let truth = Gtm::default().discover(&data).truths[0].unwrap();
+/// let truth = Gtm.discover(&data).truths[0].unwrap();
 /// assert!(truth < 6.5); // outlier down-weighted
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Gtm {
-    config: GtmConfig,
-}
+pub struct Gtm;
 
 impl Gtm {
-    /// Creates a GTM instance with the given configuration.
-    pub fn new(config: GtmConfig) -> Self {
-        Self { config }
+    fn round(data: &SensingData, truths: &[Option<f64>], weights: &mut [f64]) -> Vec<Option<f64>> {
+        let residuals = account_losses(data, truths, |_, e| e * e);
+        for (a, (w, residual)) in weights.iter_mut().zip(residuals).enumerate() {
+            let claims = data.account_reports(a).len();
+            if claims > 0 {
+                *w = 1.0 / (residual / claims as f64).max(VARIANCE_FLOOR);
+            }
+        }
+        weighted_mean(data, weights, |t| truths[t])
     }
 }
 
 impl TruthDiscovery for Gtm {
     fn discover(&self, data: &SensingData) -> TruthDiscoveryResult {
-        let n = data.num_accounts();
-        if data.is_empty() || n == 0 {
-            return TruthDiscoveryResult {
-                truths: vec![None; data.num_tasks()],
-                weights: vec![0.0; n],
-                iterations: 0,
-                converged: true,
-            };
-        }
-        // Iterate on residuals from the per-task means (see
-        // `SensingData::centered`): offset-independent arithmetic.
-        let (centered, centers) = data.centered();
-        let data = &centered;
-        let mut truths: Vec<Option<f64>> = data.task_means();
-        let claim_counts: Vec<usize> = (0..n).map(|a| data.account_reports(a).len()).collect();
-        let mut variances = vec![1.0f64; n];
-        let mut iterations = 0;
-        let mut converged = false;
-        for iter in 0..self.config.convergence.max_iterations {
-            iterations = iter + 1;
-            // M-step for source variances.
-            let mut residuals = vec![0.0f64; n];
-            for r in data.reports() {
-                if let Some(t) = truths[r.task] {
-                    residuals[r.account] += (r.value - t) * (r.value - t);
-                }
-            }
-            for a in 0..n {
-                if claim_counts[a] > 0 {
-                    variances[a] =
-                        (residuals[a] / claim_counts[a] as f64).max(self.config.variance_floor);
-                }
-            }
-            // Truth update with precisions.
-            let mut num = vec![0.0; data.num_tasks()];
-            let mut den = vec![0.0; data.num_tasks()];
-            for r in data.reports() {
-                let precision = 1.0 / variances[r.account];
-                num[r.task] += precision * r.value;
-                den[r.task] += precision;
-            }
-            let next: Vec<Option<f64>> = (0..data.num_tasks())
-                .map(|t| (den[t] > 0.0).then(|| num[t] / den[t]).or(truths[t]))
-                .collect();
-            let done = self.config.convergence.is_converged(&truths, &next);
-            truths = next;
-            if done {
-                converged = true;
-                break;
-            }
-        }
-        let weights = variances.iter().map(|&v| 1.0 / v).collect();
-        let truths = truths
-            .iter()
-            .zip(&centers)
-            .map(|(t, c)| match (t, c) {
-                (Some(t), Some(c)) => Some(t + c),
-                _ => None,
-            })
-            .collect();
-        TruthDiscoveryResult {
-            truths,
-            weights,
-            iterations,
-            converged,
-        }
+        alternate(data, SensingData::task_means, Self::round, |_, next| next)
     }
 
     fn name(&self) -> &'static str {
@@ -143,7 +74,7 @@ mod tests {
             d.add_report(1, t, t as f64 + 0.1, 0.0);
             d.add_report(2, t, t as f64 + 5.0, 0.0);
         }
-        let r = Gtm::default().discover(&d);
+        let r = Gtm.discover(&d);
         for t in 0..4 {
             let v = r.truths[t].unwrap();
             assert!((v - t as f64).abs() < 1.0, "task {t}: {v}");
@@ -158,14 +89,14 @@ mod tests {
         d.add_report(0, 1, 2.0, 0.0);
         d.add_report(1, 0, 1.0, 0.0);
         d.add_report(1, 1, 2.0, 0.0);
-        let r = Gtm::default().discover(&d);
+        let r = Gtm.discover(&d);
         assert!(r.weights.iter().all(|w| w.is_finite()));
         assert_eq!(r.truths[0], Some(1.0));
     }
 
     #[test]
     fn empty_data_is_fine() {
-        let r = Gtm::default().discover(&SensingData::new(1));
+        let r = Gtm.discover(&SensingData::new(1));
         assert_eq!(r.truths, vec![None]);
         assert!(r.converged);
     }
@@ -176,7 +107,7 @@ mod tests {
         for (a, v) in [(0, 3.0), (1, 7.0), (2, 5.0)] {
             d.add_report(a, 0, v, 0.0);
         }
-        let v = Gtm::default().discover(&d).truths[0].unwrap();
+        let v = Gtm.discover(&d).truths[0].unwrap();
         assert!((3.0..=7.0).contains(&v));
     }
 }

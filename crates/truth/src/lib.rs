@@ -16,11 +16,22 @@
 //! * [`Crh`] — the CRH algorithm (Li et al., SIGMOD 2014), the paper's
 //!   baseline and representative of the truth discovery family,
 //! * [`MeanVote`] / [`MedianVote`] — unweighted baselines,
-//! * [`Catd`] — a confidence-aware variant that inflates the weights of
+//! * [`Catd`] — a confidence-aware variant that discounts the weights of
 //!   long-tail sources (Li et al., VLDB 2014),
 //! * [`Gtm`] — a Gaussian truth model solved by coordinate ascent (EM
 //!   style),
+//! * [`RobustCrh`] — CRH weights with weighted-median truth updates,
+//! * [`StreamingCrh`] — one pass over time-ordered reports with
+//!   exponential forgetting, for truths that evolve,
+//! * [`categorical`] — weighted voting over discrete labels,
 //! * the [`TruthDiscovery`] trait tying them together.
+//!
+//! `Crh`, `Catd`, `Gtm` and `RobustCrh` share one loop: each supplies only
+//! a weight rule, a truth rule and its start truths, and the loop
+//! alternates them on the campaign's per-task residuals
+//! ([`SensingData::centered`]) until no truth moves more than 10⁻⁶, for
+//! at most 1000 rounds (the default [`ConvergenceCriterion`]). They have
+//! no settings: each is a unit struct.
 //!
 //! # Examples
 //!
@@ -31,7 +42,7 @@
 //! data.add_report(0, 0, 10.0, 0.0); // account 0 says 10
 //! data.add_report(1, 0, 10.2, 1.0); // account 1 says 10.2
 //! data.add_report(2, 0, 30.0, 2.0); // account 2 is way off
-//! let result = Crh::default().discover(&data);
+//! let result = Crh.discover(&data);
 //! let truth = result.truths[0].unwrap();
 //! assert!((truth - 10.1).abs() < 1.0); // outlier is down-weighted
 //! ```
@@ -54,9 +65,9 @@ mod traits;
 pub use baselines::{MeanVote, MedianVote};
 pub use catd::Catd;
 pub use convergence::{max_abs_delta, ConvergenceCriterion};
-pub use crh::{Crh, CrhConfig};
+pub use crh::Crh;
 pub use data::{Report, SensingData};
 pub use evolving::{StreamingConfig, StreamingCrh};
-pub use gtm::{Gtm, GtmConfig};
+pub use gtm::Gtm;
 pub use robust::{weighted_median, RobustCrh};
 pub use traits::{TruthDiscovery, TruthDiscoveryResult};

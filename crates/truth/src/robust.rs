@@ -11,11 +11,20 @@
 //! yet still falls once Sybil accounts hold the weight majority, which
 //! is exactly the regime the paper's framework addresses by grouping.
 
-use crate::convergence::ConvergenceCriterion;
+use crate::convergence::{account_losses, alternate};
+use crate::crh::reweigh;
 use crate::data::SensingData;
 use crate::traits::{TruthDiscovery, TruthDiscoveryResult};
 
 /// CRH-style weights with weighted-median truth updates.
+///
+/// Each round gives account `i` CRH's weight `ln(Σ loss / loss_i)` (same
+/// floor, no damping) on `loss_i`, the sum of its absolute residuals in
+/// units of each task's claim standard deviation (the l1 analogue of
+/// CRH's squared loss, matching the median target), then takes each
+/// task's [`weighted_median`]. Truths start at the per-task medians, and
+/// the loop stops when no truth moves more than 10⁻⁶ (at most 1000
+/// rounds).
 ///
 /// # Examples
 ///
@@ -26,18 +35,35 @@ use crate::traits::{TruthDiscovery, TruthDiscoveryResult};
 /// data.add_report(0, 0, 10.0, 0.0);
 /// data.add_report(1, 0, 10.2, 0.0);
 /// data.add_report(2, 0, 99.0, 0.0);
-/// let truth = RobustCrh::default().discover(&data).truths[0].unwrap();
+/// let truth = RobustCrh.discover(&data).truths[0].unwrap();
 /// assert!(truth < 11.0); // outlier cannot drag a median
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RobustCrh {
-    convergence: ConvergenceCriterion,
-}
+pub struct RobustCrh;
 
 impl RobustCrh {
-    /// Creates an instance with explicit convergence control.
-    pub fn new(convergence: ConvergenceCriterion) -> Self {
-        Self { convergence }
+    fn round(data: &SensingData, truths: &[Option<f64>], weights: &mut [f64]) -> Vec<Option<f64>> {
+        let stds = data.task_value_std();
+        let losses = account_losses(data, truths, |t, e| {
+            (e / stds[t].unwrap_or(1.0).max(1e-9)).abs()
+        });
+        reweigh(weights, &losses, |_, target| target);
+        Self::medians(data, |a| weights[a])
+    }
+
+    /// Each task's [`weighted_median`] of its claims under `weight`.
+    fn medians(data: &SensingData, weight: impl Fn(usize) -> f64) -> Vec<Option<f64>> {
+        (0..data.num_tasks())
+            .map(|t| {
+                let (accounts, values) = data.task_claims(t);
+                let mut pairs: Vec<(f64, f64)> = values
+                    .iter()
+                    .zip(accounts)
+                    .map(|(&v, &a)| (v, weight(a as usize)))
+                    .collect();
+                weighted_median(&mut pairs)
+            })
+            .collect()
     }
 }
 
@@ -73,82 +99,12 @@ pub fn weighted_median(pairs: &mut [(f64, f64)]) -> Option<f64> {
 
 impl TruthDiscovery for RobustCrh {
     fn discover(&self, data: &SensingData) -> TruthDiscoveryResult {
-        let n = data.num_accounts();
-        if data.is_empty() || n == 0 {
-            return TruthDiscoveryResult {
-                truths: vec![None; data.num_tasks()],
-                weights: vec![0.0; n],
-                iterations: 0,
-                converged: true,
-            };
-        }
-        let (centered, centers) = data.centered();
-        let data = &centered;
-        let stds = data.task_value_std();
-        // Initialize with per-task (unweighted) medians.
-        let mut truths: Vec<Option<f64>> = (0..data.num_tasks())
-            .map(|t| {
-                let mut pairs: Vec<(f64, f64)> =
-                    data.task_claims(t).1.iter().map(|&v| (v, 1.0)).collect();
-                weighted_median(&mut pairs)
-            })
-            .collect();
-        let mut weights = vec![1.0; n];
-        let mut iterations = 0;
-        let mut converged = false;
-        for iter in 0..self.convergence.max_iterations {
-            iterations = iter + 1;
-            // CRH weight update on absolute normalized residuals (the l1
-            // analogue of CRH's squared loss, matching the median target).
-            let mut losses = vec![0.0f64; n];
-            for r in data.reports() {
-                let Some(truth) = truths[r.task] else {
-                    continue;
-                };
-                let sigma = stds[r.task].unwrap_or(1.0).max(1e-9);
-                losses[r.account] += ((r.value - truth) / sigma).abs();
-            }
-            let total: f64 = losses.iter().sum();
-            let floor = (total / n as f64).max(1e-12) * 1e-6;
-            for (w, &loss) in weights.iter_mut().zip(&losses) {
-                *w = (total.max(1e-12) / loss.max(floor)).ln().max(0.0);
-            }
-            if weights.iter().all(|&w| w == 0.0) {
-                weights.fill(1.0);
-            }
-            // Weighted-median truth update.
-            let next: Vec<Option<f64>> = (0..data.num_tasks())
-                .map(|t| {
-                    let (accounts, values) = data.task_claims(t);
-                    let mut pairs: Vec<(f64, f64)> = values
-                        .iter()
-                        .zip(accounts)
-                        .map(|(&v, &a)| (v, weights[a as usize]))
-                        .collect();
-                    weighted_median(&mut pairs)
-                })
-                .collect();
-            let done = self.convergence.is_converged(&truths, &next);
-            truths = next;
-            if done {
-                converged = true;
-                break;
-            }
-        }
-        let truths = truths
-            .iter()
-            .zip(&centers)
-            .map(|(t, c)| match (t, c) {
-                (Some(t), Some(c)) => Some(t + c),
-                _ => None,
-            })
-            .collect();
-        TruthDiscoveryResult {
-            truths,
-            weights,
-            iterations,
-            converged,
-        }
+        alternate(
+            data,
+            |data| Self::medians(data, |_| 1.0),
+            Self::round,
+            |_, next| next,
+        )
     }
 
     fn name(&self) -> &'static str {
@@ -187,7 +143,7 @@ mod tests {
         // Liars only cover task 0, so their weights stay moderate.
         d.add_report(2, 0, -50.0, 0.0);
         d.add_report(3, 0, -50.0, 0.0);
-        let r = RobustCrh::default().discover(&d);
+        let r = RobustCrh.discover(&d);
         let t0 = r.truths[0].unwrap();
         assert!(t0 < -70.0, "median dragged to {t0}");
     }
@@ -201,17 +157,17 @@ mod tests {
         for a in 1..4 {
             d.add_report(a, 0, -50.0, 0.0);
         }
-        let r = RobustCrh::default().discover(&d);
+        let r = RobustCrh.discover(&d);
         assert!(r.truths[0].unwrap() > -55.0);
     }
 
     #[test]
     fn empty_and_single() {
-        let r = RobustCrh::default().discover(&SensingData::new(2));
+        let r = RobustCrh.discover(&SensingData::new(2));
         assert_eq!(r.truths, vec![None, None]);
         let mut d = SensingData::new(1);
         d.add_report(0, 0, 7.0, 0.0);
-        let r = RobustCrh::default().discover(&d);
+        let r = RobustCrh.discover(&d);
         assert_eq!(r.truths[0], Some(7.0));
     }
 
@@ -257,7 +213,7 @@ mod tests {
                         d.add_report(a, t, v, 0.0);
                     }
                 }
-                let r = RobustCrh::default().discover(&d);
+                let r = RobustCrh.discover(&d);
                 for t in 0..3 {
                     let vals = d.task_claims(t).1;
                     if let Some(est) = r.truths[t] {

@@ -27,9 +27,9 @@ fn campaign(rng: &mut StdRng) -> SensingData {
 
 fn algorithms() -> Vec<Box<dyn TruthDiscovery>> {
     vec![
-        Box::new(Crh::default()),
-        Box::new(Catd::default()),
-        Box::new(Gtm::default()),
+        Box::new(Crh),
+        Box::new(Catd),
+        Box::new(Gtm),
         Box::new(MeanVote),
         Box::new(MedianVote),
     ]

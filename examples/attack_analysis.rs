@@ -56,14 +56,8 @@ fn main() {
     println!("{:28} {:>8} {:>8} {:>8} {:>8}", "", "T1", "T2", "T3", "T4");
     let clean = build_example(false);
     let attacked = build_example(true);
-    print_truths(
-        "TD without the Sybil attack",
-        &Crh::default().discover(&clean).truths,
-    );
-    print_truths(
-        "TD with the Sybil attack",
-        &Crh::default().discover(&attacked).truths,
-    );
+    print_truths("TD without the Sybil attack", &Crh.discover(&clean).truths);
+    print_truths("TD with the Sybil attack", &Crh.discover(&attacked).truths);
     println!("\nAccounts 4', 4'', 4''' fabricate -50 dBm for T1/T3/T4 and win the");
     println!("majority — CRH follows them (the paper's vulnerability demo).\n");
 

@@ -38,7 +38,7 @@ fn main() {
     }
 
     let majority = majority_vote(&data);
-    let weighted = WeightedVote::default().discover(&data);
+    let weighted = WeightedVote.discover(&data);
     // Suppose AG-TR flagged the four replayed accounts as one group.
     let groups = [0, 1, 2, 3, 3, 3, 3];
     let grouped = grouped_weighted_vote(&data, &groups);

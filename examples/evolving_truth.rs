@@ -53,7 +53,7 @@ fn main() {
         batch.add_report(source, 0, mean, 0.0);
     }
 
-    let batch_estimate = Crh::default().discover(&batch).truths[0].expect("reported");
+    let batch_estimate = Crh.discover(&batch).truths[0].expect("reported");
 
     let mut stream = StreamingCrh::new(1, StreamingConfig::with_half_life(900.0));
     reports.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));

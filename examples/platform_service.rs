@@ -76,7 +76,7 @@ fn main() {
         100.0 * audit.suspect_share()
     );
 
-    let plain = Crh::default().discover(engine.data());
+    let plain = Crh.discover(engine.data());
     let resistant: Vec<f64> = snapshot.truths.iter().map(|t| t.unwrap_or(0.0)).collect();
     let crh_mae = mae(&plain.truths_or(0.0), &scenario.ground_truth).expect("lengths");
     let ours_mae = mae(&resistant, &scenario.ground_truth).expect("lengths");

@@ -34,7 +34,7 @@ fn main() {
     }
 
     // Plain truth discovery trusts the coordinated majority.
-    let crh = Crh::default().discover(&data);
+    let crh = Crh.discover(&data);
 
     // The framework groups the three same-walk accounts into one voice.
     let framework = SybilResistantTd::new(AgTr::default());

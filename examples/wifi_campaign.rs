@@ -27,7 +27,7 @@ fn main() {
     );
     println!();
 
-    let crh = Crh::default().discover(&scenario.data).truths_or(f64::NAN);
+    let crh = Crh.discover(&scenario.data).truths_or(f64::NAN);
     let td_fp = SybilResistantTd::new(AgFp::default())
         .discover(&scenario.data, &scenario.fingerprints)
         .truths_or(f64::NAN);

@@ -112,12 +112,16 @@ cargo test -q --offline --test adaptive_audit
 cargo run -q --release --offline -p srtd-bench --bin exp_adaptive -- --fast >/dev/null
 cargo run -q --release --offline -p srtd-bench --bin exp_adaptive_jitter -- --fast >/dev/null
 
-# Worked examples, byte for byte: Table I (CRH over the per-task claims),
-# Table IV (the device catalog) and Figs. 3-4 (AG-TS's affinities and
-# AG-TR's raw DTW costs) must print exactly what results/ records, so a
-# change that moves a paper number has to regenerate the file. Each
-# binary also asserts its own shape check.
-for exp in exp_table1 exp_table4 exp_fig3_fig4; do
+# Worked examples and the account-level extensions, byte for byte: Table I
+# (CRH over the per-task claims), Table IV (the device catalog), Figs. 3-4
+# (AG-TS's affinities and AG-TR's raw DTW costs), the TD family under
+# attack (Mean, Median, CRH, CATD, GTM, RobustCRH vs TD-TR), CRH's weight
+# flows, the adaptive attack strategies and the large-scale Sybil sweep
+# must print exactly what results/ records, so a change that moves a
+# number has to regenerate the file. Each binary also asserts its own
+# shape check.
+for exp in exp_table1 exp_table4 exp_fig3_fig4 exp_td_family exp_weights \
+  exp_attack_strategies exp_large_scale; do
   cargo run -q --release --offline -p srtd-bench --bin "$exp" | diff -u "results/$exp.txt" -
 done
 

@@ -379,7 +379,7 @@ fn evaluate_one(
     ground_truth: &[f64],
 ) -> Vec<(&'static str, f64)> {
     let mut rows = Vec::new();
-    let crh = Crh::default().discover(data).truths_or(0.0);
+    let crh = Crh.discover(data).truths_or(0.0);
     rows.push(("CRH", mae(&crh, ground_truth).expect("lengths")));
     let fp = SybilResistantTd::new(AgFp::default())
         .discover(data, fingerprints)

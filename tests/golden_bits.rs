@@ -17,6 +17,11 @@
 //! at 1 and at 4 worker threads; both thread counts must hit the one
 //! pinned digest. On a mismatch the message prints the digest the code
 //! produced.
+//!
+//! The account-level digests fold in, per algorithm (`MeanVote`,
+//! `MedianVote`, `Crh`, `Catd`, `Gtm`, `RobustCrh`) and over every
+//! campaign in turn: every truth's bits, every weight's bits, the
+//! iteration count and the `converged` flag.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use sybil_td::core::{
@@ -27,8 +32,11 @@ use sybil_td::platform::{EpochConfig, EpochEngine};
 use sybil_td::runtime::json::ToJson;
 use sybil_td::runtime::parallel::set_max_threads;
 use sybil_td::runtime::rng::{Rng, SeedableRng, SliceRandom, StdRng};
-use sybil_td::sensing::{ScaledCampaign, ScaledCampaignConfig};
-use sybil_td::truth::{Report, SensingData};
+use sybil_td::sensing::{ScaledCampaign, ScaledCampaignConfig, Scenario, ScenarioConfig};
+use sybil_td::truth::{
+    Catd, Crh, Gtm, MeanVote, MedianVote, Report, RobustCrh, SensingData, TruthDiscovery,
+    TruthDiscoveryResult,
+};
 
 /// FNV-1a over 64-bit words.
 #[derive(Clone, Copy)]
@@ -72,6 +80,19 @@ impl Digest {
         for &label in r.grouping.labels() {
             self.word(label as u64);
         }
+    }
+
+    fn truth_result(&mut self, r: &TruthDiscoveryResult) {
+        self.word(r.truths.len() as u64);
+        for t in &r.truths {
+            self.word(t.map_or(u64::MAX, f64::to_bits));
+        }
+        self.word(r.weights.len() as u64);
+        for w in &r.weights {
+            self.word(w.to_bits());
+        }
+        self.word(r.iterations as u64);
+        self.word(u64::from(r.converged));
     }
 }
 
@@ -311,4 +332,108 @@ fn rendered_epoch_snapshots_are_pinned() {
             );
         }
     }
+}
+
+/// Small seeded campaigns of 1–15 accounts over 1–7 tasks, reports
+/// inserted in shuffled order, a third of the accounts biased by up to
+/// ±30, and some trailing accounts reserved without a report. The noise
+/// scale varies per campaign up to 10¹², where CRH's truth steps stay
+/// above the tolerance until the iteration cap; sparse, single-account
+/// and zero-weight cases all occur.
+fn small_random_campaigns() -> Vec<SensingData> {
+    (0..40u64)
+        .map(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let tasks = rng.gen_range(1usize..8);
+            let accounts = rng.gen_range(1usize..16);
+            let density = rng.gen_range(0.2f64..1.0);
+            let scale = [0.01, 1.0, 40.0, 1e12][rng.gen_range(0usize..4)];
+            let truths: Vec<f64> = (0..tasks).map(|_| rng.gen_range(-95f64..-40.0)).collect();
+            let mut reports = Vec::new();
+            for account in 0..accounts {
+                let bias = if rng.gen_range(0usize..3) == 0 {
+                    rng.gen_range(-30f64..30.0)
+                } else {
+                    0.0
+                };
+                for (task, truth) in truths.iter().enumerate() {
+                    if rng.gen_range(0f64..1.0) < density {
+                        reports.push(Report {
+                            account,
+                            task,
+                            value: truth + bias + scale * rng.gen_range(-1f64..1.0),
+                            timestamp: rng.gen_range(0f64..1e4),
+                        });
+                    }
+                }
+            }
+            reports.shuffle(&mut rng);
+            let mut data = SensingData::new(tasks);
+            data.fold_batch(&reports);
+            data.reserve_accounts(accounts + rng.gen_range(0usize..3));
+            data
+        })
+        .collect()
+}
+
+/// Every campaign the account-level pins run over: Table I with and
+/// without its Sybil rows, the paper's scenario (seeds 0–5, legit
+/// activeness 1.0, attacker activeness 0.2, 0.6 and 1.0), the 240-account
+/// random campaign, the small random campaigns and an empty campaign with
+/// reserved accounts.
+fn account_level_campaigns() -> Vec<SensingData> {
+    let attacked = table_i();
+    let mut clean = SensingData::new(attacked.num_tasks());
+    let honest: Vec<Report> = attacked
+        .reports()
+        .iter()
+        .filter(|r| r.account < 3)
+        .copied()
+        .collect();
+    clean.fold_batch(&honest);
+    let mut campaigns = vec![clean, attacked];
+    for alpha in [0.2, 0.6, 1.0] {
+        for seed in 0..6 {
+            let config = ScenarioConfig::paper_default()
+                .with_seed(seed)
+                .with_activeness(1.0, alpha);
+            campaigns.push(Scenario::generate(&config).data);
+        }
+    }
+    campaigns.push(random_campaign().0);
+    campaigns.extend(small_random_campaigns());
+    let mut empty = SensingData::new(3);
+    empty.reserve_accounts(4);
+    campaigns.push(empty);
+    campaigns
+}
+
+#[test]
+fn account_level_results_are_pinned() {
+    let algorithms: [(&dyn TruthDiscovery, u64); 6] = [
+        (&MeanVote, 0x86fa_c6c7_d9b1_73ff),
+        (&MedianVote, 0xf7c0_4d58_8493_36aa),
+        (&Crh, 0x0a25_5967_b195_5181),
+        (&Catd, 0x4257_b45b_43b7_9bad),
+        (&Gtm, 0x3b97_e34c_c6e8_f74d),
+        (&RobustCrh, 0x1f91_ddf3_8c76_c0dd),
+    ];
+    let campaigns = account_level_campaigns();
+    let mismatches: Vec<String> = algorithms
+        .iter()
+        .filter_map(|&(algorithm, pin)| {
+            let mut digest = Digest::new();
+            for data in &campaigns {
+                digest.truth_result(&algorithm.discover(data));
+            }
+            let got = digest.0;
+            (got != pin).then(|| {
+                format!(
+                    "{}: digest {got:#018x}, pinned {pin:#018x}",
+                    algorithm.name()
+                )
+            })
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

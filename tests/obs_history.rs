@@ -1,7 +1,8 @@
 //! Golden tests for the epoch telemetry timeline: per-epoch delta
 //! exports must be byte-identical across worker-thread counts, window
 //! deltas must tile to the cumulative counters, the ring buffer must
-//! evict oldest-first, and empty windows must export cleanly.
+//! evict oldest-first and take the evicted windows' events out of the
+//! event log, and empty windows must export cleanly.
 //!
 //! The obs registry is process-wide, so every test serializes on one
 //! lock and resets the registry before running.
@@ -179,6 +180,58 @@ fn ring_buffer_evicts_oldest_and_capacity_one_keeps_latest() {
     obs::set_enabled(false);
     assert_eq!(retained.len(), 1);
     assert_eq!(retained[0].label, "only");
+}
+
+#[test]
+fn evicted_windows_take_their_events_out_of_the_log() {
+    let _g = guard();
+    obs::set_enabled(true);
+    obs::reset();
+    obs::set_history_capacity(3);
+    let mut engine = EpochEngine::new(
+        SybilResistantTd::new(SingletonGrouping),
+        TASKS,
+        EpochConfig::default(),
+    );
+    for epoch in 0..10usize {
+        for a in 0..3usize {
+            let (account, task) = (a + 3 * epoch, epoch % TASKS);
+            engine
+                .ingest(account, task, -70.0 + a as f64, epoch as f64)
+                .expect("valid report");
+        }
+        engine.run_epoch();
+    }
+    obs::event("after.the.last.window", []);
+    let retained = obs::history(usize::MAX);
+    let log = obs::snapshot().events;
+    obs::set_history_capacity(0);
+    obs::set_enabled(false);
+
+    assert_eq!(
+        retained.iter().map(|w| w.index).collect::<Vec<_>>(),
+        vec![8, 9, 10]
+    );
+    assert!(
+        retained.iter().all(|w| !w.report.events.is_empty()),
+        "every epoch emits events"
+    );
+    // The log is the retained windows' events, then the open window's.
+    let mut expected: Vec<_> = retained
+        .iter()
+        .flat_map(|w| w.report.events.iter().cloned())
+        .collect();
+    assert_eq!(
+        log.len(),
+        expected.len() + 1,
+        "evicted events stay in the log"
+    );
+    assert_eq!(
+        log.last().map(|e| e.name.as_str()),
+        Some("after.the.last.window")
+    );
+    expected.extend(log.last().cloned());
+    assert_eq!(log, expected);
 }
 
 #[test]
