@@ -39,8 +39,10 @@ use srtd_runtime::pool;
 use srtd_runtime::rng::{Rng, SeedableRng, StdRng};
 use srtd_sensing::{ScaledCampaign, ScaledCampaignConfig};
 use srtd_signal::features::standardize;
-use srtd_signal::fft::{fft_real, fft_real_pair};
-use srtd_signal::{stream_features, stream_features_batch, FeatureConfig};
+use srtd_signal::fft::{
+    fft_windowed_real_into, fft_windowed_real_pair_into, real_pair_magnitudes_into,
+};
+use srtd_signal::{stream_features_batch, Spectrum};
 use srtd_timeseries::{dtw, PrunedPairwise};
 use srtd_truth::{max_abs_delta, ConvergenceCriterion, Report, SensingData};
 use std::collections::HashSet;
@@ -204,26 +206,35 @@ fn legacy_discover(data: &SensingData, grouping: &Grouping) -> (Vec<Option<f64>>
     (truths, weights, iterations)
 }
 
-/// The pre-fusion Table-II extraction path: per-call cosine windowing,
-/// one FFT per stream, and one or more passes per feature — the exact
-/// shape the fused kernels replaced. Kept in the bench (like
+/// The pre-fusion Table-II extraction path: per-call cosine windowing
+/// into a copy, one FFT per stream, and one or more passes per feature —
+/// the exact shape the fused kernels replaced. Kept in the bench (like
 /// [`legacy_discover`]) so the fused-vs-seed speedup is measured on this
-/// host rather than asserted from history.
+/// host rather than asserted from history. It carries the product's Hann
+/// window and brightness cut-off as its own formulas.
 mod seed_features {
-    use srtd_signal::fft::fft_real;
+    use srtd_signal::fft::fft_windowed_real_into;
     use srtd_signal::spectral::{
         brightness, rolloff, roughness, SpectralFeatures, ROLLOFF_FRACTION,
     };
     use srtd_signal::stats;
     use srtd_signal::temporal::{non_negative_fraction, zero_crossing_rate, TemporalFeatures};
-    use srtd_signal::{FeatureConfig, Spectrum, StreamFeatures};
+    use srtd_signal::{Spectrum, StreamFeatures};
 
-    fn windowed(signal: &[f64], config: &FeatureConfig) -> Vec<f64> {
+    /// A Hann-windowed copy, one cosine per sample; frames shorter than 2
+    /// samples pass through.
+    fn windowed(signal: &[f64]) -> Vec<f64> {
         let n = signal.len();
+        if n < 2 {
+            return signal.to_vec();
+        }
         signal
             .iter()
             .enumerate()
-            .map(|(i, &x)| x * config.window.coefficient(i, n))
+            .map(|(i, &x)| {
+                let t = i as f64 / (n - 1) as f64;
+                x * (0.5 - 0.5 * (2.0 * std::f64::consts::PI * t).cos())
+            })
             .collect()
     }
 
@@ -336,11 +347,13 @@ mod seed_features {
         }
     }
 
-    pub fn extract(signal: &[f64], config: &FeatureConfig) -> StreamFeatures {
-        let spectrum = Spectrum::from_fft(&fft_real(&windowed(signal, config)), config.sample_rate);
+    pub fn extract(signal: &[f64], sample_rate: f64) -> StreamFeatures {
+        let mut buf = Vec::new();
+        fft_windowed_real_into(&mut buf, &windowed(signal), None);
+        let spectrum = Spectrum::from_fft_into(&buf, sample_rate, Vec::new());
         StreamFeatures {
             temporal: temporal(signal),
-            spectral: spectral(&spectrum, config.brightness_cutoff_hz),
+            spectral: spectral(&spectrum, 0.3 * sample_rate / 2.0),
         }
     }
 }
@@ -698,14 +711,33 @@ fn main() {
     ));
 
     // ---- FFT: per-stream vs two-for-one, single vs batched features ----
+    // Both cases end at two magnitude spectra in recycled storage, as the
+    // feature path does: two single-stream transforms, each read out
+    // through `Spectrum::from_fft_into`, against one pair transform and
+    // its split.
     let n_fft = 1024usize;
     let x: Vec<f64> = (0..n_fft).map(|i| (i as f64 * 0.37).sin()).collect();
     let y: Vec<f64> = (0..n_fft).map(|i| (i as f64 * 0.91).cos()).collect();
+    let mut fft_buf = Vec::new();
+    let (mut mag_x, mut mag_y) = (Vec::new(), Vec::new());
     let fft_single = group.run("fft/two_singles/1024", || {
-        (fft_real(black_box(&x)), fft_real(black_box(&y)))
+        for (s, mag) in [(&x, &mut mag_x), (&y, &mut mag_y)] {
+            fft_windowed_real_into(black_box(&mut fft_buf), black_box(s), None);
+            let spectrum = Spectrum::from_fft_into(&fft_buf, 100.0, std::mem::take(mag));
+            *mag = spectrum.into_magnitudes();
+        }
+        black_box((&mag_x, &mag_y));
     });
     let fft_paired = group.run("fft/real_pair/1024", || {
-        fft_real_pair(black_box(&x), black_box(&y))
+        fft_windowed_real_pair_into(
+            black_box(&mut fft_buf),
+            black_box(&x),
+            None,
+            black_box(&y),
+            None,
+        );
+        real_pair_magnitudes_into(&fft_buf, &mut mag_x, &mut mag_y);
+        black_box((&mag_x, &mag_y));
     });
     cases.push(stats_json(
         "fft",
@@ -727,14 +759,14 @@ fn main() {
                 .collect()
         })
         .collect();
-    let feat_cfg = FeatureConfig::new(100.0);
+    let feat_rate = 100.0;
 
     // The seed reference must agree with the fused library path before
     // either is timed (the fused kernels preserve accumulation order, so
     // the agreement is in practice bit-exact; 1e-9 is the contract).
     for s in &streams {
-        let fused = stream_features(s, &feat_cfg).to_vec();
-        let seeded = seed_features::extract(s, &feat_cfg).to_vec();
+        let fused = stream_features_batch(&[s], feat_rate)[0].to_vec();
+        let seeded = seed_features::extract(s, feat_rate).to_vec();
         for (a, b) in fused.iter().zip(&seeded) {
             assert!(
                 (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
@@ -746,17 +778,17 @@ fn main() {
     let feat_seed = group.run("features/seed/4x600", || {
         streams
             .iter()
-            .map(|s| seed_features::extract(black_box(s), &feat_cfg))
+            .map(|s| seed_features::extract(black_box(s), feat_rate))
             .collect::<Vec<_>>()
     });
     let feat_single = group.run("features/per_stream/4x600", || {
         streams
             .iter()
-            .map(|s| stream_features(black_box(s), &feat_cfg))
+            .map(|s| stream_features_batch(&[black_box(s)], feat_rate))
             .collect::<Vec<_>>()
     });
     let feat_batch = group.run("features/fused/4x600", || {
-        stream_features_batch(black_box(&streams), &feat_cfg)
+        stream_features_batch(black_box(&streams), feat_rate)
     });
     let feat_params = vec![("streams", 4usize.to_json()), ("len", 600usize.to_json())];
     cases.push(stats_json(
@@ -808,7 +840,7 @@ fn main() {
     });
     let scratch_before = pool::stats();
     for _ in 0..8 {
-        black_box(stream_features_batch(&streams, &feat_cfg));
+        black_box(stream_features_batch(&streams, feat_rate));
     }
     let scratch_after = pool::stats();
     set_max_threads(0);
@@ -964,7 +996,7 @@ fn main() {
     let tr_scale = blocking_counts("ag_tr", || ag_tr_scale.group(&campaign.data, &[]));
     let (g_tr_scale, scale_tr_ms) = median_call_ms(|| ag_tr_scale.group(&campaign.data, &[]));
     let (fp_scale, scale_fp_ms) = median_call_ms(|| {
-        let scale_points = standardize(&campaign.fingerprints).0;
+        let scale_points = standardize(&campaign.fingerprints);
         KMeans::new(
             KMeansConfig::new(campaign.num_devices)
                 .with_restarts(1)
@@ -1086,7 +1118,7 @@ fn main() {
     obs::set_enabled(true);
     obs::reset();
     let _ = framework.discover_with_grouping(&data, grouping.clone());
-    let _ = stream_features_batch(&streams, &feat_cfg);
+    let _ = stream_features_batch(&streams, feat_rate);
     let _ = dtw(&a, &b);
     let _ = pruned_engine.edges2_with_stats(&ag_tr.trajectories(&data), &all_pairs);
     let report = obs::snapshot();

@@ -51,7 +51,7 @@ fn run(seed: u64, keep: &[usize]) -> f64 {
         }
     }
     let projected = project(&features, keep);
-    let (standardized, _) = standardize(&projected);
+    let standardized = standardize(&projected);
     let clusters = KMeans::new(KMeansConfig::new(3)).fit(&standardized);
     adjusted_rand_index(&clusters.assignments, &truth)
 }

@@ -31,7 +31,7 @@ fn main() {
                 features.push(fingerprint_features(&device.capture(&cfg, &mut rng)));
             }
         }
-        let (standardized, _) = standardize(&features);
+        let standardized = standardize(&features);
         let result = elbow(&standardized, features.len(), KMeansConfig::new(1));
         let ok = result.k.abs_diff(true_devices) <= 2;
         all_ok &= ok;

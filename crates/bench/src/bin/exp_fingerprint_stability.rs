@@ -34,7 +34,7 @@ fn run(seed: u64, drift: f64) -> f64 {
             truth.push(d);
         }
     }
-    let (standardized, _) = standardize(&features);
+    let standardized = standardize(&features);
     let clusters = KMeans::new(KMeansConfig::new(3)).fit(&standardized);
     adjusted_rand_index(&clusters.assignments, &truth)
 }

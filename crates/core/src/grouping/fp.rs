@@ -122,7 +122,7 @@ impl AccountGrouping for AgFp {
         let _span = srtd_runtime::obs::span("ag_fp.group");
         let standardized = {
             let _span = srtd_runtime::obs::span("ag_fp.standardize");
-            standardize(fingerprints).0
+            standardize(fingerprints)
         };
         if let FpClustering::Hierarchical { threshold, linkage } = self.clustering {
             let result = agglomerative(&standardized, threshold, linkage);

@@ -1,7 +1,6 @@
 //! Stationary hand-held sensor capture sessions.
 
 use crate::device::DeviceInstance;
-use crate::noise::{normal, normal3};
 use srtd_runtime::json::{Json, ToJson};
 use srtd_runtime::rng::Rng;
 
@@ -163,8 +162,8 @@ impl DeviceInstance {
         let n = config.sample_count();
         let dt = 1.0 / config.sample_rate;
         // Per-session grip: gravity direction tilted a few degrees off z.
-        let tilt_x = normal(rng, 0.0, 0.06);
-        let tilt_y = normal(rng, 0.0, 0.06);
+        let tilt_x = rng.normal(0.0, 0.06);
+        let tilt_y = rng.normal(0.0, 0.06);
         let g = [
             GRAVITY * tilt_x.sin(),
             GRAVITY * tilt_y.sin() * tilt_x.cos(),
@@ -192,8 +191,8 @@ impl DeviceInstance {
         // the knob existed (seeded scenarios stay reproducible).
         let (accel_drift, gyro_drift) = if config.bias_drift > 0.0 {
             (
-                normal3(rng, 0.0, config.bias_drift),
-                normal3(rng, 0.0, config.bias_drift * 0.3),
+                std::array::from_fn(|_| rng.normal(0.0, config.bias_drift)),
+                std::array::from_fn(|_| rng.normal(0.0, config.bias_drift * 0.3)),
             )
         } else {
             ([0.0; 3], [0.0; 3])
@@ -216,7 +215,7 @@ impl DeviceInstance {
                 a[axis] = self.accel_scale[axis] * truth
                     + self.accel_bias[axis]
                     + accel_drift[axis]
-                    + normal(rng, 0.0, self.accel_noise);
+                    + rng.normal(0.0, self.accel_noise);
                 let rot: f64 = gyro_tones[axis]
                     .iter()
                     .map(|&(f, p, s)| s * config.tremor_rotation * (two_pi * f * t + p).sin())
@@ -224,7 +223,7 @@ impl DeviceInstance {
                 w[axis] = self.gyro_scale[axis] * rot
                     + self.gyro_bias[axis]
                     + gyro_drift[axis]
-                    + normal(rng, 0.0, self.gyro_noise);
+                    + rng.normal(0.0, self.gyro_noise);
             }
             accel.push(a);
             gyro.push(w);

@@ -1,6 +1,5 @@
 //! Device models and manufactured device instances.
 
-use crate::noise::{normal, normal3};
 use srtd_runtime::json::{Json, ToJson};
 use srtd_runtime::rng::Rng;
 
@@ -87,14 +86,18 @@ impl DeviceModel {
         let m = &self.mems;
         DeviceInstance {
             model_name: self.name.clone(),
-            accel_bias: normal3(rng, m.accel_bias_center, m.accel_bias_spread),
-            accel_scale: normal3(rng, 1.0, m.accel_scale_spread),
-            accel_noise: m.accel_noise * normal(rng, 1.0, 0.1).clamp(0.5, 1.5),
-            gyro_bias: normal3(rng, m.gyro_bias_center, m.gyro_bias_spread),
-            gyro_scale: normal3(rng, 1.0, m.gyro_scale_spread),
-            gyro_noise: m.gyro_noise * normal(rng, 1.0, 0.1).clamp(0.5, 1.5),
-            resonance_hz: normal(rng, m.resonance_hz, m.resonance_spread_hz).clamp(1.0, 45.0),
-            resonance_gain: (m.resonance_gain * normal(rng, 1.0, 0.15)).max(0.0),
+            accel_bias: std::array::from_fn(|_| {
+                rng.normal(m.accel_bias_center, m.accel_bias_spread)
+            }),
+            accel_scale: std::array::from_fn(|_| rng.normal(1.0, m.accel_scale_spread)),
+            accel_noise: m.accel_noise * rng.normal(1.0, 0.1).clamp(0.5, 1.5),
+            gyro_bias: std::array::from_fn(|_| rng.normal(m.gyro_bias_center, m.gyro_bias_spread)),
+            gyro_scale: std::array::from_fn(|_| rng.normal(1.0, m.gyro_scale_spread)),
+            gyro_noise: m.gyro_noise * rng.normal(1.0, 0.1).clamp(0.5, 1.5),
+            resonance_hz: rng
+                .normal(m.resonance_hz, m.resonance_spread_hz)
+                .clamp(1.0, 45.0),
+            resonance_gain: (m.resonance_gain * rng.normal(1.0, 0.15)).max(0.0),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Fingerprint feature extraction (§IV-C).
 
 use crate::capture::SensorCapture;
-use srtd_signal::{stream_features_batch, FeatureConfig};
+use srtd_signal::stream_features_batch;
 
 /// Dimensionality of a fingerprint feature vector:
 /// 20 Table-II features × 4 sensor streams.
@@ -28,12 +28,11 @@ pub const FINGERPRINT_DIMENSIONS: usize = 80;
 pub fn fingerprint_features(capture: &SensorCapture) -> Vec<f64> {
     let _span = srtd_runtime::obs::span("fingerprint.extract");
     srtd_runtime::obs::counter_add("fingerprint.extract.calls", 1);
-    let config = FeatureConfig::new(capture.sample_rate());
     // All four streams share one capture length, so the batch packs them
     // into two two-for-one transforms instead of four.
     let streams = capture.streams();
     let mut features = Vec::with_capacity(FINGERPRINT_DIMENSIONS);
-    for stream in stream_features_batch(&streams, &config) {
+    for stream in stream_features_batch(&streams, capture.sample_rate()) {
         stream.extend_into(&mut features);
     }
     features
@@ -75,7 +74,7 @@ mod tests {
         let dev_b = catalog[5].model.manufacture(&mut rng); // Nexus 6P
         let mut rows = captures_for(&dev_a, 4, &mut rng);
         rows.extend(captures_for(&dev_b, 4, &mut rng));
-        let (std_rows, _) = srtd_signal::features::standardize(&rows);
+        let std_rows = srtd_signal::features::standardize(&rows);
         // Mean within-device distance vs. cross-device distance.
         let mut within = 0.0;
         let mut cross = 0.0;
@@ -127,7 +126,7 @@ mod tests {
         let mut rows = fa1.clone();
         rows.extend(fa2.clone());
         rows.extend(fb.clone());
-        let (std_rows, _) = srtd_signal::features::standardize(&rows);
+        let std_rows = srtd_signal::features::standardize(&rows);
         let center = |range: std::ops::Range<usize>| -> Vec<f64> {
             let dim = std_rows[0].len();
             let mut c = vec![0.0; dim];

@@ -46,7 +46,6 @@ pub mod capture;
 pub mod catalog;
 pub mod device;
 pub mod extract;
-pub mod noise;
 
 pub use capture::{CaptureConfig, SensorCapture};
 pub use device::{DeviceInstance, DeviceModel, DeviceOs, MemsParameters};

@@ -1,7 +1,6 @@
 //! Walking routes and visit timetables.
 
 use crate::poi::PoiMap;
-use srtd_fingerprint::noise::normal;
 use srtd_runtime::json::{Json, ToJson};
 use srtd_runtime::rng::Rng;
 
@@ -94,7 +93,8 @@ impl Walk {
 }
 
 fn dwell<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    normal(rng, Walk::DWELL_MEAN_S, Walk::DWELL_STD_S).clamp(10.0, 120.0)
+    rng.normal(Walk::DWELL_MEAN_S, Walk::DWELL_STD_S)
+        .clamp(10.0, 120.0)
 }
 
 impl ToJson for Visit {

@@ -6,7 +6,6 @@ use crate::poi::PoiMap;
 use crate::user::MeasurementProfile;
 use crate::world::WifiWorld;
 use srtd_fingerprint::catalog::{standard_catalog, DeviceRole};
-use srtd_fingerprint::noise::normal;
 use srtd_fingerprint::{fingerprint_features, CaptureConfig, DeviceInstance};
 use srtd_runtime::parallel::parallel_map;
 use srtd_runtime::rng::SliceRandom;
@@ -279,18 +278,18 @@ impl Scenario {
             let truths = world.ground_truths();
             let claim = |task: usize, honest: f64, rng: &mut StdRng| match spec.strategy {
                 FabricationStrategy::Fabricate { value, jitter_std } => {
-                    value + normal(rng, 0.0, jitter_std)
+                    value + rng.normal(0.0, jitter_std)
                 }
                 FabricationStrategy::DuplicateMeasurement { jitter_std } => {
-                    honest + normal(rng, 0.0, jitter_std)
+                    honest + rng.normal(0.0, jitter_std)
                 }
                 FabricationStrategy::Offset { delta, jitter_std } => {
-                    honest + delta + normal(rng, 0.0, jitter_std)
+                    honest + delta + rng.normal(0.0, jitter_std)
                 }
                 FabricationStrategy::Camouflaged { delta, sigma, .. } => {
                     // Inside the honest envelope everywhere (truth ± 1.5σ
                     // hard bound); the lie rides on top only at targets.
-                    let noise = normal(rng, 0.0, sigma).clamp(-1.5 * sigma, 1.5 * sigma);
+                    let noise = rng.normal(0.0, sigma).clamp(-1.5 * sigma, 1.5 * sigma);
                     let lie = if targets.binary_search(&task).is_ok() {
                         delta
                     } else {
@@ -383,7 +382,7 @@ impl Scenario {
                         .collect();
                     let floor = -visits.first().map_or(0.0, |v| v.arrival);
                     for j in 0..spec.accounts {
-                        let offset = normal(&mut rng, 0.0, time_jitter_s).max(floor);
+                        let offset = rng.normal(0.0, time_jitter_s).max(floor);
                         // `order[slot]` = which true visit this account
                         // claims at time slot `slot`.
                         let mut order: Vec<usize> = (0..visits.len()).collect();

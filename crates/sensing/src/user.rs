@@ -1,6 +1,5 @@
 //! Legitimate-user measurement quality.
 
-use srtd_fingerprint::noise::normal;
 use srtd_runtime::json::{Json, ToJson};
 use srtd_runtime::rng::Rng;
 
@@ -23,7 +22,7 @@ impl MeasurementProfile {
     /// `~ U(0.5, 3.5)` dBm, spanning careful to sloppy participants.
     pub fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
         Self {
-            bias: normal(rng, 0.0, 1.5),
+            bias: rng.normal(0.0, 1.5),
             noise_std: rng.gen_range(0.5..3.5),
         }
     }

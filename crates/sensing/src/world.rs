@@ -2,7 +2,6 @@
 
 use crate::poi::PoiMap;
 use crate::user::MeasurementProfile;
-use srtd_fingerprint::noise::normal;
 use srtd_runtime::json::{Json, ToJson};
 use srtd_runtime::rng::StdRng;
 use srtd_runtime::rng::{Rng, SeedableRng};
@@ -46,7 +45,7 @@ impl WifiWorld {
             .map(|_| {
                 // AP somewhere 5–60 m away from the POI.
                 let d: f64 = rng.gen_range(5.0..60.0);
-                let shadowing = normal(&mut rng, 0.0, 2.0);
+                let shadowing = rng.normal(0.0, 2.0);
                 let rssi = Self::REFERENCE_POWER_DBM - 10.0 * Self::PATH_LOSS_EXPONENT * d.log10()
                     + shadowing;
                 rssi.clamp(-92.0, -58.0)
@@ -91,7 +90,7 @@ impl WifiWorld {
         profile: &MeasurementProfile,
         rng: &mut R,
     ) -> f64 {
-        self.ground_truth[task] + profile.bias + normal(rng, 0.0, profile.noise_std)
+        self.ground_truth[task] + profile.bias + rng.normal(0.0, profile.noise_std)
     }
 }
 

@@ -8,66 +8,17 @@ use crate::fft::{
 use crate::spectral::SpectralFeatures;
 use crate::spectrum::Spectrum;
 use crate::temporal::TemporalFeatures;
-use crate::window::Window;
+use crate::window::hann_table;
 use srtd_runtime::parallel::parallel_map_min;
 use std::collections::BTreeMap;
 
 /// Number of features per sensor stream (9 temporal + 11 spectral).
 pub const FEATURES_PER_STREAM: usize = 20;
 
-/// Configuration for per-stream feature extraction.
-///
-/// # Examples
-///
-/// ```
-/// use srtd_signal::FeatureConfig;
-///
-/// let cfg = FeatureConfig::new(100.0);
-/// assert_eq!(cfg.sample_rate, 100.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeatureConfig {
-    /// Sensor sampling rate in Hz.
-    pub sample_rate: f64,
-    /// Window applied before the FFT.
-    pub window: Window,
-    /// Brightness cut-off in Hz.
-    ///
-    /// MIRtoolbox defaults to 1500 Hz for audio; motion sensors sample at
-    /// ~100 Hz, so the default scales the cut-off to 30% of Nyquist.
-    pub brightness_cutoff_hz: f64,
-}
-
-impl FeatureConfig {
-    /// Default configuration for a sensor sampled at `sample_rate` Hz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_rate` is not finite and positive.
-    pub fn new(sample_rate: f64) -> Self {
-        assert!(
-            sample_rate.is_finite() && sample_rate > 0.0,
-            "sample rate must be positive, got {sample_rate}"
-        );
-        Self {
-            sample_rate,
-            window: Window::Hann,
-            brightness_cutoff_hz: 0.3 * sample_rate / 2.0,
-        }
-    }
-
-    /// Replaces the window function.
-    pub fn with_window(mut self, window: Window) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Replaces the brightness cut-off.
-    pub fn with_brightness_cutoff(mut self, cutoff_hz: f64) -> Self {
-        self.brightness_cutoff_hz = cutoff_hz;
-        self
-    }
-}
+/// Brightness cut-off as a share of the Nyquist frequency. MIRtoolbox
+/// defaults to 1500 Hz for audio; motion sensors sample at ~100 Hz, so the
+/// cut-off scales with the sample rate instead.
+const BRIGHTNESS_CUTOFF_NYQUIST_SHARE: f64 = 0.3;
 
 /// The full 20-feature description of one sensor stream (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -120,78 +71,64 @@ impl StreamFeatures {
 /// Fused per-stream extraction from a precomputed spectrum: the temporal
 /// half in two [`crate::stats::Moments`] passes over the signal, the
 /// spectral half in two passes over the magnitude body plus one shared
-/// peak scan. Both entry points ([`stream_features`] and the batch jobs)
-/// funnel through here, so the `signal.features.fused_calls` counter
-/// counts every Table-II extraction in the process.
-fn extract_from_spectrum(
-    signal: &[f64],
-    spectrum: &Spectrum,
-    config: &FeatureConfig,
-) -> StreamFeatures {
+/// peak scan. The `signal.features.fused_calls` counter counts every
+/// Table-II extraction in the process.
+fn extract_from_spectrum(signal: &[f64], spectrum: &Spectrum, cutoff_hz: f64) -> StreamFeatures {
     srtd_runtime::obs::counter_add("signal.features.fused_calls", 1);
     StreamFeatures {
         temporal: TemporalFeatures::extract(signal),
-        spectral: SpectralFeatures::extract(spectrum, config.brightness_cutoff_hz),
+        spectral: SpectralFeatures::extract(spectrum, cutoff_hz),
     }
 }
 
-/// Extracts the 20 Table-II features from one sensor stream.
+/// Extracts the 20 Table-II features from each of a batch of sensor
+/// streams sampled at `sample_rate` Hz.
+///
+/// Every stream is Hann-windowed before its FFT, and the brightness
+/// feature counts the magnitude at or above 0.3 × Nyquist.
+///
+/// Streams whose zero-padded FFT lengths match are packed two at a time
+/// through [`fft_windowed_real_pair_into`] — one complex transform per
+/// pair instead of one per stream — and a leftover stream in a length
+/// class takes [`fft_windowed_real_into`] alone. Each job runs the *whole*
+/// per-stream pipeline inside the deterministic parallel map: windowing
+/// fused into the FFT's bit-reversal load (reading the raw streams and
+/// the cached coefficient tables directly, no windowed copies), then the
+/// spectrum written straight into per-thread arena magnitude buffers,
+/// then fused temporal + spectral extraction. The only sequential work
+/// left is job assembly; the only steady-state allocations are the
+/// outputs. Output order matches input order.
+///
+/// Results are byte-identical regardless of worker-thread count (job
+/// order and chunking depend only on the batch itself, and each stream's
+/// features are computed entirely within its own job). A stream's
+/// spectral features depend on whether it was paired: the pair split
+/// re-associates a handful of additions, so they agree with the
+/// single-stream transform to ~1e-9, not bit for bit. The temporal
+/// features never pass through the FFT.
 ///
 /// # Examples
 ///
 /// ```
-/// use srtd_signal::{stream_features, FeatureConfig};
+/// use srtd_signal::stream_features_batch;
 ///
 /// let xs: Vec<f64> = (0..128).map(|i| (i as f64).sin()).collect();
-/// let f = stream_features(&xs, &FeatureConfig::new(100.0));
-/// assert_eq!(f.to_vec().len(), 20);
+/// let f = stream_features_batch(&[xs], 100.0);
+/// assert_eq!(f[0].to_vec().len(), 20);
 /// ```
-pub fn stream_features(signal: &[f64], config: &FeatureConfig) -> StreamFeatures {
-    let _span = srtd_runtime::obs::span("signal.stream_features");
-    srtd_runtime::obs::counter_add("signal.stream_features.calls", 1);
-    srtd_runtime::obs::observe("signal.stream_features.len", signal.len() as f64);
-    with_scratch(|scratch| {
-        let table = config.window.table(signal.len());
-        fft_windowed_real_into(
-            &mut scratch.buf,
-            signal,
-            table.as_ref().map(|t| t.as_slice()),
-        );
-        let spectrum = Spectrum::from_fft_into(
-            &scratch.buf,
-            config.sample_rate,
-            std::mem::take(&mut scratch.mag_a),
-        );
-        let features = extract_from_spectrum(signal, &spectrum, config);
-        scratch.mag_a = spectrum.into_magnitudes();
-        features
-    })
-}
-
-/// Extracts Table-II features for a batch of sensor streams.
 ///
-/// Streams whose zero-padded FFT lengths match are packed two at a time
-/// through [`fft_windowed_real_pair_into`] — one complex transform per
-/// pair instead of one per stream — and each job runs the *whole*
-/// per-stream pipeline inside the deterministic parallel map: windowing
-/// fused into the FFT's bit-reversal load (reading the raw streams and
-/// the cached coefficient tables directly, no windowed copies), then the
-/// packed spectrum split straight into per-thread arena magnitude
-/// buffers, then fused temporal + spectral extraction. The only
-/// sequential work left is job assembly; the only steady-state
-/// allocations are the outputs. Output order matches input order.
+/// # Panics
 ///
-/// Results are byte-identical regardless of worker-thread count (job
-/// order and chunking depend only on the batch itself, and each stream's
-/// features are computed entirely within its own job). Relative to
-/// per-stream [`stream_features`] the spectral features agree to ~1e-9:
-/// the pair split re-associates a handful of additions, so bits may
-/// differ in the last ulps. The temporal features never pass through the
-/// FFT, so their bits match the per-stream path exactly.
+/// Panics if `sample_rate` is not finite and positive.
 pub fn stream_features_batch<S: AsRef<[f64]> + Sync>(
     streams: &[S],
-    config: &FeatureConfig,
+    sample_rate: f64,
 ) -> Vec<StreamFeatures> {
+    assert!(
+        sample_rate.is_finite() && sample_rate > 0.0,
+        "sample rate must be positive, got {sample_rate}"
+    );
+    let cutoff_hz = BRIGHTNESS_CUTOFF_NYQUIST_SHARE * sample_rate / 2.0;
     let _span = srtd_runtime::obs::span("signal.stream_features_batch");
     srtd_runtime::obs::counter_add("signal.stream_features_batch.calls", 1);
     srtd_runtime::obs::observe("signal.stream_features_batch.streams", streams.len() as f64);
@@ -215,11 +152,11 @@ pub fn stream_features_batch<S: AsRef<[f64]> + Sync>(
     let extracted = parallel_map_min(&jobs, 2, |&(i, j)| {
         with_scratch(|scratch| {
             let xi = streams[i].as_ref();
-            let ti = config.window.table(xi.len());
+            let ti = hann_table(xi.len());
             match j {
                 Some(j) => {
                     let xj = streams[j].as_ref();
-                    let tj = config.window.table(xj.len());
+                    let tj = hann_table(xj.len());
                     fft_windowed_real_pair_into(
                         &mut scratch.buf,
                         xi,
@@ -228,16 +165,16 @@ pub fn stream_features_batch<S: AsRef<[f64]> + Sync>(
                         tj.as_ref().map(|t| t.as_slice()),
                     );
                     real_pair_magnitudes_into(&scratch.buf, &mut scratch.mag_a, &mut scratch.mag_b);
-                    // Same division `from_fft` performs: rate over the
+                    // Same division `from_fft_into` performs: rate over the
                     // padded transform length.
-                    let bin_width = config.sample_rate / scratch.buf.len() as f64;
+                    let bin_width = sample_rate / scratch.buf.len() as f64;
                     let spec_i =
                         Spectrum::from_magnitudes(std::mem::take(&mut scratch.mag_a), bin_width);
-                    let fi = (i, extract_from_spectrum(xi, &spec_i, config));
+                    let fi = (i, extract_from_spectrum(xi, &spec_i, cutoff_hz));
                     scratch.mag_a = spec_i.into_magnitudes();
                     let spec_j =
                         Spectrum::from_magnitudes(std::mem::take(&mut scratch.mag_b), bin_width);
-                    let fj = (j, extract_from_spectrum(xj, &spec_j, config));
+                    let fj = (j, extract_from_spectrum(xj, &spec_j, cutoff_hz));
                     scratch.mag_b = spec_j.into_magnitudes();
                     (fi, Some(fj))
                 }
@@ -245,10 +182,10 @@ pub fn stream_features_batch<S: AsRef<[f64]> + Sync>(
                     fft_windowed_real_into(&mut scratch.buf, xi, ti.as_ref().map(|t| t.as_slice()));
                     let spectrum = Spectrum::from_fft_into(
                         &scratch.buf,
-                        config.sample_rate,
+                        sample_rate,
                         std::mem::take(&mut scratch.mag_a),
                     );
-                    let fi = (i, extract_from_spectrum(xi, &spectrum, config));
+                    let fi = (i, extract_from_spectrum(xi, &spectrum, cutoff_hz));
                     scratch.mag_a = spectrum.into_magnitudes();
                     (fi, None)
                 }
@@ -276,9 +213,6 @@ pub fn stream_features_batch<S: AsRef<[f64]> + Sync>(
 /// columns (zero variance) are mapped to all-zeros rather than dividing by
 /// zero.
 ///
-/// Returns the standardized matrix together with per-column `(mean, std)`
-/// so new vectors can be projected consistently.
-///
 /// Statistics are accumulated row-major — one cache-friendly sweep over
 /// the matrix per statistic instead of `dim` strided column walks. Each
 /// column's additions still happen in row order from `Iterator::sum`'s
@@ -288,9 +222,9 @@ pub fn stream_features_batch<S: AsRef<[f64]> + Sync>(
 /// # Panics
 ///
 /// Panics if rows have inconsistent lengths.
-pub fn standardize(rows: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<(f64, f64)>) {
+pub fn standardize(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let Some(first) = rows.first() else {
-        return (Vec::new(), Vec::new());
+        return Vec::new();
     };
     let dim = first.len();
     assert!(
@@ -316,28 +250,13 @@ pub fn standardize(rows: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<(f64, f64)>) {
         .zip(&vars)
         .map(|(&m, &v)| (m, (v / n).sqrt()))
         .collect();
-    let standardized = rows
-        .iter()
+    rows.iter()
         .map(|r| {
             r.iter()
                 .zip(&params)
                 .map(|(&x, &(m, s))| if s > 0.0 { (x - m) / s } else { 0.0 })
                 .collect()
         })
-        .collect();
-    (standardized, params)
-}
-
-/// Applies previously computed standardization parameters to a new vector.
-///
-/// # Panics
-///
-/// Panics if `v.len() != params.len()`.
-pub fn apply_standardization(v: &[f64], params: &[(f64, f64)]) -> Vec<f64> {
-    assert_eq!(v.len(), params.len(), "dimension mismatch");
-    v.iter()
-        .zip(params)
-        .map(|(&x, &(m, s))| if s > 0.0 { (x - m) / s } else { 0.0 })
         .collect()
 }
 
@@ -361,20 +280,22 @@ mod tests {
             .collect()
     }
 
+    /// One stream's features from a one-stream batch.
+    fn one(signal: &[f64]) -> StreamFeatures {
+        stream_features_batch(&[signal], 100.0)[0]
+    }
+
     #[test]
     fn feature_vector_has_twenty_entries() {
-        let f = stream_features(&noisy_signal(1, 600), &FeatureConfig::new(100.0));
-        let v = f.to_vec();
+        let v = one(&noisy_signal(1, 600)).to_vec();
         assert_eq!(v.len(), FEATURES_PER_STREAM);
         assert!(v.iter().all(|x| x.is_finite()));
     }
 
     #[test]
     fn different_signals_have_different_features() {
-        let cfg = FeatureConfig::new(100.0);
-        let a = stream_features(&noisy_signal(1, 600), &cfg).to_vec();
-        let b = stream_features(&noisy_signal(999, 600), &cfg).to_vec();
-        assert_ne!(a, b);
+        let f = stream_features_batch(&[noisy_signal(1, 600), noisy_signal(999, 600)], 100.0);
+        assert_ne!(f[0].to_vec(), f[1].to_vec());
     }
 
     #[test]
@@ -384,7 +305,7 @@ mod tests {
             vec![2.0, 20.0, 5.0],
             vec![3.0, 30.0, 5.0],
         ];
-        let (std_rows, params) = standardize(&rows);
+        let std_rows = standardize(&rows);
         for j in 0..3 {
             let col: Vec<f64> = std_rows.iter().map(|r| r[j]).collect();
             let mean: f64 = col.iter().sum::<f64>() / 3.0;
@@ -392,42 +313,22 @@ mod tests {
         }
         // Constant column is zeroed, not NaN.
         assert!(std_rows.iter().all(|r| r[2] == 0.0));
-        assert_eq!(params.len(), 3);
-    }
-
-    #[test]
-    fn apply_standardization_is_consistent() {
-        let rows = vec![vec![1.0, 4.0], vec![3.0, 8.0]];
-        let (std_rows, params) = standardize(&rows);
-        let reapplied = apply_standardization(&rows[0], &params);
-        assert_eq!(std_rows[0], reapplied);
     }
 
     #[test]
     fn standardize_empty_input() {
-        let (rows, params) = standardize(&[]);
-        assert!(rows.is_empty());
-        assert!(params.is_empty());
-    }
-
-    #[test]
-    fn config_builder_methods() {
-        let cfg = FeatureConfig::new(200.0)
-            .with_window(Window::Hamming)
-            .with_brightness_cutoff(42.0);
-        assert_eq!(cfg.window, Window::Hamming);
-        assert_eq!(cfg.brightness_cutoff_hz, 42.0);
+        assert!(standardize(&[]).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "sample rate")]
     fn negative_sample_rate_panics() {
-        FeatureConfig::new(-1.0);
+        stream_features_batch(&[[1.0]], -1.0);
     }
 
     #[test]
     fn extend_into_matches_to_vec() {
-        let f = stream_features(&noisy_signal(3, 400), &FeatureConfig::new(100.0));
+        let f = one(&noisy_signal(3, 400));
         let mut buf = vec![-1.0];
         f.extend_into(&mut buf);
         assert_eq!(buf.len(), 1 + FEATURES_PER_STREAM);
@@ -436,9 +337,9 @@ mod tests {
 
     /// The column-at-a-time standardize the row-major version replaced,
     /// kept verbatim so the bit-identity test below pins the rewrite.
-    fn reference_standardize(rows: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<(f64, f64)>) {
+    fn reference_standardize(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let Some(first) = rows.first() else {
-            return (Vec::new(), Vec::new());
+            return Vec::new();
         };
         let dim = first.len();
         let n = rows.len() as f64;
@@ -448,16 +349,14 @@ mod tests {
             let var = rows.iter().map(|r| (r[j] - mean).powi(2)).sum::<f64>() / n;
             params.push((mean, var.sqrt()));
         }
-        let standardized = rows
-            .iter()
+        rows.iter()
             .map(|r| {
                 r.iter()
                     .zip(&params)
                     .map(|(&x, &(m, s))| if s > 0.0 { (x - m) / s } else { 0.0 })
                     .collect()
             })
-            .collect();
-        (standardized, params)
+            .collect()
     }
 
     /// Row-major standardization is bit-identical to the column-major
@@ -483,14 +382,9 @@ mod tests {
                 })
             },
             |rows| {
-                let (got_rows, got_params) = standardize(rows);
-                let (want_rows, want_params) = reference_standardize(rows);
-                for (g, w) in got_rows.iter().flatten().zip(want_rows.iter().flatten()) {
+                let (got, want) = (standardize(rows), reference_standardize(rows));
+                for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
                     prop_assert!(g.to_bits() == w.to_bits(), "{g} vs {w}");
-                }
-                for ((gm, gs), (wm, ws)) in got_params.iter().zip(&want_params) {
-                    prop_assert!(gm.to_bits() == wm.to_bits(), "{gm} vs {wm}");
-                    prop_assert!(gs.to_bits() == ws.to_bits(), "{gs} vs {ws}");
                 }
                 Ok(())
             },
@@ -508,7 +402,7 @@ mod tests {
                 })
             },
             |rows| {
-                let (std_rows, _) = standardize(rows);
+                let std_rows = standardize(rows);
                 for j in 0..4 {
                     let mean: f64 =
                         std_rows.iter().map(|r| r[j]).sum::<f64>() / std_rows.len() as f64;
@@ -519,22 +413,21 @@ mod tests {
         );
     }
 
-    /// Batched extraction agrees with the per-stream path to high
+    /// Batched extraction agrees with one-stream batches to high
     /// precision (the pair split re-associates additions, so exact bits
     /// may differ in the spectral half) and preserves stream order, for
     /// even and odd batch sizes and mixed lengths. The temporal half
     /// never passes through the FFT, so its bits must match exactly.
     #[test]
-    fn batch_matches_per_stream_extraction() {
-        let cfg = FeatureConfig::new(100.0);
+    fn batch_matches_one_stream_batches() {
         for count in [1usize, 2, 3, 4, 5] {
             let streams: Vec<Vec<f64>> = (0..count)
                 .map(|s| noisy_signal(s as u64 + 1, 300 + 100 * s))
                 .collect();
-            let batched = stream_features_batch(&streams, &cfg);
+            let batched = stream_features_batch(&streams, 100.0);
             assert_eq!(batched.len(), count);
             for (s, f) in streams.iter().zip(&batched) {
-                let single = stream_features(s, &cfg);
+                let single = one(s);
                 assert_eq!(f.temporal, single.temporal, "batch {count}");
                 let got = f.to_vec();
                 for (a, b) in got.iter().zip(&single.to_vec()) {
@@ -552,7 +445,6 @@ mod tests {
     /// the paired and leftover single-FFT job shapes).
     #[test]
     fn batch_is_thread_count_invariant() {
-        let cfg = FeatureConfig::new(100.0);
         let batches: [Vec<Vec<f64>>; 2] = [
             (0..4).map(|s| noisy_signal(s as u64 + 9, 512)).collect(),
             (0..5)
@@ -562,7 +454,7 @@ mod tests {
         for streams in &batches {
             let run = |threads: usize| -> Vec<u64> {
                 srtd_runtime::parallel::set_max_threads(threads);
-                let bits = stream_features_batch(streams, &cfg)
+                let bits = stream_features_batch(streams, 100.0)
                     .into_iter()
                     .flat_map(|f| f.to_vec())
                     .map(f64::to_bits)
@@ -578,7 +470,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let out = stream_features_batch::<Vec<f64>>(&[], &FeatureConfig::new(100.0));
+        let out = stream_features_batch::<Vec<f64>>(&[], 100.0);
         assert!(out.is_empty());
     }
 
@@ -587,8 +479,7 @@ mod tests {
         prop::check(
             |rng| prop::vec_with(rng, 0..400, |r| r.gen_range(-1e3f64..1e3)),
             |xs| {
-                let f = stream_features(xs, &FeatureConfig::new(100.0));
-                prop_assert!(f.to_vec().iter().all(|v| v.is_finite()));
+                prop_assert!(one(xs).to_vec().iter().all(|v| v.is_finite()));
                 Ok(())
             },
         );

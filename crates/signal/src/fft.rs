@@ -1,4 +1,13 @@
-//! Iterative radix-2 Cooley–Tukey fast Fourier transform.
+//! Iterative radix-2 Cooley–Tukey FFT of windowed real streams.
+//!
+//! One transform shape serves the feature path: a loader writes one or
+//! two real streams into a complex buffer in bit-reversed order, applying
+//! the window coefficients as it goes, and the shared butterfly ladder
+//! runs over it. A single stream rides in the real lane
+//! ([`fft_windowed_real_into`]); a pair rides in both lanes
+//! ([`fft_windowed_real_pair_into`], the DFT of `x + iy`) and
+//! [`real_pair_magnitudes_into`] splits the two magnitude spectra back
+//! out.
 
 use crate::Complex;
 use std::collections::HashMap;
@@ -29,58 +38,15 @@ fn twiddle_table(n: usize) -> Arc<Vec<Complex>> {
 }
 
 /// Returns the smallest power of two `>= n` (and `>= 1`).
-pub fn next_power_of_two(n: usize) -> usize {
+pub(crate) fn next_power_of_two(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
-/// In-place forward FFT.
-///
-/// # Panics
-///
-/// Panics if `buf.len()` is not a power of two.
-pub fn fft_in_place(buf: &mut [Complex]) {
-    transform(buf, false);
-}
-
-/// In-place inverse FFT (including the `1/N` normalization).
-///
-/// # Panics
-///
-/// Panics if `buf.len()` is not a power of two.
-pub fn ifft_in_place(buf: &mut [Complex]) {
-    transform(buf, true);
-    let scale = 1.0 / buf.len() as f64;
-    for z in buf.iter_mut() {
-        *z = z.scale(scale);
-    }
-}
-
-fn transform(buf: &mut [Complex], inverse: bool) {
-    let n = buf.len();
-    assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
-    srtd_runtime::obs::counter_add("signal.fft.calls", 1);
-    srtd_runtime::obs::observe("signal.fft.len", n as f64);
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if i < j {
-            buf.swap(i, j);
-        }
-    }
-    butterflies(buf, inverse);
-}
-
-/// The butterfly ladder over an already bit-reversed buffer — shared by
-/// [`transform`] and the fused windowed loaders, so both paths run the
-/// exact same floating-point operations. Twiddles come from the shared
-/// per-size table at stride `n / len` (no per-butterfly phasor
-/// accumulation, so stage twiddles carry full `sin`/`cos` precision at
-/// every index).
-fn butterflies(buf: &mut [Complex], inverse: bool) {
+/// The forward butterfly ladder over an already bit-reversed buffer.
+/// Twiddles come from the shared per-size table at stride `n / len` (no
+/// per-butterfly phasor accumulation, so stage twiddles carry full
+/// `sin`/`cos` precision at every index).
+fn butterflies(buf: &mut [Complex]) {
     let n = buf.len();
     if n <= 1 {
         return;
@@ -91,10 +57,8 @@ fn butterflies(buf: &mut [Complex], inverse: bool) {
         let stride = n / len;
         for start in (0..n).step_by(len) {
             for k in 0..len / 2 {
-                let tw = table[k * stride];
-                let w = if inverse { tw.conj() } else { tw };
                 let u = buf[start + k];
-                let v = buf[start + k + len / 2] * w;
+                let v = buf[start + k + len / 2] * table[k * stride];
                 buf[start + k] = u + v;
                 buf[start + k + len / 2] = u - v;
             }
@@ -108,12 +72,9 @@ fn butterflies(buf: &mut [Complex], inverse: bool) {
 /// `x[i]·wx[i]` in the real lane and `y[i]·wy[i]` in the imaginary lane,
 /// everything else is zero padding up to `n`.
 ///
-/// This fuses the three copies the batch path used to make (windowed
-/// staging per stream, then the pair pack) into one pass that reads the
-/// raw streams directly. Bit-identical to copy-then-permute: `x·w` is
-/// the same multiply wherever it happens, a permutation of zeros is
-/// still zeros, and `None` (all-ones window) multiplies by nothing at
-/// all — matching `Window::apply`'s rectangular short-circuit.
+/// One pass reads the raw streams directly: no windowed copy, no packed
+/// copy, no permutation pass. `None` (every coefficient `1.0`) multiplies
+/// by nothing at all.
 fn load_bit_reversed(
     buf: &mut Vec<Complex>,
     n: usize,
@@ -164,30 +125,29 @@ fn load_bit_reversed(
     }
 }
 
-/// Forward FFT of one real stream with windowing fused into the
-/// bit-reversal load — the zero-copy replacement for
-/// `Window::apply` → [`fft_real`].
+/// Forward FFT of one real stream, zero-padded to the next power of two,
+/// with windowing fused into the bit-reversal load.
 ///
-/// `buf` is recycled storage (cleared and resized to the padded power of
-/// two); `wx` is the stream's cached coefficient table (`None` for the
-/// all-ones rectangular/short-frame case). The spectrum left in `buf` is
-/// bit-identical to the copying path: the load performs the identical
-/// `x[i]·w[i]` multiplies and the butterfly ladder is shared code.
+/// `buf` is recycled storage (cleared and resized to the padded length);
+/// `wx` is the stream's window coefficients, `None` for all ones. The full
+/// complex spectrum is left in `buf`; an empty stream yields one zero bin.
 pub fn fft_windowed_real_into(buf: &mut Vec<Complex>, x: &[f64], wx: Option<&[f64]>) {
     let n = next_power_of_two(x.len());
     srtd_runtime::obs::counter_add("signal.fft.calls", 1);
     srtd_runtime::obs::observe("signal.fft.len", n as f64);
     load_bit_reversed(buf, n, x, wx, &[], None);
-    butterflies(buf, false);
+    butterflies(buf);
 }
 
-/// Forward FFTs of two real streams via one complex transform, with
-/// windowing fused into the bit-reversal load — the zero-copy
-/// replacement for `Window::apply` ×2 → [`fft_real_pair`]'s pack.
+/// Forward FFTs of two real streams via one complex transform (the
+/// "two-for-one" real FFT), with windowing fused into the bit-reversal
+/// load.
 ///
-/// The packed spectrum is left in `buf` (not split); use
+/// `x` rides in the real lane and `y` in the imaginary lane, both
+/// zero-padded to the next power of two at or above the longer length, so
+/// `buf` is left holding the DFT of `x + iy`. Use
 /// [`real_pair_magnitudes_into`] to read both single-sided magnitude
-/// halves without materializing the full split spectra.
+/// halves without materializing the split spectra.
 pub fn fft_windowed_real_pair_into(
     buf: &mut Vec<Complex>,
     x: &[f64],
@@ -200,18 +160,20 @@ pub fn fft_windowed_real_pair_into(
     srtd_runtime::obs::counter_add("signal.fft.calls", 1);
     srtd_runtime::obs::observe("signal.fft.len", n as f64);
     load_bit_reversed(buf, n, x, wx, y, wy);
-    butterflies(buf, false);
+    butterflies(buf);
 }
 
 /// Splits a packed real-pair spectrum (as left in the buffer by
 /// [`fft_windowed_real_pair_into`]) directly into the two single-sided
 /// magnitude arrays, written into recycled storage.
 ///
-/// For `k ≤ n/2` this computes the same `X[k] = (Z[k] + conj(Z[n−k]))/2`
-/// and `Y[k] = −i·(Z[k] − conj(Z[n−k]))/2` values as [`fft_real_pair`]
-/// and takes their moduli — identical arithmetic on identical inputs, so
-/// the magnitudes are bit-identical to splitting first; the redundant
-/// upper half is simply never materialized.
+/// For `k ≤ n/2` it computes the conjugate-symmetry split
+/// `X[k] = (Z[k] + conj(Z[n−k]))/2` and `Y[k] = −i·(Z[k] − conj(Z[n−k]))/2`
+/// and takes their moduli; the redundant upper half is never
+/// materialized. Each half matches its stream's own transform up to
+/// rounding in the split (≲1e-9 for typical sensor magnitudes), not bit
+/// for bit, and the same inputs give the same bits on every run and
+/// thread.
 pub fn real_pair_magnitudes_into(buf: &[Complex], mag_x: &mut Vec<f64>, mag_y: &mut Vec<f64>) {
     let n = buf.len();
     assert!(n >= 1, "spectrum needs at least one bin");
@@ -231,63 +193,14 @@ pub fn real_pair_magnitudes_into(buf: &[Complex], mag_x: &mut Vec<f64>, mag_y: &
     }
 }
 
-/// Forward FFT of a real signal, zero-padded to the next power of two.
-///
-/// Returns the full complex spectrum of length `next_power_of_two(x.len())`.
-/// An empty input yields a single zero bin.
-pub fn fft_real(x: &[f64]) -> Vec<Complex> {
-    let n = next_power_of_two(x.len());
-    let mut buf: Vec<Complex> = Vec::with_capacity(n);
-    buf.extend(x.iter().map(|&v| Complex::real(v)));
-    buf.resize(n, Complex::ZERO);
-    fft_in_place(&mut buf);
-    buf
-}
-
-/// Forward FFTs of two real signals via one complex transform
-/// (the "two-for-one" real FFT).
-///
-/// `x` rides in the real lane and `y` in the imaginary lane of a single
-/// buffer; after one FFT the conjugate-symmetry split
-/// `X[k] = (Z[k] + conj(Z[n−k]))/2`, `Y[k] = (Z[k] − conj(Z[n−k]))/(2i)`
-/// recovers both spectra. Both signals are zero-padded to the next power
-/// of two at or above the longer length, so the returned spectra share
-/// that length. With equal-length inputs each spectrum matches
-/// [`fft_real`] of that signal up to rounding in the split (≲1e-9 for
-/// typical sensor magnitudes); it is *not* bit-identical, but it is
-/// deterministic — the same inputs give the same bits on every run and
-/// thread.
-pub fn fft_real_pair(x: &[f64], y: &[f64]) -> (Vec<Complex>, Vec<Complex>) {
-    srtd_runtime::obs::counter_add("signal.fft.real_pair_calls", 1);
-    let n = next_power_of_two(x.len().max(y.len()));
-    let mut buf = vec![Complex::ZERO; n];
-    for (slot, &v) in buf.iter_mut().zip(x) {
-        slot.re = v;
-    }
-    for (slot, &v) in buf.iter_mut().zip(y) {
-        slot.im = v;
-    }
-    fft_in_place(&mut buf);
-    let mut fx = Vec::with_capacity(n);
-    let mut fy = Vec::with_capacity(n);
-    for k in 0..n {
-        let z = buf[k];
-        let zc = buf[(n - k) % n].conj();
-        let s = (z + zc).scale(0.5);
-        let d = (z - zc).scale(0.5);
-        fx.push(s);
-        // d = i·Y[k], so Y[k] = −i·d.
-        fy.push(Complex::new(d.im, -d.re));
-    }
-    (fx, fy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::hann_table;
     use srtd_runtime::rng::Rng;
     use srtd_runtime::{prop, prop_assert};
 
+    /// The O(n²) definition every fast path is checked against.
     fn naive_dft(x: &[Complex]) -> Vec<Complex> {
         let n = x.len();
         (0..n)
@@ -302,25 +215,94 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn matches_naive_dft() {
-        let x: Vec<Complex> = (0..16)
-            .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
+    /// The naive DFT of `x + iy`, both zero-padded to `n`.
+    fn naive_pair_dft(x: &[f64], y: &[f64], n: usize) -> Vec<Complex> {
+        let packed: Vec<Complex> = (0..n)
+            .map(|i| {
+                Complex::new(
+                    x.get(i).copied().unwrap_or(0.0),
+                    y.get(i).copied().unwrap_or(0.0),
+                )
+            })
             .collect();
-        let mut fast = x.clone();
-        fft_in_place(&mut fast);
-        let slow = naive_dft(&x);
+        naive_dft(&packed)
+    }
+
+    fn single(x: &[f64]) -> Vec<Complex> {
+        let mut buf = Vec::new();
+        fft_windowed_real_into(&mut buf, x, None);
+        buf
+    }
+
+    #[test]
+    fn pair_load_matches_naive_dft_of_x_plus_iy() {
+        let x: Vec<f64> = (0..16).map(|i| (i as f64 * 0.7).sin()).collect();
+        let y: Vec<f64> = (0..16).map(|i| (i as f64 * 1.3).cos()).collect();
+        let mut fast = Vec::new();
+        fft_windowed_real_pair_into(&mut fast, &x, None, &y, None);
+        let slow = naive_pair_dft(&x, &y, 16);
         for (a, b) in fast.iter().zip(&slow) {
             assert!((*a - *b).abs() < 1e-9, "{a:?} vs {b:?}");
         }
     }
 
+    /// Both loaders equal the naive DFT on random lengths, windowed or
+    /// not (the window multiplies before the transform).
+    #[test]
+    fn fused_loaders_match_naive_dft() {
+        prop::check(
+            |rng| {
+                let lx = rng.gen_range(0usize..70);
+                let ly = rng.gen_range(0usize..70);
+                (
+                    prop::vec_with(rng, lx..lx + 1, |r| r.gen_range(-1e3f64..1e3)),
+                    prop::vec_with(rng, ly..ly + 1, |r| r.gen_range(-1e3f64..1e3)),
+                    rng.gen_range(0u32..2) == 1,
+                )
+            },
+            |(x, y, windowed)| {
+                let (tx, ty) = if *windowed {
+                    (hann_table(x.len()), hann_table(y.len()))
+                } else {
+                    (None, None)
+                };
+                let apply = |s: &[f64], t: &Option<Arc<Vec<f64>>>| -> Vec<f64> {
+                    match t {
+                        Some(t) => s.iter().zip(t.iter()).map(|(v, c)| v * c).collect(),
+                        None => s.to_vec(),
+                    }
+                };
+                let (wx, wy) = (apply(x, &tx), apply(y, &ty));
+                let n = next_power_of_two(x.len().max(y.len()));
+                let scale = x.iter().chain(y).fold(1.0f64, |m, &v| m.max(v.abs()));
+                let mut pair = Vec::new();
+                fft_windowed_real_pair_into(
+                    &mut pair,
+                    x,
+                    tx.as_ref().map(|t| t.as_slice()),
+                    y,
+                    ty.as_ref().map(|t| t.as_slice()),
+                );
+                for (got, want) in pair.iter().zip(naive_pair_dft(&wx, &wy, n)) {
+                    prop_assert!((*got - want).abs() < 1e-9 * scale * n as f64);
+                }
+                let mut lone = Vec::new();
+                fft_windowed_real_into(&mut lone, x, tx.as_ref().map(|t| t.as_slice()));
+                let m = next_power_of_two(x.len());
+                prop_assert!(lone.len() == m);
+                for (got, want) in lone.iter().zip(naive_pair_dft(&wx, &[], m)) {
+                    prop_assert!((*got - want).abs() < 1e-9 * scale * m as f64);
+                }
+                Ok(())
+            },
+        );
+    }
+
     #[test]
     fn impulse_has_flat_spectrum() {
-        let mut buf = vec![Complex::ZERO; 8];
-        buf[0] = Complex::ONE;
-        fft_in_place(&mut buf);
-        for z in &buf {
+        let mut x = vec![0.0; 8];
+        x[0] = 1.0;
+        for z in &single(&x) {
             assert!((z.abs() - 1.0).abs() < 1e-12);
         }
     }
@@ -332,8 +314,7 @@ mod tests {
         let x: Vec<f64> = (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * k0 as f64 * i as f64 / n as f64).cos())
             .collect();
-        let spec = fft_real(&x);
-        let mags: Vec<f64> = spec.iter().map(|z| z.abs()).collect();
+        let mags: Vec<f64> = single(&x).iter().map(|z| z.abs()).collect();
         let peak = mags
             .iter()
             .enumerate()
@@ -346,35 +327,8 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        assert_eq!(fft_real(&[]).len(), 1);
-        let spec = fft_real(&[3.0]);
-        assert_eq!(spec.len(), 1);
-        assert_eq!(spec[0], Complex::real(3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_panics() {
-        let mut buf = vec![Complex::ZERO; 6];
-        fft_in_place(&mut buf);
-    }
-
-    /// fft → ifft returns the original signal.
-    #[test]
-    fn round_trip() {
-        prop::check(
-            |rng| prop::vec_with(rng, 1..200, |r| r.gen_range(-1e3f64..1e3)),
-            |xs| {
-                let spec = fft_real(xs);
-                let mut back = spec.clone();
-                ifft_in_place(&mut back);
-                for (i, &orig) in xs.iter().enumerate() {
-                    prop_assert!((back[i].re - orig).abs() < 1e-8);
-                    prop_assert!(back[i].im.abs() < 1e-8);
-                }
-                Ok(())
-            },
-        );
+        assert_eq!(single(&[]), vec![Complex::ZERO]);
+        assert_eq!(single(&[3.0]), vec![Complex::real(3.0)]);
     }
 
     /// Parseval: Σ|x|² = (1/N) Σ|X|² for power-of-two inputs.
@@ -385,7 +339,7 @@ mod tests {
             |xs| {
                 let n = 64usize;
                 let x: Vec<f64> = xs.iter().cycle().take(n).copied().collect();
-                let spec = fft_real(&x);
+                let spec = single(&x);
                 let time_energy: f64 = x.iter().map(|v| v * v).sum();
                 let freq_energy: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
                 prop_assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0));
@@ -394,10 +348,10 @@ mod tests {
         );
     }
 
-    /// The two-for-one split matches independent complex-path FFTs to
-    /// high precision, on even and odd input lengths (equal and unequal).
+    /// The two-for-one split matches each stream's own transform to high
+    /// precision, on equal and unequal input lengths.
     #[test]
-    fn real_pair_matches_independent_ffts() {
+    fn real_pair_split_matches_single_transforms() {
         prop::check(
             |rng| {
                 let lx = rng.gen_range(1usize..130);
@@ -412,29 +366,29 @@ mod tests {
                 )
             },
             |(x, y)| {
-                let (fx, fy) = fft_real_pair(x, y);
-                let n = next_power_of_two(x.len().max(y.len()));
-                prop_assert!(fx.len() == n && fy.len() == n);
-                // Reference: each signal padded to the shared length and
-                // run through the plain complex path.
+                let mut buf = Vec::new();
+                fft_windowed_real_pair_into(&mut buf, x, None, y, None);
+                let (mut mag_x, mut mag_y) = (Vec::new(), Vec::new());
+                real_pair_magnitudes_into(&buf, &mut mag_x, &mut mag_y);
+                let n = buf.len();
+                let half = n / 2 + 1;
+                prop_assert!(mag_x.len() == half && mag_y.len() == half);
+                // Reference: each stream padded to the shared length.
                 let reference = |s: &[f64]| {
-                    let mut buf: Vec<Complex> = s.iter().map(|&v| Complex::real(v)).collect();
-                    buf.resize(n, Complex::ZERO);
-                    fft_in_place(&mut buf);
-                    buf
+                    let mut padded = s.to_vec();
+                    padded.resize(n, 0.0);
+                    single(&padded)
                 };
-                let scale: f64 = x
-                    .iter()
-                    .chain(y.iter())
-                    .fold(1.0f64, |m, &v| m.max(v.abs()));
-                for (got, want) in fx
+                let scale = x.iter().chain(y).fold(1.0f64, |m, &v| m.max(v.abs()));
+                for (got, want) in mag_x
                     .iter()
                     .zip(reference(x))
-                    .chain(fy.iter().zip(reference(y)))
+                    .chain(mag_y.iter().zip(reference(y)))
                 {
                     prop_assert!(
-                        (*got - want).abs() < 1e-9 * scale * n as f64,
-                        "{got:?} vs {want:?}"
+                        (got - want.abs()).abs() < 1e-9 * scale * n as f64,
+                        "{got} vs {}",
+                        want.abs()
                     );
                 }
                 Ok(())
@@ -442,19 +396,19 @@ mod tests {
         );
     }
 
-    /// The pair split on (x, 0) and (0, y) reproduces each single
-    /// spectrum exactly in structure: zero lane in, zero spectrum out.
+    /// A zero lane in, a zero magnitude spectrum out, and the other lane
+    /// matches its single transform.
     #[test]
     fn real_pair_zero_lane_is_zero() {
         let x = [1.0, -2.0, 3.0, 0.5, -0.25];
-        let (fx, fy) = fft_real_pair(&x, &[]);
-        let single = fft_real(&x);
-        for (a, b) in fx.iter().zip(&single) {
-            assert!((*a - *b).abs() < 1e-12, "{a:?} vs {b:?}");
+        let mut buf = Vec::new();
+        fft_windowed_real_pair_into(&mut buf, &x, None, &[], None);
+        let (mut mag_x, mut mag_y) = (Vec::new(), Vec::new());
+        real_pair_magnitudes_into(&buf, &mut mag_x, &mut mag_y);
+        for (a, b) in mag_x.iter().zip(single(&x)) {
+            assert!((a - b.abs()).abs() < 1e-12, "{a} vs {b:?}");
         }
-        for z in &fy {
-            assert!(z.abs() < 1e-12);
-        }
+        assert!(mag_y.iter().all(|m| m.abs() < 1e-12));
     }
 
     /// Same inputs give the same bits, run after run.
@@ -462,20 +416,25 @@ mod tests {
     fn real_pair_is_deterministic() {
         let x: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin()).collect();
         let y: Vec<f64> = (0..100).map(|i| (i as f64 * 0.91).cos()).collect();
-        let a = fft_real_pair(&x, &y);
-        let b = fft_real_pair(&x, &y);
-        for (p, q) in a.0.iter().zip(&b.0).chain(a.1.iter().zip(&b.1)) {
-            assert_eq!(p.re.to_bits(), q.re.to_bits());
-            assert_eq!(p.im.to_bits(), q.im.to_bits());
-        }
+        let run = || {
+            let mut buf = Vec::new();
+            fft_windowed_real_pair_into(&mut buf, &x, None, &y, None);
+            let (mut mag_x, mut mag_y) = (Vec::new(), Vec::new());
+            real_pair_magnitudes_into(&buf, &mut mag_x, &mut mag_y);
+            mag_x
+                .iter()
+                .chain(&mag_y)
+                .map(|m| m.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(), run());
     }
 
-    /// The fused windowed loader is **bit-identical** to the copying
-    /// path it replaced (`Window::apply` → pack → permute → butterflies),
-    /// for every window, with equal/unequal/empty stream lengths.
+    /// The fused loader is **bit-identical** to windowing a copy, packing
+    /// it, permuting by bit reversal in place and running the same
+    /// butterflies, with equal, unequal and empty stream lengths.
     #[test]
     fn fused_pair_load_is_bit_identical_to_copying_path() {
-        use crate::window::Window;
         prop::check(
             |rng| {
                 let lx = rng.gen_range(0usize..130);
@@ -483,47 +442,42 @@ mod tests {
                 (
                     prop::vec_with(rng, lx..lx + 1, |r| r.gen_range(-1e3f64..1e3)),
                     prop::vec_with(rng, ly..ly + 1, |r| r.gen_range(-1e3f64..1e3)),
-                    rng.gen_range(0u32..3),
                 )
             },
-            |(x, y, wsel)| {
-                let window = [Window::Rectangular, Window::Hann, Window::Hamming][*wsel as usize];
-                let (wx, wy) = (window.apply(x), window.apply(y));
-                let (want_x, want_y) = fft_real_pair(&wx, &wy);
-                let mut buf = Vec::new();
-                fft_windowed_real_pair_into(
-                    &mut buf,
-                    x,
-                    window.table(x.len()).as_ref().map(|t| t.as_slice()),
-                    y,
-                    window.table(y.len()).as_ref().map(|t| t.as_slice()),
-                );
-                let (mut mag_x, mut mag_y) = (Vec::new(), Vec::new());
-                real_pair_magnitudes_into(&buf, &mut mag_x, &mut mag_y);
-                let half = (buf.len() / 2 + 1).min(buf.len());
-                prop_assert!(mag_x.len() == half && mag_y.len() == half);
-                for (got, want) in mag_x
-                    .iter()
-                    .zip(&want_x[..half])
-                    .chain(mag_y.iter().zip(&want_y[..half]))
-                {
-                    prop_assert!(
-                        got.to_bits() == want.abs().to_bits(),
-                        "{got} vs {}",
-                        want.abs()
-                    );
+            |(x, y)| {
+                let (tx, ty) = (hann_table(x.len()), hann_table(y.len()));
+                let n = next_power_of_two(x.len().max(y.len()));
+                let mut want = vec![Complex::ZERO; n];
+                for (i, &v) in x.iter().enumerate() {
+                    want[i].re = tx.as_ref().map_or(v, |t| v * t[i]);
                 }
-                // Single-stream fused path against `Window::apply` →
-                // `fft_real`, full-spectrum bits.
-                let mut single = Vec::new();
-                fft_windowed_real_into(
-                    &mut single,
+                for (i, &v) in y.iter().enumerate() {
+                    want[i].im = ty.as_ref().map_or(v, |t| v * t[i]);
+                }
+                let bits = n.trailing_zeros();
+                for i in 0..n {
+                    let j = if n > 1 {
+                        i.reverse_bits() >> (usize::BITS - bits)
+                    } else {
+                        i
+                    };
+                    if i < j {
+                        want.swap(i, j);
+                    }
+                }
+                butterflies(&mut want);
+                let mut got = vec![Complex::new(f64::NAN, 1e300); 3];
+                fft_windowed_real_pair_into(
+                    &mut got,
                     x,
-                    window.table(x.len()).as_ref().map(|t| t.as_slice()),
+                    tx.as_ref().map(|t| t.as_slice()),
+                    y,
+                    ty.as_ref().map(|t| t.as_slice()),
                 );
-                for (got, want) in single.iter().zip(fft_real(&wx)) {
-                    prop_assert!(got.re.to_bits() == want.re.to_bits());
-                    prop_assert!(got.im.to_bits() == want.im.to_bits());
+                prop_assert!(got.len() == n);
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert!(g.re.to_bits() == w.re.to_bits());
+                    prop_assert!(g.im.to_bits() == w.im.to_bits());
                 }
                 Ok(())
             },
@@ -560,9 +514,7 @@ mod tests {
             |(xs, ys, a)| {
                 let a = *a;
                 let sum: Vec<f64> = xs.iter().zip(ys).map(|(x, y)| a * x + y).collect();
-                let fs = fft_real(&sum);
-                let fx = fft_real(xs);
-                let fy = fft_real(ys);
+                let (fs, fx, fy) = (single(&sum), single(xs), single(ys));
                 for k in 0..fs.len() {
                     let want = fx[k].scale(a) + fy[k];
                     prop_assert!((fs[k] - want).abs() < 1e-8);

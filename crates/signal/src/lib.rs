@@ -7,23 +7,26 @@
 //! feature definitions (Peeters 2004) from scratch on top of a radix-2 FFT,
 //! so the whole pipeline is pure Rust:
 //!
-//! * [`fft`] — iterative Cooley–Tukey FFT and inverse,
+//! * [`fft`] — the windowed real FFT, one stream or a packed pair,
 //! * [`spectrum`] — magnitude spectra and peak picking,
 //! * [`temporal`] — the 9 time-domain features,
 //! * [`spectral`] — the 11 frequency-domain features,
-//! * [`features`] — the combined 20-dimensional vector per stream and
-//!   feature-matrix standardization for clustering.
+//! * [`features`] — the combined 20-dimensional vector per stream, one
+//!   batch at a time, and feature-matrix standardization for clustering.
+//!
+//! Every stream is Hann-windowed before its FFT, and the brightness
+//! cut-off is 0.3 × Nyquist; neither is a setting.
 //!
 //! # Examples
 //!
 //! ```
-//! use srtd_signal::features::{FeatureConfig, stream_features};
+//! use srtd_signal::stream_features_batch;
 //!
 //! let signal: Vec<f64> = (0..256)
 //!     .map(|i| (i as f64 * 0.3).sin() + 0.1)
 //!     .collect();
-//! let f = stream_features(&signal, &FeatureConfig::new(100.0));
-//! assert_eq!(f.to_vec().len(), 20);
+//! let f = stream_features_batch(&[signal], 100.0);
+//! assert_eq!(f[0].to_vec().len(), 20);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,8 +40,8 @@ pub mod spectral;
 pub mod spectrum;
 pub mod stats;
 pub mod temporal;
-pub mod window;
+mod window;
 
 pub use complex::Complex;
-pub use features::{stream_features, stream_features_batch, FeatureConfig, StreamFeatures};
+pub use features::{stream_features_batch, StreamFeatures};
 pub use spectrum::Spectrum;

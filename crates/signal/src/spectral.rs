@@ -47,7 +47,7 @@ impl SpectralFeatures {
     /// `brightness_cutoff_hz` is the cut-off for the brightness feature
     /// (MIRtoolbox defaults to 1500 Hz for audio; motion-sensor captures use
     /// a cut-off proportional to their much lower Nyquist — see
-    /// [`crate::features::FeatureConfig`]).
+    /// [`crate::features::stream_features_batch`]).
     ///
     /// Degenerate spectra (all-zero or single-bin) yield all-zero shape
     /// features rather than NaN.
@@ -263,7 +263,7 @@ pub fn brightness(spectrum: &Spectrum, cutoff_hz: f64) -> f64 {
 /// Uses the Sethares parameterization of the Plomp–Levelt curve. Returns
 /// `0.0` when fewer than two peaks exist.
 pub fn roughness(spectrum: &Spectrum) -> f64 {
-    roughness_of_peaks(&spectrum.peaks(ROUGHNESS_PEAK_THRESHOLD))
+    roughness_of_peaks(&spectrum.peaks_with_max(ROUGHNESS_PEAK_THRESHOLD, None))
 }
 
 /// [`roughness`] over an already-picked peak list, so the fused extraction
@@ -306,7 +306,6 @@ fn plomp_levelt(f1: f64, a1: f64, f2: f64, a2: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::Window;
     use srtd_runtime::rng::Rng;
     use srtd_runtime::{prop, prop_assert};
 
@@ -564,7 +563,10 @@ mod tests {
                     + 0.01 * (2.0 * std::f64::consts::PI * 27.0 * t).sin()
             })
             .collect();
-        let s = Spectrum::from_signal(&x, 100.0, Window::Hann);
+        let table = crate::window::hann_table(x.len());
+        let mut buf = Vec::new();
+        crate::fft::fft_windowed_real_into(&mut buf, &x, table.as_ref().map(|t| t.as_slice()));
+        let s = Spectrum::from_fft_into(&buf, 100.0, Vec::new());
         let f = SpectralFeatures::extract(&s, 15.0);
         assert!(f.to_vec().iter().all(|v| v.is_finite()));
         assert!(f.centroid > 0.0);

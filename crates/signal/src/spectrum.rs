@@ -1,7 +1,5 @@
 //! Magnitude spectra and spectral peak picking.
 
-use crate::fft::fft_real;
-use crate::window::Window;
 use crate::Complex;
 
 /// The single-sided magnitude spectrum of a real signal.
@@ -13,13 +11,15 @@ use crate::Complex;
 /// # Examples
 ///
 /// ```
-/// use srtd_signal::{Spectrum};
-/// use srtd_signal::window::Window;
+/// use srtd_signal::fft::fft_windowed_real_into;
+/// use srtd_signal::Spectrum;
 ///
 /// let tone: Vec<f64> = (0..128)
 ///     .map(|i| (2.0 * std::f64::consts::PI * 8.0 * i as f64 / 128.0).sin())
 ///     .collect();
-/// let spec = Spectrum::from_signal(&tone, 128.0, Window::Rectangular);
+/// let mut buf = Vec::new();
+/// fft_windowed_real_into(&mut buf, &tone, None);
+/// let spec = Spectrum::from_fft_into(&buf, 128.0, Vec::new());
 /// assert_eq!(spec.peak_bin(), 8);
 /// assert!((spec.frequency(8) - 8.0).abs() < 1e-9);
 /// ```
@@ -39,54 +39,13 @@ pub struct Peak {
 }
 
 impl Spectrum {
-    /// Computes the spectrum of `signal` sampled at `sample_rate` Hz.
-    ///
-    /// The signal is windowed, zero-padded to a power of two and passed
-    /// through the FFT; only the non-redundant half is kept.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_rate` is not finite and positive.
-    pub fn from_signal(signal: &[f64], sample_rate: f64, window: Window) -> Self {
-        assert!(
-            sample_rate.is_finite() && sample_rate > 0.0,
-            "sample rate must be positive, got {sample_rate}"
-        );
-        let windowed = window.apply(signal);
-        Self::from_fft(&fft_real(&windowed), sample_rate)
-    }
-
-    /// Builds the single-sided spectrum from a precomputed full FFT of a
-    /// real signal (e.g. [`fft_real`] output or one half of
-    /// [`crate::fft::fft_real_pair`]). The caller is responsible for any
-    /// windowing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_rate` is not finite and positive or `spec` is
-    /// empty.
-    pub fn from_fft(spec: &[Complex], sample_rate: f64) -> Self {
-        assert!(
-            sample_rate.is_finite() && sample_rate > 0.0,
-            "sample rate must be positive, got {sample_rate}"
-        );
-        assert!(!spec.is_empty(), "spectrum needs at least one bin");
-        let n_fft = spec.len();
-        let half = n_fft / 2 + 1;
-        let magnitudes: Vec<f64> = spec[..half.min(n_fft)].iter().map(|z| z.abs()).collect();
-        Self {
-            magnitudes,
-            bin_width: sample_rate / n_fft as f64,
-        }
-    }
-
-    /// [`Spectrum::from_fft`] writing into recycled magnitude storage:
-    /// `storage` is cleared, refilled with the non-redundant half's
-    /// magnitudes (identical bits to `from_fft`) and owned by the
+    /// Builds the single-sided spectrum from the full FFT of a real
+    /// signal (as left in the buffer by
+    /// [`crate::fft::fft_windowed_real_into`]): `storage` is cleared,
+    /// refilled with the non-redundant half's magnitudes and owned by the
     /// returned spectrum — reclaim it afterwards with
-    /// [`Spectrum::into_magnitudes`]. This is what lets the batch
-    /// feature path run allocation-free per stream: magnitude buffers
-    /// cycle through the per-thread scratch arena instead of the heap.
+    /// [`Spectrum::into_magnitudes`]. Magnitude buffers thereby cycle
+    /// through the per-thread scratch arena instead of the heap.
     ///
     /// # Panics
     ///
@@ -145,8 +104,8 @@ impl Spectrum {
         self.magnitudes.len()
     }
 
-    /// Returns `true` if the spectrum has no bins (never the case for
-    /// spectra produced by [`Spectrum::from_signal`]).
+    /// Returns `true` if the spectrum has no bins (never the case: both
+    /// constructors refuse an empty spectrum).
     pub fn is_empty(&self) -> bool {
         self.magnitudes.is_empty()
     }
@@ -179,17 +138,11 @@ impl Spectrum {
     /// Local maxima above `threshold_ratio · max_magnitude`, DC excluded.
     ///
     /// Used by the spectral-roughness feature, which evaluates the
-    /// Plomp–Levelt dissonance between all pairs of peaks.
-    pub fn peaks(&self, threshold_ratio: f64) -> Vec<Peak> {
-        self.peaks_with_max(threshold_ratio, None)
-    }
-
-    /// [`Spectrum::peaks`] with an optionally precomputed maximum non-DC
-    /// magnitude, so callers that already scanned the body (the fused
-    /// spectral-feature kernel) do not pay a second max fold.
-    ///
-    /// `max` must equal `m[1..].iter().cloned().fold(0.0, f64::max)` when
-    /// provided; passing `None` computes it here.
+    /// Plomp–Levelt dissonance between all pairs of peaks. `max` is the
+    /// largest non-DC magnitude when the caller already scanned the body
+    /// (the fused spectral-feature kernel); it must then equal
+    /// `m[1..].iter().cloned().fold(0.0, f64::max)`. `None` computes it
+    /// here.
     pub fn peaks_with_max(&self, threshold_ratio: f64, max: Option<f64>) -> Vec<Peak> {
         let m = &self.magnitudes;
         if m.len() < 3 {
@@ -213,6 +166,14 @@ impl Spectrum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft::fft_windowed_real_into;
+
+    /// The unwindowed spectrum of `x` sampled at `rate` Hz.
+    fn spectrum(x: &[f64], rate: f64) -> Spectrum {
+        let mut buf = Vec::new();
+        fft_windowed_real_into(&mut buf, x, None);
+        Spectrum::from_fft_into(&buf, rate, Vec::new())
+    }
 
     fn tone(freq_bin: usize, n: usize) -> Vec<f64> {
         (0..n)
@@ -222,7 +183,7 @@ mod tests {
 
     #[test]
     fn spectrum_length_is_half_plus_one() {
-        let spec = Spectrum::from_signal(&tone(4, 64), 64.0, Window::Rectangular);
+        let spec = spectrum(&tone(4, 64), 64.0);
         assert_eq!(spec.len(), 33);
         assert!((spec.bin_width() - 1.0).abs() < 1e-12);
         assert!((spec.max_frequency() - 32.0).abs() < 1e-12);
@@ -230,23 +191,26 @@ mod tests {
 
     #[test]
     fn peak_at_tone_frequency() {
-        let spec = Spectrum::from_signal(&tone(10, 128), 256.0, Window::Rectangular);
+        let spec = spectrum(&tone(10, 128), 256.0);
         assert_eq!(spec.peak_bin(), 10);
         assert!((spec.frequency(10) - 20.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn two_tone_signal_yields_two_peaks() {
+    fn two_tones() -> Vec<f64> {
         let n = 256;
-        let x: Vec<f64> = (0..n)
+        (0..n)
             .map(|i| {
                 let t = i as f64 / n as f64;
                 (2.0 * std::f64::consts::PI * 12.0 * t).sin()
                     + 0.8 * (2.0 * std::f64::consts::PI * 40.0 * t).sin()
             })
-            .collect();
-        let spec = Spectrum::from_signal(&x, n as f64, Window::Rectangular);
-        let peaks = spec.peaks(0.5);
+            .collect()
+    }
+
+    #[test]
+    fn two_tone_signal_yields_two_peaks() {
+        let spec = spectrum(&two_tones(), 256.0);
+        let peaks = spec.peaks_with_max(0.5, None);
         assert_eq!(peaks.len(), 2);
         assert!((peaks[0].frequency - 12.0).abs() < 1e-9);
         assert!((peaks[1].frequency - 40.0).abs() < 1e-9);
@@ -254,31 +218,27 @@ mod tests {
     }
 
     #[test]
-    fn peaks_with_precomputed_max_matches_plain_peaks() {
-        let n = 256;
-        let x: Vec<f64> = (0..n)
-            .map(|i| {
-                let t = i as f64 / n as f64;
-                (2.0 * std::f64::consts::PI * 12.0 * t).sin()
-                    + 0.8 * (2.0 * std::f64::consts::PI * 40.0 * t).sin()
-            })
-            .collect();
-        let spec = Spectrum::from_signal(&x, n as f64, Window::Rectangular);
+    fn peaks_with_precomputed_max_matches_computed_max() {
+        let spec = spectrum(&two_tones(), 256.0);
         let max = spec.magnitudes()[1..].iter().cloned().fold(0.0, f64::max);
-        assert_eq!(spec.peaks(0.1), spec.peaks_with_max(0.1, Some(max)));
-        assert_eq!(spec.peaks(0.5), spec.peaks_with_max(0.5, Some(max)));
+        for ratio in [0.1, 0.5] {
+            assert_eq!(
+                spec.peaks_with_max(ratio, None),
+                spec.peaks_with_max(ratio, Some(max))
+            );
+        }
     }
 
     #[test]
     fn constant_signal_is_all_dc() {
-        let spec = Spectrum::from_signal(&[5.0; 32], 32.0, Window::Rectangular);
+        let spec = spectrum(&[5.0; 32], 32.0);
         assert_eq!(spec.peak_bin(), 0);
-        assert!(spec.peaks(0.1).is_empty());
+        assert!(spec.peaks_with_max(0.1, None).is_empty());
     }
 
     #[test]
     fn empty_signal_produces_single_bin() {
-        let spec = Spectrum::from_signal(&[], 10.0, Window::Hann);
+        let spec = spectrum(&[], 10.0);
         assert_eq!(spec.len(), 1);
         assert!(!spec.is_empty());
     }
@@ -286,28 +246,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "sample rate")]
     fn zero_sample_rate_panics() {
-        Spectrum::from_signal(&[1.0], 0.0, Window::Hann);
+        Spectrum::from_fft_into(&[Complex::ONE], 0.0, Vec::new());
     }
 
-    /// `from_fft_into` is bit-identical to `from_fft` and fully
-    /// overwrites whatever garbage the recycled storage held, including
-    /// storage longer than the output.
+    /// `from_fft_into` keeps the moduli of the non-redundant half and
+    /// fully overwrites whatever garbage the recycled storage held,
+    /// including storage longer than the output.
     #[test]
-    fn from_fft_into_matches_from_fft_and_scrubs_storage() {
+    fn from_fft_into_keeps_the_half_spectrum_and_scrubs_storage() {
         for n in [1usize, 2, 8, 64] {
             let spec: Vec<Complex> = (0..n)
                 .map(|k| Complex::new((k as f64 * 0.7).sin() * 5.0, (k as f64 * 1.1).cos()))
                 .collect();
-            let want = Spectrum::from_fft(&spec, 128.0);
-            let dirty = vec![f64::NAN; 500];
-            let got = Spectrum::from_fft_into(&spec, 128.0, dirty);
-            assert_eq!(got.len(), want.len(), "n={n}");
-            assert_eq!(got.bin_width().to_bits(), want.bin_width().to_bits());
-            for (a, b) in got.magnitudes().iter().zip(want.magnitudes()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
+            let got = Spectrum::from_fft_into(&spec, 128.0, vec![f64::NAN; 500]);
+            assert_eq!(got.len(), (n / 2 + 1).min(n), "n={n}");
+            assert_eq!(got.bin_width().to_bits(), (128.0 / n as f64).to_bits());
+            for (a, z) in got.magnitudes().iter().zip(&spec) {
+                assert_eq!(a.to_bits(), z.abs().to_bits(), "n={n}");
             }
             let reclaimed = got.into_magnitudes();
-            assert_eq!(reclaimed.len(), want.len());
+            assert_eq!(reclaimed.len(), (n / 2 + 1).min(n));
         }
     }
 }

@@ -244,26 +244,6 @@ pub fn rms(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x * x).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Weighted mean of `values` with non-negative `weights`.
-///
-/// Returns `0.0` when the weights sum to zero.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn weighted_mean(values: &[f64], weights: &[f64]) -> f64 {
-    assert_eq!(
-        values.len(),
-        weights.len(),
-        "values/weights length mismatch"
-    );
-    let wsum: f64 = weights.iter().sum();
-    if wsum == 0.0 {
-        return 0.0;
-    }
-    values.iter().zip(weights).map(|(v, w)| v * w).sum::<f64>() / wsum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,19 +277,6 @@ mod tests {
     fn right_tail_gives_positive_skew() {
         let xs = [0.0, 0.0, 0.0, 0.0, 10.0];
         assert!(skewness(&xs) > 0.0);
-    }
-
-    #[test]
-    fn weighted_mean_matches_plain_mean_for_equal_weights() {
-        let xs = [1.0, 2.0, 3.0];
-        assert!((weighted_mean(&xs, &[1.0, 1.0, 1.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(weighted_mean(&xs, &[0.0, 0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn weighted_mean_pulls_toward_heavy_point() {
-        let v = weighted_mean(&[0.0, 10.0], &[1.0, 3.0]);
-        assert!((v - 7.5).abs() < 1e-12);
     }
 
     #[test]
@@ -402,28 +369,5 @@ mod tests {
         // Transitions: +→−, −→0(non-negative), 0→+ stays: 2 crossings.
         assert!((m.zero_crossing_rate() - 2.0 / 3.0).abs() < 1e-15);
         assert_eq!(m.non_negative_fraction(), 0.75);
-    }
-
-    #[test]
-    fn weighted_mean_in_hull() {
-        prop::check(
-            |rng| {
-                prop::vec_with(rng, 1..50, |r| {
-                    (r.gen_range(-1e3f64..1e3), r.gen_range(0.0f64..10.0))
-                })
-            },
-            |pts| {
-                let values: Vec<f64> = pts.iter().map(|p| p.0).collect();
-                let weights: Vec<f64> = pts.iter().map(|p| p.1).collect();
-                if weights.iter().sum::<f64>() <= 0.0 {
-                    return Ok(()); // degenerate draw, nothing to check
-                }
-                let wm = weighted_mean(&values, &weights);
-                let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
-                let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                prop_assert!(wm >= lo - 1e-9 && wm <= hi + 1e-9);
-                Ok(())
-            },
-        );
     }
 }

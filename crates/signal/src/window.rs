@@ -1,96 +1,44 @@
-//! Window functions applied before spectral analysis.
+//! The Hann window applied to every stream before its FFT.
+//!
+//! Fingerprint captures are short stationary recordings, so the Hann
+//! window suppresses the spectral leakage that would otherwise swamp the
+//! subtle per-chip resonance differences AG-FP relies on.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// The window applied to a signal frame before the FFT.
-///
-/// Fingerprint captures are short stationary recordings, so a [`Window::Hann`]
-/// window (the default) suppresses the spectral leakage that would otherwise
-/// swamp the subtle per-chip resonance differences AG-FP relies on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Window {
-    /// No windowing (all-ones).
-    Rectangular,
-    /// Hann (raised cosine) window.
-    #[default]
-    Hann,
-    /// Hamming window.
-    Hamming,
+/// Hann coefficient at sample `i` of an `n`-sample frame, `n >= 2`.
+fn hann(i: usize, n: usize) -> f64 {
+    let x = i as f64 / (n - 1) as f64;
+    0.5 - 0.5 * (2.0 * std::f64::consts::PI * x).cos()
 }
 
-impl Window {
-    /// Window coefficient at sample `i` of an `n`-sample frame.
-    ///
-    /// Returns `1.0` for frames shorter than 2 samples.
-    pub fn coefficient(self, i: usize, n: usize) -> f64 {
-        if n < 2 {
-            return 1.0;
-        }
-        let x = i as f64 / (n - 1) as f64;
-        match self {
-            Window::Rectangular => 1.0,
-            Window::Hann => 0.5 - 0.5 * (2.0 * std::f64::consts::PI * x).cos(),
-            Window::Hamming => 0.54 - 0.46 * (2.0 * std::f64::consts::PI * x).cos(),
-        }
-    }
-
-    /// Applies the window to a signal, returning the windowed copy.
-    ///
-    /// Coefficient tables are cached per `(window, length)` — exactly like
-    /// the FFT's per-size twiddle tables — so repeated same-length captures
-    /// (the fingerprint pipeline's common case: every stream of a campaign
-    /// shares one capture length) stop paying one cosine per sample per
-    /// call. Each cached entry is computed by [`Window::coefficient`], so
-    /// the windowed signal is bit-identical to the uncached path.
-    pub fn apply(self, xs: &[f64]) -> Vec<f64> {
-        let n = xs.len();
-        if self == Window::Rectangular || n < 2 {
-            // All coefficients are exactly 1.0; skip the table.
-            return xs.to_vec();
-        }
-        let table = coefficient_table(self, n);
-        xs.iter().zip(table.iter()).map(|(&x, &c)| x * c).collect()
-    }
-
-    /// The cached coefficient table for an `n`-sample frame, or `None`
-    /// when every coefficient is exactly `1.0` (rectangular windows and
-    /// frames shorter than 2 samples — the same cases [`Window::apply`]
-    /// short-circuits without touching the cache).
-    ///
-    /// This is the zero-copy sibling of [`Window::apply`]: the fused FFT
-    /// loaders read the table during their bit-reversal pass instead of
-    /// materializing a windowed copy. One call records exactly one
-    /// `signal.window.cache_{hits,misses}` counter tick for table-backed
-    /// windows, exactly like `apply`, so the obs goldens hold on either
-    /// path.
-    pub fn table(self, n: usize) -> Option<Arc<Vec<f64>>> {
-        if self == Window::Rectangular || n < 2 {
-            return None;
-        }
-        Some(coefficient_table(self, n))
-    }
-}
-
-/// Cached window coefficient tables, keyed by `(window, frame length)`.
+/// The cached Hann coefficient table for an `n`-sample frame, or `None`
+/// for frames shorter than 2 samples, whose only coefficient is `1.0`.
 ///
-/// A miss computes the table under the cache lock, so for any key exactly
-/// one miss is ever recorded no matter how many threads race for it — the
+/// Tables are cached per length, like the FFT's twiddle tables, so
+/// same-length captures (every stream of a campaign shares one capture
+/// length) pay one cosine per sample once per process. The fused FFT
+/// loaders read the table during their bit-reversal pass. A miss computes
+/// the table under the cache lock, so for any length exactly one miss is
+/// ever recorded however many threads race for it, and the
 /// `signal.window.cache_{hits,misses}` counters stay deterministic across
-/// worker-thread counts.
-fn coefficient_table(window: Window, n: usize) -> Arc<Vec<f64>> {
-    type Cache = Mutex<HashMap<(Window, usize), Arc<Vec<f64>>>>;
-    static CACHE: OnceLock<Cache> = OnceLock::new();
+/// worker-thread counts. A `None` ticks neither counter.
+pub(crate) fn hann_table(n: usize) -> Option<Arc<Vec<f64>>> {
+    if n < 2 {
+        return None;
+    }
+    static CACHE: OnceLock<Mutex<HashMap<usize, Arc<Vec<f64>>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().expect("window coefficient cache poisoned");
-    if let Some(table) = map.get(&(window, n)) {
+    if let Some(table) = map.get(&n) {
         srtd_runtime::obs::counter_add("signal.window.cache_hits", 1);
-        return table.clone();
+        return Some(table.clone());
     }
     srtd_runtime::obs::counter_add("signal.window.cache_misses", 1);
-    let table = Arc::new((0..n).map(|i| window.coefficient(i, n)).collect::<Vec<_>>());
-    map.insert((window, n), table.clone());
-    table
+    let table = Arc::new((0..n).map(|i| hann(i, n)).collect::<Vec<_>>());
+    map.insert(n, table.clone());
+    Some(table)
 }
 
 #[cfg(test)]
@@ -98,62 +46,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rectangular_is_identity() {
-        let xs = [1.0, -2.0, 3.5];
-        assert_eq!(Window::Rectangular.apply(&xs), xs.to_vec());
-    }
-
-    #[test]
     fn hann_endpoints_are_zero_and_center_is_one() {
         let n = 101;
-        assert!(Window::Hann.coefficient(0, n).abs() < 1e-12);
-        assert!(Window::Hann.coefficient(n - 1, n).abs() < 1e-12);
-        assert!((Window::Hann.coefficient(50, n) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hamming_endpoints_are_small_but_nonzero() {
-        let n = 64;
-        let edge = Window::Hamming.coefficient(0, n);
-        assert!((edge - 0.08).abs() < 1e-12);
+        assert!(hann(0, n).abs() < 1e-12);
+        assert!(hann(n - 1, n).abs() < 1e-12);
+        assert!((hann(50, n) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn coefficients_bounded_by_one() {
-        for w in [Window::Rectangular, Window::Hann, Window::Hamming] {
-            for i in 0..32 {
-                let c = w.coefficient(i, 32);
-                assert!((0.0..=1.0).contains(&c), "{w:?} at {i}: {c}");
-            }
+        for i in 0..32 {
+            let c = hann(i, 32);
+            assert!((0.0..=1.0).contains(&c), "at {i}: {c}");
         }
     }
 
-    /// The cached table path produces the same bits as multiplying by
-    /// per-call coefficients, for every window and several lengths
-    /// (including repeats, which exercise the hit path).
+    /// The cached table holds the per-coefficient bits, on first use and
+    /// on a repeat (the hit path).
     #[test]
-    fn cached_apply_matches_per_coefficient_apply() {
-        for w in [Window::Rectangular, Window::Hann, Window::Hamming] {
-            for n in [2usize, 3, 17, 64, 64, 601] {
-                let xs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
-                let cached = w.apply(&xs);
-                let reference: Vec<f64> = xs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| x * w.coefficient(i, n))
-                    .collect();
-                assert_eq!(cached.len(), reference.len());
-                for (a, b) in cached.iter().zip(&reference) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{w:?} len {n}");
-                }
+    fn cached_table_matches_per_coefficient_values() {
+        for n in [2usize, 3, 17, 64, 64, 601] {
+            let table = hann_table(n).expect("a frame of 2 or more samples");
+            assert_eq!(table.len(), n);
+            for (i, c) in table.iter().enumerate() {
+                assert_eq!(c.to_bits(), hann(i, n).to_bits(), "len {n}");
             }
         }
     }
 
     #[test]
-    fn tiny_frames_are_passed_through() {
-        assert_eq!(Window::Hann.coefficient(0, 1), 1.0);
-        assert_eq!(Window::Hann.apply(&[7.0]), vec![7.0]);
-        assert_eq!(Window::Hann.apply(&[]), Vec::<f64>::new());
+    fn tiny_frames_have_no_table() {
+        assert!(hann_table(0).is_none());
+        assert!(hann_table(1).is_none());
     }
 }

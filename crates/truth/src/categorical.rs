@@ -9,7 +9,7 @@
 //! grouping counter-measure transfers verbatim: collapse each suspected
 //! group to a single vote ([`grouped_weighted_vote`]).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One categorical claim: account `account` says task `task` has label
 /// `label`.
@@ -42,6 +42,9 @@ pub struct CategoricalData {
     num_tasks: usize,
     claims: Vec<Claim>,
     num_accounts: usize,
+    /// Every `(account, task)` pair claimed so far, so a repeat is found
+    /// without scanning the claims.
+    seen: HashSet<(usize, usize)>,
 }
 
 impl CategoricalData {
@@ -49,8 +52,7 @@ impl CategoricalData {
     pub fn new(num_tasks: usize) -> Self {
         Self {
             num_tasks,
-            claims: Vec::new(),
-            num_accounts: 0,
+            ..Self::default()
         }
     }
 
@@ -82,13 +84,8 @@ impl CategoricalData {
     /// this task.
     pub fn add_claim(&mut self, account: usize, task: usize, label: usize) {
         assert!(task < self.num_tasks, "task {task} out of range");
-        assert!(
-            !self
-                .claims
-                .iter()
-                .any(|c| c.account == account && c.task == task),
-            "account {account} already claimed task {task}"
-        );
+        let fresh = self.seen.insert((account, task));
+        assert!(fresh, "account {account} already claimed task {task}");
         self.claims.push(Claim {
             account,
             task,
@@ -191,7 +188,9 @@ pub fn majority_vote(data: &CategoricalData) -> Vec<Option<usize>> {
 /// (e.g. from `srtd-core`'s AG methods). For each task, every group first
 /// casts a *single* internal-majority vote; the votes are then combined
 /// with the Eq. 4 size-penalized weights. A thousand coordinated accounts
-/// still count as one voice.
+/// still count as one voice. Ties break toward the smaller label, inside
+/// a group and between groups; the weights behind each label are added
+/// in ascending group order, so a near-tie resolves the same on every run.
 ///
 /// # Panics
 ///
@@ -203,32 +202,26 @@ pub fn grouped_weighted_vote(data: &CategoricalData, group_of: &[usize]) -> Vec<
         data.num_accounts(),
         group_of.len()
     );
-    (0..data.num_tasks())
-        .map(|task| {
-            // Group-internal majority.
-            let mut group_tallies: HashMap<usize, HashMap<usize, usize>> = HashMap::new();
-            let mut reporters = 0usize;
-            for c in data.claims().iter().filter(|c| c.task == task) {
-                reporters += 1;
-                *group_tallies
-                    .entry(group_of[c.account])
-                    .or_default()
-                    .entry(c.label)
-                    .or_insert(0) += 1;
-            }
-            if reporters == 0 {
-                return None;
-            }
-            // Combine group votes with Eq. 4 weights.
-            let mut combined: HashMap<usize, f64> = HashMap::new();
-            for (_, tally) in group_tallies {
-                let members: usize = tally.values().sum();
-                let label = tally
-                    .into_iter()
-                    .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-                    .map(|(l, _)| l)
-                    .expect("non-empty tally");
-                let weight = 1.0 - members as f64 / reporters as f64;
+    // Each task's claims as (group, label), bucketed in one pass.
+    let mut by_task: Vec<Vec<(usize, usize)>> = vec![Vec::new(); data.num_tasks()];
+    for c in data.claims() {
+        by_task[c.task].push((group_of[c.account], c.label));
+    }
+    by_task
+        .into_iter()
+        .map(|mut claims| {
+            let reporters = claims.len();
+            claims.sort_unstable();
+            // Each group's majority label, weighted by Eq. 4 and added per
+            // label with the groups in ascending order.
+            let mut combined: BTreeMap<usize, f64> = BTreeMap::new();
+            for group in claims.chunk_by(|a, b| a.0 == b.0) {
+                let label = group
+                    .chunk_by(|a, b| a.1 == b.1)
+                    .max_by(|a, b| a.len().cmp(&b.len()).then(b[0].1.cmp(&a[0].1)))
+                    .map(|run| run[0].1)
+                    .expect("non-empty group");
+                let weight = 1.0 - group.len() as f64 / reporters as f64;
                 // A group holding every reporter still deserves a voice.
                 *combined.entry(label).or_insert(0.0) += weight.max(0.05);
             }
@@ -404,6 +397,95 @@ mod property_tests {
             );
             Ok(())
         });
+    }
+
+    /// The reference the grouped vote must equal: a scan of every claim
+    /// per task and per group, each group's majority label (ties to the
+    /// smaller label), and the Eq. 4 weights added per label in ascending
+    /// group order.
+    fn reference_grouped_vote(data: &CategoricalData, group_of: &[usize]) -> Vec<Option<usize>> {
+        let groups = group_of.iter().max().map_or(0, |g| g + 1);
+        (0..data.num_tasks())
+            .map(|task| {
+                let claims: Vec<&Claim> = data.claims().iter().filter(|c| c.task == task).collect();
+                let mut combined: Vec<(usize, f64)> = Vec::new();
+                for g in 0..groups {
+                    let labels: Vec<usize> = claims
+                        .iter()
+                        .filter(|c| group_of[c.account] == g)
+                        .map(|c| c.label)
+                        .collect();
+                    let count = |l: usize| labels.iter().filter(|&&x| x == l).count();
+                    let Some(label) =
+                        labels
+                            .iter()
+                            .copied()
+                            .reduce(|a, b| match count(a).cmp(&count(b)) {
+                                std::cmp::Ordering::Less => b,
+                                std::cmp::Ordering::Greater => a,
+                                std::cmp::Ordering::Equal => a.min(b),
+                            })
+                    else {
+                        continue;
+                    };
+                    let weight = (1.0 - labels.len() as f64 / claims.len() as f64).max(0.05);
+                    match combined.iter_mut().find(|(l, _)| *l == label) {
+                        Some((_, w)) => *w += weight,
+                        None => combined.push((label, weight)),
+                    }
+                }
+                combined
+                    .into_iter()
+                    .reduce(|a, b| {
+                        if b.1 > a.1 || (b.1 == a.1 && b.0 < a.0) {
+                            b
+                        } else {
+                            a
+                        }
+                    })
+                    .map(|(label, _)| label)
+            })
+            .collect()
+    }
+
+    /// The grouped vote equals the plain reference on campaigns where
+    /// several groups of varying size stand behind each label, so each
+    /// label's weight is a sum of several terms and near-ties occur.
+    #[test]
+    fn grouped_vote_matches_the_group_order_reference() {
+        prop::check(
+            |rng| {
+                let accounts = rng.gen_range(2usize..60);
+                let groups = rng.gen_range(1usize..12);
+                let tasks = rng.gen_range(1usize..6);
+                let group_of: Vec<usize> =
+                    (0..accounts).map(|_| rng.gen_range(0..groups)).collect();
+                let group_label: Vec<Vec<usize>> = (0..groups)
+                    .map(|_| (0..tasks).map(|_| rng.gen_range(0usize..3)).collect())
+                    .collect();
+                let mut data = CategoricalData::new(tasks);
+                for (account, &g) in group_of.iter().enumerate() {
+                    for (task, &label) in group_label[g].iter().enumerate() {
+                        if rng.gen_range(0.0f64..1.0) < 0.7 {
+                            let label = if rng.gen_range(0.0f64..1.0) < 0.2 {
+                                rng.gen_range(0usize..3)
+                            } else {
+                                label
+                            };
+                            data.add_claim(account, task, label);
+                        }
+                    }
+                }
+                (data, group_of)
+            },
+            |(data, group_of)| {
+                prop_assert_eq!(
+                    grouped_weighted_vote(data, group_of),
+                    reference_grouped_vote(data, group_of)
+                );
+                Ok(())
+            },
+        );
     }
 
     /// Deterministic: the weighted vote is a pure function.

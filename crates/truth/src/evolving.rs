@@ -9,23 +9,23 @@
 //! CRH-style inverse-loss form.
 
 use crate::data::{Report, SensingData};
-use srtd_runtime::json::{Json, ToJson};
+
+/// Floor on the decayed losses in the inverse-loss weight, so a perfect
+/// account's weight stays finite. It is absolute, unlike [`crate::Crh`]'s
+/// floor, which is 10⁻⁶ of the mean loss.
+const LOSS_FLOOR: f64 = 1e-9;
 
 /// Configuration for [`StreamingCrh`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingConfig {
     /// Time for a claim's influence to halve, in seconds.
     pub half_life_s: f64,
-    /// Loss floor guarding the inverse-loss weight (see
-    /// [`crate::Crh`]'s analogous epsilon).
-    pub loss_floor: f64,
 }
 
 impl Default for StreamingConfig {
     fn default() -> Self {
         Self {
             half_life_s: 1800.0,
-            loss_floor: 1e-9,
         }
     }
 }
@@ -41,10 +41,7 @@ impl StreamingConfig {
             half_life_s.is_finite() && half_life_s > 0.0,
             "half-life must be positive, got {half_life_s}"
         );
-        Self {
-            half_life_s,
-            ..Self::default()
-        }
+        Self { half_life_s }
     }
 }
 
@@ -141,10 +138,8 @@ impl StreamingCrh {
             .iter()
             .map(|a| a.loss)
             .sum::<f64>()
-            .max(self.config.loss_floor);
-        (total / state.loss.max(self.config.loss_floor))
-            .ln()
-            .max(0.05)
+            .max(LOSS_FLOOR);
+        (total / state.loss.max(LOSS_FLOOR)).ln().max(0.05)
     }
 
     fn decay_factor(&self, from: f64, to: f64) -> f64 {
@@ -218,15 +213,6 @@ impl StreamingCrh {
             stream.observe(r);
         }
         stream
-    }
-}
-
-impl ToJson for StreamingConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("half_life_s", self.half_life_s.to_json()),
-            ("loss_floor", self.loss_floor.to_json()),
-        ])
     }
 }
 

@@ -44,7 +44,7 @@ fn main() {
     );
 
     // Standardize, then visualize in PC1/PC2 like the paper's Fig. 2(a).
-    let (standardized, _) = standardize(&features);
+    let standardized = standardize(&features);
     let pca = Pca::fit(&standardized, 2);
     let ratio = pca.explained_variance_ratio();
     println!(

@@ -37,9 +37,10 @@ cargo test -q --offline --test edge_index
 
 # Golden bit pins: Algorithm 2's results (every aggregation, cold and
 # warm, at 1 and 4 threads, on the 4-task Table I as well as on campaigns
-# of 64 tasks and more) and an epoch replay's rendered snapshots must
-# hash to digests recorded once, so a change that moves both sides of an
-# equivalence pair at once still fails.
+# of 64 tasks and more), an epoch replay's rendered snapshots, the
+# account-level algorithms' results and the fingerprints with AG-FP's
+# labels must hash to digests recorded once, so a change that moves both
+# sides of an equivalence pair at once still fails.
 cargo test -q --offline --test golden_bits
 
 # Pool vs inline dispatch equivalence: the persistent worker pool and the
@@ -116,12 +117,14 @@ cargo run -q --release --offline -p srtd-bench --bin exp_adaptive_jitter -- --fa
 # (CRH over the per-task claims), Table IV (the device catalog), Figs. 3-4
 # (AG-TS's affinities and AG-TR's raw DTW costs), the TD family under
 # attack (Mean, Median, CRH, CATD, GTM, RobustCRH vs TD-TR), CRH's weight
-# flows, the adaptive attack strategies and the large-scale Sybil sweep
-# must print exactly what results/ records, so a change that moves a
-# number has to regenerate the file. Each binary also asserts its own
-# shape check.
+# flows, the adaptive attack strategies, the large-scale Sybil sweep and
+# the AG-FP experiments (Figs. 2 and 8 with their seed-set checks, the
+# feature and clustering ablations, fingerprint stability) must print
+# exactly what results/ records, so a change that moves a number has to
+# regenerate the file. Each binary also asserts its own shape check.
 for exp in exp_table1 exp_table4 exp_fig3_fig4 exp_td_family exp_weights \
-  exp_attack_strategies exp_large_scale; do
+  exp_attack_strategies exp_large_scale exp_fig2 exp_fig8 \
+  exp_ablation_features exp_ablation_clustering exp_fingerprint_stability; do
   cargo run -q --release --offline -p srtd-bench --bin "$exp" | diff -u "results/$exp.txt" -
 done
 

@@ -22,17 +22,26 @@
 //! `MedianVote`, `Crh`, `Catd`, `Gtm`, `RobustCrh`) and over every
 //! campaign in turn: every truth's bits, every weight's bits, the
 //! iteration count and the `converged` flag.
+//!
+//! The fingerprint digest folds in the bits of `fingerprint_features` for
+//! seeded captures of every Table-IV model, the bits of one odd,
+//! mixed-length `stream_features_batch` (so both its paired and its
+//! single-stream transforms are pinned), and, per paper scenario, every
+//! account's fingerprint bits and AG-FP's labels.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use sybil_td::core::{
-    AccountGrouping, AgTr, AgTs, FrameworkConfig, FrameworkResult, GroupAggregation, Grouping,
-    SybilResistantTd,
+    AccountGrouping, AgFp, AgTr, AgTs, FrameworkConfig, FrameworkResult, GroupAggregation,
+    Grouping, SybilResistantTd,
 };
+use sybil_td::fingerprint::catalog::standard_catalog;
+use sybil_td::fingerprint::{fingerprint_features, CaptureConfig};
 use sybil_td::platform::{EpochConfig, EpochEngine};
 use sybil_td::runtime::json::ToJson;
 use sybil_td::runtime::parallel::set_max_threads;
 use sybil_td::runtime::rng::{Rng, SeedableRng, SliceRandom, StdRng};
 use sybil_td::sensing::{ScaledCampaign, ScaledCampaignConfig, Scenario, ScenarioConfig};
+use sybil_td::signal::stream_features_batch;
 use sybil_td::truth::{
     Catd, Crh, Gtm, MeanVote, MedianVote, Report, RobustCrh, SensingData, TruthDiscovery,
     TruthDiscoveryResult,
@@ -436,4 +445,62 @@ fn account_level_results_are_pinned() {
         })
         .collect();
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// Everything AG-FP computes, as one digest: two seeded captures of each
+/// Table-IV model, a batch of seven streams of lengths 0 to 700 (padded
+/// lengths 1, 512 and 1024: three pairs and one single transform), and
+/// each paper scenario's fingerprints and AG-FP labels.
+fn fingerprint_digest() -> u64 {
+    let mut digest = Digest::new();
+    let capture_config = CaptureConfig::paper_default();
+    for (i, entry) in standard_catalog().iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(0xF1A6 + i as u64);
+        let device = entry.model.manufacture(&mut rng);
+        for _ in 0..2 {
+            for x in fingerprint_features(&device.capture(&capture_config, &mut rng)) {
+                digest.word(x.to_bits());
+            }
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(26);
+    let streams: Vec<Vec<f64>> = [0usize, 1, 300, 400, 500, 600, 700]
+        .iter()
+        .map(|&len| {
+            (0..len)
+                .map(|i| 9.81 + (i as f64 * 0.37).sin() + rng.gen_range(-0.5f64..0.5))
+                .collect()
+        })
+        .collect();
+    for stream in stream_features_batch(&streams, 100.0) {
+        for x in stream.to_vec() {
+            digest.word(x.to_bits());
+        }
+    }
+    for seed in 0..6 {
+        let scenario = Scenario::generate(&ScenarioConfig::paper_default().with_seed(seed));
+        for print in &scenario.fingerprints {
+            for &x in print {
+                digest.word(x.to_bits());
+            }
+        }
+        let grouping = AgFp::default().group(&scenario.data, &scenario.fingerprints);
+        for &label in grouping.labels() {
+            digest.word(label as u64);
+        }
+    }
+    digest.0
+}
+
+#[test]
+fn fingerprint_results_are_pinned() {
+    const PIN: u64 = 0xf14d_83bb_13e4_1cd8;
+    for threads in [1, 4] {
+        let _threads = Threads::set(threads);
+        let got = fingerprint_digest();
+        assert_eq!(
+            got, PIN,
+            "fingerprints and AG-FP at {threads} threads: digest {got:#018x}, pinned {PIN:#018x}"
+        );
+    }
 }

@@ -11,7 +11,7 @@
 
 use sybil_td::runtime::obs;
 use sybil_td::runtime::parallel::set_max_threads;
-use sybil_td::signal::{stream_features_batch, FeatureConfig};
+use sybil_td::signal::stream_features_batch;
 
 /// Two well-separated tones and no DC offset, so every stream has at
 /// least two spectral peaks and the roughness pair counter must fire.
@@ -40,13 +40,12 @@ fn counter(report: &obs::Report, name: &str) -> u64 {
 #[test]
 fn fused_feature_counters_export_deterministically() {
     let streams = two_tone_streams(4, 512);
-    let cfg = FeatureConfig::new(100.0);
 
     // Warm the process-wide window-coefficient cache first: the one miss
     // per (window, length) key lands here instead of inside the first
     // comparative run, so both instrumented runs see an identical
     // hits-only cache and their exports can match byte for byte.
-    let _ = stream_features_batch(&streams, &cfg);
+    let _ = stream_features_batch(&streams, 100.0);
 
     let mut exports = Vec::new();
     let mut reports = Vec::new();
@@ -54,7 +53,7 @@ fn fused_feature_counters_export_deterministically() {
         set_max_threads(threads);
         obs::set_enabled(true);
         obs::reset();
-        let _ = stream_features_batch(&streams, &cfg);
+        let _ = stream_features_batch(&streams, 100.0);
         let report = obs::snapshot();
         obs::set_enabled(false);
         exports.push(report.deterministic_json());
@@ -92,7 +91,7 @@ fn fused_feature_counters_export_deterministically() {
     obs::set_enabled(true);
     obs::reset();
     let fresh = two_tone_streams(2, 300);
-    let _ = stream_features_batch(&fresh, &cfg);
+    let _ = stream_features_batch(&fresh, 100.0);
     let report = obs::snapshot();
     obs::set_enabled(false);
     assert_eq!(counter(&report, "signal.window.cache_misses"), 1);

@@ -17,7 +17,7 @@ use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use sybil_td::runtime::parallel::{parallel_map, parallel_reduce, set_max_threads};
 use sybil_td::runtime::rng::{Rng, SeedableRng, StdRng};
 use sybil_td::runtime::{pool, prop, prop_assert};
-use sybil_td::signal::{stream_features_batch, FeatureConfig};
+use sybil_td::signal::stream_features_batch;
 
 /// Where a region's chunks run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +135,6 @@ fn reduce_merges_identically_across_backends() {
 /// path — bits must not depend on any of it.
 #[test]
 fn feature_batch_is_backend_invariant() {
-    let cfg = FeatureConfig::new(100.0);
     let streams: Vec<Vec<f64>> = (0..6)
         .map(|s| {
             (0..300 + 70 * s)
@@ -145,7 +144,7 @@ fn feature_batch_is_backend_invariant() {
         .collect();
     let run = |path, threads| {
         with_exec(path, threads, || {
-            stream_features_batch(&streams, &cfg)
+            stream_features_batch(&streams, 100.0)
                 .into_iter()
                 .flat_map(|f| f.to_vec())
                 .map(f64::to_bits)
@@ -294,7 +293,6 @@ fn concurrent_top_level_regions_match_the_one_worker_run() {
 /// be byte-identical to a clean run.
 #[test]
 fn scratch_arenas_never_leak_state_between_jobs() {
-    let cfg = FeatureConfig::new(100.0);
     prop::check(
         |rng| {
             let count = rng.gen_range(1usize..7);
@@ -308,7 +306,7 @@ fn scratch_arenas_never_leak_state_between_jobs() {
         },
         |(streams, poison_seed)| {
             let clean = with_exec(Path::Inline, 1, || {
-                stream_features_batch(streams, &cfg)
+                stream_features_batch(streams, 100.0)
                     .into_iter()
                     .flat_map(|f| f.to_vec())
                     .map(f64::to_bits)
@@ -333,8 +331,8 @@ fn scratch_arenas_never_leak_state_between_jobs() {
                 })
                 .collect();
             let got = with_exec(Path::Pool, 4, || {
-                let _ = stream_features_batch(&garbage, &cfg);
-                stream_features_batch(streams, &cfg)
+                let _ = stream_features_batch(&garbage, 100.0);
+                stream_features_batch(streams, 100.0)
                     .into_iter()
                     .flat_map(|f| f.to_vec())
                     .map(f64::to_bits)
